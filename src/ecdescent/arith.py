@@ -20,28 +20,28 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _TRIAL_LIMIT = 1 << 20
 
-_SMALL_PRIMES = None
+
+def primes_up_to(n):
+    """All primes <= n, by sieve."""
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
+    return [i for i in range(n + 1) if sieve[i]]
 
 
-def _small_primes():
-    """Primes below 2^10, sieved once; seeds trial division."""
-    global _SMALL_PRIMES
-    if _SMALL_PRIMES is None:
-        n = 1 << 10
-        sieve = bytearray([1]) * (n + 1)
-        sieve[0] = sieve[1] = 0
-        for p in range(2, isqrt(n) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-        _SMALL_PRIMES = [i for i in range(n + 1) if sieve[i]]
-    return _SMALL_PRIMES
+# Primes below 2^10; they seed trial division in `_factor_abs`.
+_SMALL_PRIMES = primes_up_to(1 << 10)
 
 
 def is_prime(n):
     """Deterministic Miller-Rabin primality test (valid far beyond desk scale)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -129,7 +129,7 @@ def _factor_abs(n):
         return _factor_cache[n]
     m = n
     out = {}
-    for p in _small_primes():
+    for p in _SMALL_PRIMES:
         if p * p > m:
             break
         while m % p == 0:
@@ -307,18 +307,6 @@ def unitary_squarefree_divisors(n):
         if e == 1:
             reps += [r * p for r in reps]
     return sorted(reps)
-
-
-def primes_up_to(n):
-    """All primes <= n, by sieve."""
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i in range(n + 1) if sieve[i]]
 
 
 def next_prime(n):

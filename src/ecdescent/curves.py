@@ -9,7 +9,7 @@ y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 may carry exact rationals
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import polys
 from .arith import factor, is_prime, is_square, valuation
@@ -111,9 +111,7 @@ def short_model(model):
         return minimize(model)
     inv = invariants(model)
     c4, c6 = Fraction(inv.c4), Fraction(inv.c6)
-    u = 1
-    for q in (c4.denominator, c6.denominator):
-        u = u * q // gcd(u, q)
+    u = lcm(c4.denominator, c6.denominator)
     A = -27 * c4 * u**4
     B = -54 * c6 * u**6
     return minimize(ShortWeierstrass(int(A), int(B)))

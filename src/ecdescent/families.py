@@ -8,6 +8,7 @@ rational 3-isogeny, and quadratic twists of y^2 = x^3 - 1.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from . import curves, polys
 from .arith import factor, is_square, is_squarefree, omega
@@ -16,6 +17,10 @@ from .errors import DomainError, SingularCurve
 
 E2_TAG = "e2"
 E3_TAG = "e3"
+
+# Widens the asymptotic parameter window of `tate_fibers`, whose exponents
+# leave out constant factors, so small heights keep every fiber.
+SAFETY_BOX_FACTOR = 4
 
 COND_I = "CondI"
 COND_II = "CondII"
@@ -94,12 +99,16 @@ def type1(a):
 
 
 def _is_cube(n):
+    """Whether n is the cube of an integer, by an exact integer Newton root."""
     m = abs(n)
-    r = round(m ** (1 / 3))
-    for c in (r - 1, r, r + 1):
-        if c >= 0 and c**3 == m:
-            return True
-    return False
+    if m < 2:
+        return True
+    r = 1 << -(-m.bit_length() // 3)  # 2^ceil(bits/3) >= cbrt(m)
+    while True:
+        s = (2 * r + m // (r * r)) // 3
+        if s >= r:
+            return r**3 == m
+        r = s
 
 
 def tate_normal(b, c):
@@ -130,6 +139,31 @@ def e7_curve(t):
     """
     t = Fraction(t)
     return tate_normal(t**3 - t * t, t * t - t)
+
+
+def tate_fibers(ell, X):
+    """Yield (num, den, model) for each nonsingular fiber t = num/den of the
+    5- or 7-torsion Tate family whose minimal short model has height <= X.
+
+    Runs over coprime num/den in the family's parameter window scaled by
+    SAFETY_BOX_FACTOR, den ascending in the outer loop and num in the inner.
+    """
+    if ell not in (5, 7):
+        raise DomainError("Tate fibers cover ell in {5, 7}")
+    box = param_box(ell)
+    build = e5_curve if ell == 5 else e7_curve
+    num_max = int(SAFETY_BOX_FACTOR * X ** float(box.m)) + 1
+    den_max = int(SAFETY_BOX_FACTOR * X ** float(box.n)) + 1
+    for den in range(1, den_max + 1):
+        for num in range(-num_max, num_max + 1):
+            if gcd(num, den) != 1:
+                continue
+            try:
+                model = curves.short_model(build(Fraction(num, den)))
+            except SingularCurve:
+                continue
+            if curves.height_leq(model, X):
+                yield num, den, model
 
 
 def delta5_poly():

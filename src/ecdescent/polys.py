@@ -6,7 +6,7 @@ families, root counting mod p and p^2, and exact rational root finding.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DomainError
 
@@ -126,6 +126,40 @@ def _poly_gcd_mod(f, g, p):
     return f
 
 
+def xpow_mod(e, f, p):
+    """x^e mod (f, p) in F_p[x] by square-and-multiply, for e >= 0.
+
+    The leading coefficient of f must be a unit mod p.  The result is
+    normalized, with coefficients in [0, p) and degree below deg(f).
+    """
+    inv = pow(f[-1], -1, p)
+    monic = [c * inv % p for c in f]
+    d = len(monic) - 1
+
+    def mulmod(u, v):
+        w = [0] * (len(u) + len(v) - 1)
+        for i, ui in enumerate(u):
+            if ui:
+                for j, vj in enumerate(v):
+                    w[i + j] = (w[i + j] + ui * vj) % p
+        for i in range(len(w) - 1, d - 1, -1):
+            c = w[i]
+            if c:
+                shift = i - d
+                for j in range(d + 1):
+                    w[shift + j] = (w[shift + j] - c * monic[j]) % p
+        return normalize(w[:d])
+
+    out = [1]
+    base = [0, 1]
+    while e:
+        if e & 1:
+            out = mulmod(out, base)
+        base = mulmod(base, base)
+        e >>= 1
+    return out
+
+
 def _squarefree_good_prime(f, max_failures=200):
     """A prime p with lead(f) a unit and f squarefree mod p.
 
@@ -164,11 +198,8 @@ def _rational_gcd(f, g):
                 r[shift + i] = r[shift + i] - c * q
             r = normalize(r)
         a, b = bm, r
-    den = 1
-    for c in a:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in a]
-    return primitive(ints)
+    den = lcm(*(c.denominator for c in a))
+    return primitive([int(c * den) for c in a])
 
 
 def squarefree_part_poly(f):
@@ -187,9 +218,7 @@ def squarefree_part_poly(f):
         out[i] = c
         for j, q in enumerate(den):
             r[i + j] -= c * q
-    d = 1
-    for c in out:
-        d = d * c.denominator // gcd(d, c.denominator)
+    d = lcm(*(c.denominator for c in out))
     return primitive([int(c * d) for c in out])
 
 

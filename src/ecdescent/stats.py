@@ -16,8 +16,6 @@ from . import curves, families, polys
 from .arith import factor, is_square, legendre, primes_up_to
 from .errors import DomainError
 
-SAFETY_BOX_FACTOR = 4
-
 
 @dataclass(frozen=True)
 class CountSeries:
@@ -142,36 +140,15 @@ def slope(series):
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
 
 
-def count_family(ell, X, box_factor=SAFETY_BOX_FACTOR):
+def count_family(ell, X):
     """Number of distinct minimal curves of height <= X in the 5- or 7-torsion family.
 
-    Enumerates t = a/b over the family's parameter window (scaled by a safety
-    factor), builds the Tate normal fiber, reduces to the minimal short model
-    and dedupes on (A, B).
+    Dedupes the minimal short models (A, B) of `families.tate_fibers`.
     """
-    if ell not in (5, 7):
-        raise DomainError("count_family covers ell in {5, 7}")
-    box = families.param_box(ell)
-    build = families.e5_curve if ell == 5 else families.e7_curve
-    num_max = int(box_factor * X ** float(box.m)) + 1
-    den_max = int(box_factor * X ** float(box.n)) + 1
-    seen = set()
-    for den in range(1, den_max + 1):
-        for num in range(-num_max, num_max + 1):
-            if gcd(num, den) != 1:
-                continue
-            t = Fraction(num, den)
-            try:
-                long_model = build(t)
-            except Exception:
-                continue  # singular parameter
-            model = curves.short_model(long_model)
-            if curves.height_leq(model, X):
-                seen.add((model.A, model.B))
-    return len(seen)
+    return len({(model.A, model.B) for _, _, model in families.tate_fibers(ell, X)})
 
 
-def family_series(ell, heights, box_factor=SAFETY_BOX_FACTOR):
+def family_series(ell, heights):
     """CountSeries over the given heights: region count for ell = 3, fiber
     enumeration for ell in {5, 7}."""
     pts = []
@@ -179,25 +156,8 @@ def family_series(ell, heights, box_factor=SAFETY_BOX_FACTOR):
         if ell == 3:
             pts.append((X, count_r3(X)))
         else:
-            pts.append((X, count_family(ell, X, box_factor)))
+            pts.append((X, count_family(ell, X)))
     return CountSeries(f"e{ell}", tuple(pts))
-
-
-def _polmulmod(u, v, monic, p):
-    """u * v mod (monic, p) for ascending coefficient lists, monic of degree d."""
-    d = len(monic) - 1
-    w = [0] * (len(u) + len(v) - 1)
-    for i, ui in enumerate(u):
-        if ui:
-            for j, vj in enumerate(v):
-                w[i + j] = (w[i + j] + ui * vj) % p
-    for i in range(len(w) - 1, d - 1, -1):
-        c = w[i]
-        if c:
-            shift = i - d
-            for j in range(d + 1):
-                w[shift + j] = (w[shift + j] - c * monic[j]) % p
-    return polys.normalize(w[:d])
 
 
 def _distinct_roots_gcd(f, p):
@@ -206,19 +166,8 @@ def _distinct_roots_gcd(f, p):
     red = polys.normalize([c % p for c in f])
     if len(red) < 2:
         return None
-    inv = pow(red[-1], -1, p)
-    monic = [c * inv % p for c in red]
-    xp = [1]
-    base = [0, 1]
-    e = p
-    while e:
-        if e & 1:
-            xp = _polmulmod(xp, base, monic, p)
-        base = _polmulmod(base, base, monic, p)
-        e >>= 1
-    frob = polys.normalize(polys.sub(xp, [0, 1]))
-    g = polys._poly_gcd_mod(monic, [c % p for c in frob], p) if frob else monic
-    return len(g) - 1
+    frob = polys.sub(polys.xpow_mod(p, red, p), [0, 1])
+    return len(polys._poly_gcd_mod(red, frob, p)) - 1
 
 
 def roots_mod(f, p, square=False):
@@ -256,13 +205,10 @@ def roots_mod(f, p, square=False):
 
 
 def _divisors(n):
-    n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.update((d, n // d))
-        d += 1
+    """Positive divisors of n != 0, ascending."""
+    out = [1]
+    for p, e in factor(n).factors:
+        out = [d * p**k for d in out for k in range(e + 1)]
     return sorted(out)
 
 
@@ -342,42 +288,12 @@ def is_irreducible(f):
 
 def _irreducible_mod_p(f, p):
     """Distinct-degree test: f irreducible mod p iff x^(p^d) = x mod f and
-    gcd(x^(p^(d/q)) - x, f) = 1 for prime q | d."""
+    gcd(x^(p^(d/q)) - x, f) = 1 for prime q | d (needs d >= 2)."""
     d = polys.degree(f)
-    inv = pow(f[-1], -1, p)
-    monic = [c * inv % p for c in f]
-
-    def polmulmod(u, v):
-        w = [0] * (len(u) + len(v) - 1)
-        for i, ui in enumerate(u):
-            if ui:
-                for j, vj in enumerate(v):
-                    w[i + j] = (w[i + j] + ui * vj) % p
-        # reduce mod monic
-        for i in range(len(w) - 1, d - 1, -1):
-            c = w[i]
-            if c:
-                shift = i - d
-                for j in range(d + 1):
-                    w[shift + j] = (w[shift + j] - c * monic[j]) % p
-        return polys.normalize(w[:d])
-
-    def xpow(e):
-        out = [1]
-        b = [0, 1]
-        while e:
-            if e & 1:
-                out = polmulmod(out, b)
-            b = polmulmod(b, b)
-            e >>= 1
-        return out
-
-    xq = xpow(p**d)
-    if polys.normalize(polys.sub(xq, [0, 1])) != []:
+    if polys.xpow_mod(p**d, f, p) != [0, 1]:
         return False
-    for q in set(k for k, _ in factor(d).factors):
-        xr = xpow(p ** (d // q))
-        diff = [c % p for c in polys.sub(xr, [0, 1])]
+    for q in factor(d).primes():
+        diff = polys.sub(polys.xpow_mod(p ** (d // q), f, p), [0, 1])
         if len(polys._poly_gcd_mod(f, diff, p)) != 1:
             return False
     return True
@@ -452,37 +368,29 @@ def _tate_short_polys(ell):
     return polys.scale(c4, -27), polys.scale(c6, -54)
 
 
+def _family_polys(family):
+    """(A(t), B(t), Delta(t)) of one torsion family: e5, e7 or e3poly."""
+    if family == "e3poly":
+        return families.e3_polynomials()
+    if family == "e5":
+        return (*_tate_short_polys(5), families.delta5_poly())
+    if family == "e7":
+        return (*_tate_short_polys(7), families.delta7_poly())
+    raise DomainError(f"unknown family {family!r}")
+
+
 def avg_frobenius(family, p):
     """Averaged Frobenius trace over the fibers of one torsion family at p > 3."""
     if p <= 3:
         raise DomainError("need p > 3")
-    if family == "e5":
-        A, B = _tate_short_polys(5)
-    elif family == "e7":
-        A, B = _tate_short_polys(7)
-    elif family == "e3poly":
-        f3, g3, _ = families.e3_polynomials()
-        A, B = f3, g3
-    else:
-        raise DomainError(f"unknown family {family!r}")
+    A, B, _ = _family_polys(family)
     return average_trace(A, B, p)
 
 
 def family_trace_bound(family):
     """3 deg(Delta) + deg(c4) - 2 for the family, the uniform bound on |A_p|."""
-    if family == "e5":
-        delta_deg = polys.degree(families.delta5_poly())
-        c4_deg = polys.degree(_tate_short_polys(5)[0])
-    elif family == "e7":
-        delta_deg = polys.degree(families.delta7_poly())
-        c4_deg = polys.degree(_tate_short_polys(7)[0])
-    elif family == "e3poly":
-        f3, g3, d3 = families.e3_polynomials()
-        delta_deg = polys.degree(d3)
-        c4_deg = polys.degree(f3)
-    else:
-        raise DomainError(f"unknown family {family!r}")
-    return 3 * delta_deg + c4_deg - 2
+    A, _, delta = _family_polys(family)
+    return 3 * polys.degree(delta) + polys.degree(A) - 2
 
 
 def certificate_density(X):

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from ecdescent import cli, stats
+from ecdescent import cli, descent3, stats
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "ecdescent", "data",
                     "sample_dataset.csv")
@@ -42,10 +42,11 @@ def test_enumerate_e2_deterministic():
 
 
 def test_enumerate_e5_matches_count_family():
-    code, out = run_cli(["enumerate", "--family", "e5", "--height", "50"])
-    assert code == 0
-    rows = out.strip().splitlines()[1:]
-    assert len(rows) == stats.count_family(5, 50)
+    for ell, X in ((5, 50), (7, 200)):
+        code, out = run_cli(["enumerate", "--family", f"e{ell}", "--height", str(X)])
+        assert code == 0
+        rows = out.strip().splitlines()[1:]
+        assert len(rows) == stats.count_family(ell, X)
 
 
 def test_enumerate_rank_bounds_column():
@@ -73,6 +74,23 @@ def test_descent_json():
 def test_descent_singular_exit1(capsys):
     code, _ = run_cli(["descent", "--a", "0", "--b", "0"])
     assert code == 1
+
+
+def test_descent_undecided_exit1(capsys):
+    code, out = run_cli(["--depth-cap-extra", "0", "descent", "--a", "-5", "--b", "-30"])
+    assert code == 1
+    assert out == ""
+    assert capsys.readouterr().err.startswith("error: depth cap exhausted")
+
+
+def test_descent3_class_group_inconsistency_exit1(capsys, monkeypatch):
+    def broken(a):
+        raise ArithmeticError("3-torsion count 2 is not a power of 3")
+
+    monkeypatch.setattr(descent3, "rank_upper_type1", broken)
+    code, _ = run_cli(["descent3", "--a", "1"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: 3-torsion count 2 is not a power of 3\n"
 
 
 def test_descent3_json():

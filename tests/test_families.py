@@ -91,6 +91,18 @@ def test_type1():
         families.type1(0)
 
 
+def test_type1_exact_cube_membership():
+    big = 10**20 + 1
+    assert families.type1(big**3)[2] == {"e2"}
+    assert families.type1(-(big**3))[2] == {"e2"}
+    assert families.type1(big**3 + 1)[2] == set()
+    assert families.type1(10**402)[2] == {"e2", "e3"}  # (10^134)^3 = (10^201)^2
+    assert families.type1(10**400)[2] == {"e3"}
+    for k in range(1, 200):
+        assert families.type1(k**3)[2] >= {"e2"}
+        assert "e2" not in families.type1(k**3 + 1)[2]
+
+
 def test_tate_normal():
     assert curves.invariants(families.tate_normal(1, 1)).delta == -11
     assert curves.invariants(families.tate_normal(2, 2)).delta == -608

@@ -114,6 +114,8 @@ def test_roots_mod_square_oracle():
             continue
         for p in (2, 3, 5, 7, 11):
             assert stats.roots_mod(f, p, square=True) == oracle_roots_mod_square(f, p), (f, p)
+        for p in (503, 1009):  # beyond 500: the gcd(x^p - x, f) path
+            assert stats.roots_mod(f, p) == len(polys.roots_mod_p(f, p)), (f, p)
 
 
 def test_roots_mod_bound_fails_only_at_resultant_primes():
@@ -154,6 +156,29 @@ def test_is_irreducible():
     assert not stats.is_irreducible([2])
     f3, g3, d3 = families.e3_polynomials()
     assert stats.is_irreducible(d3)
+    # degree >= 5: a mod-p irreducibility witness, or no certificate
+    assert stats.is_irreducible([-1, -1, 0, 0, 0, 1])  # x^5 - x - 1
+    assert stats.is_irreducible([2, 0, 0, 0, 0, 0, 1])  # x^6 + 2
+    assert not stats.is_irreducible([-2, 0, -1, 2, 0, 1])  # (x^2 + 2)(x^3 - 1)
+    with pytest.raises(DomainError):
+        stats.is_irreducible([-2, 0, -2, 1, 0, 1])  # (x^2 + 1)(x^3 - 2)
+
+
+def test_is_irreducible_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(12)
+    for deg in (4, 5):
+        for _ in range(60):
+            f = [rng.randrange(-6, 7) for _ in range(deg)] + [rng.choice((1, -1, 2, 3))]
+            _, factors = sympy.factor_list(sum(c * x**i for i, c in enumerate(f)))
+            expected = len(factors) == 1 and factors[0][1] == 1
+            if deg == 5 and not expected and not polys.rational_roots(f):
+                # a quadratic times a cubic has no mod-p witness
+                with pytest.raises(DomainError):
+                    stats.is_irreducible(f)
+            else:
+                assert stats.is_irreducible(f) == expected, f
 
 
 def test_normal_order_experiment():
