@@ -1,8 +1,10 @@
 """Exact integer and rational number-theory kernel.
 
-Factorization (trial division + Pollard rho with deterministic Miller-Rabin),
+Factorization (trial division + Pollard rho with Miller-Rabin, which is
+deterministic below _MR_BOUND and completed by a strong Lucas test, BPSW, above),
 distinct-prime counts, square-free parts, Legendre symbols, the Moebius
-function, and signed square-free divisor class groups Q(T).
+function, and signed square-free divisors (representatives of the square
+classes Q(T) supported on the primes T of n).
 
 Everything here is pure and exact; the only shared state is an optional
 factorization memo keyed by absolute value, which is a cache and nothing more
@@ -15,8 +17,10 @@ from math import gcd, isqrt
 
 from .errors import DomainError
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.317e24.
+# Deterministic Miller-Rabin witness set, valid for all n < _MR_BOUND, the
+# least strong pseudoprime to every one of these bases.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 3317044064679887385961981
 
 _TRIAL_LIMIT = 1 << 20
 
@@ -38,7 +42,8 @@ _SMALL_PRIMES = primes_up_to(1 << 10)
 
 
 def is_prime(n):
-    """Deterministic Miller-Rabin primality test (valid far beyond desk scale)."""
+    """Miller-Rabin to the bases _MR_BASES, proven below _MR_BOUND; from there
+    on a strong Lucas test is added (Baillie-PSW, no known counterexample)."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -59,7 +64,58 @@ def is_prime(n):
                 break
         else:
             return False
-    return True
+    return n < _MR_BOUND or _strong_lucas(n)
+
+
+def _jacobi(a, n):
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    t = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                t = -t
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            t = -t
+        a %= n
+    return t if n == 1 else 0
+
+
+def _strong_lucas(n):
+    """Strong Lucas probable-prime test of odd n > 2 with Selfridge's
+    parameters: D the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1,
+    Q = (1 - D)/4.  Primes always pass."""
+    r = isqrt(n)
+    if r * r == n:
+        return False  # no D with (D/n) = -1 exists
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0 and abs(D) != n:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    half = (n + 1) // 2  # the inverse of 2 mod n
+    U, V, Qk = 1, 1, Q  # U_1, V_1 and Q^1 for P = 1
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = (U + V) * half % n, (D * U + V) * half % n, Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def _pollard_rho(n):
@@ -240,12 +296,6 @@ def rational_stats(r):
     return om_num + om_den, squarefree_part(num * den), om_den
 
 
-def rational_height(r):
-    """h(a/b) = max(|a|, b) for a/b in lowest terms."""
-    r = Fraction(r)
-    return max(abs(r.numerator), r.denominator)
-
-
 def legendre(a, p):
     """Legendre symbol (a/p) for an odd prime p."""
     if p < 3 or p % 2 == 0 or not is_prime(p):
@@ -255,34 +305,6 @@ def legendre(a, p):
         return 0
     t = pow(a, (p - 1) // 2, p)
     return -1 if t == p - 1 else 1
-
-
-@dataclass(frozen=True)
-class DivisorClassGroup:
-    """Q(T): square classes supported on a prime set T, optionally with the sign class."""
-
-    support: tuple
-    includes_infinity: bool
-    representatives: tuple
-
-
-def q_t_representatives(support, includes_infinity):
-    """One signed square-free representative per class of Q(T).
-
-    Cardinality is 2^(|T| + 1) with the infinite place, 2^|T| without; negative
-    representatives appear only when the infinite place is included.
-    """
-    primes = sorted(set(support))
-    for p in primes:
-        if not is_prime(p):
-            raise DomainError(f"{p} is not prime")
-    reps = [1]
-    for p in primes:
-        reps += [r * p for r in reps]
-    if includes_infinity:
-        reps += [-r for r in reps]
-    reps.sort(key=lambda d: (abs(d), d < 0))
-    return DivisorClassGroup(tuple(primes), includes_infinity, tuple(reps))
 
 
 def squarefree_divisors(n, signed=True):

@@ -241,23 +241,23 @@ def cmd_descent3(args, cfg, out):
 
 def _watkins_e2_row(pair, M, policy, real_place, depth_margin):
     a, b = pair
-    param = E2Param(a, b)
-    rep = watkins.report(param, policy=policy, real_place=real_place,
+    rep = watkins.report(E2Param(a, b), policy=policy, real_place=real_place,
                          depth_margin=depth_margin)
-    if rep.surrogate_nu2_lower is None:
-        verdict = watkins.INCONCLUSIVE
-        surrogate = ""
-    else:
-        proven = rep.rank_upper + M <= rep.surrogate_nu2_lower
-        verdict = watkins.PROVEN if proven else watkins.INCONCLUSIVE
-        surrogate = str(rep.surrogate_nu2_lower)
+    surrogate = "" if rep.surrogate_nu2_lower is None else rep.surrogate_nu2_lower
+    verdict = rep.verdict(M)
     line = _row(a, b, rep.curve.A, rep.curve.B, rep.omega_N, rep.rank_upper, surrogate,
                 verdict, rep.method_notes)
     return line, verdict
 
 
+def _check_M(M):
+    if M < 0:
+        raise DomainError(f"--M must be >= 0, got {M}")
+
+
 def cmd_watkins(args, cfg, out):
     M = args.M
+    _check_M(M)
     if args.family == "e2":
         if args.height is None:
             raise DomainError("--height is required for family e2")
@@ -269,6 +269,8 @@ def cmd_watkins(args, cfg, out):
     elif args.family == "twist-e0":
         if args.range is None:
             raise DomainError("--range is required for family twist-e0")
+        if M != 0:
+            raise DomainError("--M does not apply to family twist-e0; its verdicts are for M = 0")
         rows = []
         for D in _squarefree_range(args.range):
             E, cls = families.twist_e0(D, cfg.nu2_manin)
@@ -409,6 +411,7 @@ def cmd_stats(args, cfg, out):
 
 
 def cmd_verify(args, cfg, out):
+    _check_M(args.M)
     try:
         records = watkins.load_dataset(args.dataset)
     except (DatasetFormatError, OSError) as exc:
@@ -444,7 +447,7 @@ def build_parser():
         description="Exact-arithmetic elliptic-curve descent and counting experiments.",
     )
     parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--policy", choices=["include-small", "exclude-23"])
+    parser.add_argument("--policy", choices=curves.POLICIES)
     parser.add_argument("--nu2-manin", type=int, dest="nu2_manin")
     parser.add_argument("--real-place", action="store_true", dest="real_place",
                         default=None, help="test the real place in local solubility")

@@ -8,6 +8,8 @@ summary so runs are reproducible from their output alone.
 
 from dataclasses import asdict, dataclass
 
+from .curves import POLICIES
+from .descent2 import DEFAULT_DEPTH_MARGIN
 from .errors import DomainError
 
 _BOOL = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
@@ -18,12 +20,12 @@ class Config:
     policy: str = "include-small"
     nu2_manin: int = 0
     solubility_real_place: bool = True
-    depth_cap_extra: int = 5
+    depth_cap_extra: int = DEFAULT_DEPTH_MARGIN
     workers: int = 1
     seed: int = 0
 
     def __post_init__(self):
-        if self.policy not in ("include-small", "exclude-23"):
+        if self.policy not in POLICIES:
             raise DomainError(f"unknown policy {self.policy!r}")
         if self.nu2_manin < 0 or self.depth_cap_extra < 0 or self.workers < 1:
             raise DomainError("nu2_manin, depth_cap_extra >= 0 and workers >= 1 required")

@@ -19,6 +19,10 @@ TRIVIAL = "Trivial"
 Z2 = "Z2"
 Z2XZ2 = "Z2xZ2"
 
+# Conductor-support policies: count every prime of the minimal discriminant,
+# or leave out 2 and 3.
+POLICIES = ("include-small", "exclude-23")
+
 
 @dataclass(frozen=True)
 class ShortWeierstrass:
@@ -130,7 +134,7 @@ def conductor_support(E, policy="include-small"):
     p^6|B criterion even at 2 and 3, where the true global minimal model can
     differ; the `exclude-23` policy drops 2 and 3 for sensitivity analysis.
     """
-    if policy not in ("include-small", "exclude-23"):
+    if policy not in POLICIES:
         raise DomainError(f"unknown policy {policy!r}")
     Em = minimize(E)
     delta = invariants(Em).delta
@@ -231,7 +235,8 @@ def frobenius_trace(E, p):
     if invariants(Em).delta % p == 0:
         raise BadReduction(f"bad reduction at {p}")
     ap = trace_from_coefficients(Em.A, Em.B, p)
-    assert ap * ap <= 4 * p, "Hasse bound violated"
+    if ap * ap > 4 * p:
+        raise ArithmeticError(f"Hasse bound violated: a_{p} = {ap}")
     return ap
 
 

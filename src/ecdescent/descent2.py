@@ -195,7 +195,8 @@ def sel_phihat(param, real_place=True, depth_margin=DEFAULT_DEPTH_MARGIN):
 def _dim_f2(classes):
     size = len(classes)
     dim = size.bit_length() - 1
-    assert 1 << dim == size, f"Selmer set size {size} is not a power of 2"
+    if 1 << dim != size:
+        raise ArithmeticError(f"Selmer set size {size} is not a power of 2")
     return dim
 
 
@@ -207,7 +208,8 @@ def rank_upper(param, real_place=True, depth_margin=DEFAULT_DEPTH_MARGIN):
     """
     phi = sel_phi(param, real_place, depth_margin)
     phihat = sel_phihat(param, real_place, depth_margin)
-    assert 1 in phi and 1 in phihat, "trivial class must survive"
+    if 1 not in phi or 1 not in phihat:
+        raise ArithmeticError(f"trivial class must survive, got {phi} and {phihat}")
     dim_phi = _dim_f2(phi)
     dim_phihat = _dim_f2(phihat)
     bound = dim_phi + dim_phihat - 2

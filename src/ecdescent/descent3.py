@@ -140,11 +140,6 @@ def reduced_forms(D):
     return sorted(out)
 
 
-def class_number(D):
-    """h(D): the number of primitive reduced forms of discriminant D < 0."""
-    return len(reduced_forms(D))
-
-
 @lru_cache(maxsize=None)
 def r3_imaginary(D):
     """3-rank of the form class group of discriminant D < 0.

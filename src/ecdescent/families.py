@@ -67,11 +67,6 @@ def e2_curve(p):
     return model, dual
 
 
-def e2_height_leq(p, X):
-    """H_2(E_{a,b}) <= X, i.e. |a| <= X and |b| <= X^2."""
-    return abs(p.a) <= X and abs(p.b) <= X * X
-
-
 def e2_from_torsion(a, b):
     """Short model (A, B) = (a, b^3 + ab); x = -b is a rational 2-torsion root."""
     return ShortWeierstrass(a, b**3 + a * b)
@@ -189,12 +184,12 @@ def e3_polynomials():
     return f3, g3, delta3
 
 
-def twist_e0(D, nu2_manin=0, single_prime_cond2=True):
+def twist_e0(D, nu2_manin=0):
     """Quadratic twist y^2 = x^3 - D^3 of y^2 = x^3 - 1, with its rank class.
 
     CondI: every prime of D is 5 mod 12.  CondII: exactly one prime is not
     5 mod 12 and that prime is 3 mod 4 (a single such prime counts, with the
-    5 mod 12 condition vacuous, unless single_prime_cond2 is off).
+    5 mod 12 condition vacuous).
     LargeOmega: omega(D) >= 10 + 2*nu2_manin.  Otherwise Unclassified.
     """
     if D == 0 or not is_squarefree(D):
@@ -204,7 +199,7 @@ def twist_e0(D, nu2_manin=0, single_prime_cond2=True):
     bad = [p for p in primes if p % 12 != 5]
     if not bad:
         cls = COND_I
-    elif len(bad) == 1 and bad[0] % 4 == 3 and (single_prime_cond2 or len(primes) > 1):
+    elif len(bad) == 1 and bad[0] % 4 == 3:
         cls = COND_II
     elif primes and omega(D) >= 10 + 2 * nu2_manin:
         cls = LARGE_OMEGA

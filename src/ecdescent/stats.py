@@ -103,7 +103,8 @@ def _decimal_root(c1, precision):
             break
     eps = Decimal(10) ** (-precision)
     f = lambda t: t**3 + c1 * t - 1
-    assert f(x - eps) * f(x + eps) < 0, "root not certified within interval"
+    if f(x - eps) * f(x + eps) >= 0:
+        raise ArithmeticError("root not certified within interval")
     return x
 
 

@@ -36,22 +36,24 @@ class DatasetRecord:
 
 
 @dataclass(frozen=True)
-class ExactCheck:
-    rank: int
-    modular_degree: int
-    verdict: bool
-
-
-@dataclass(frozen=True)
 class WatkinsReport:
     curve: ShortWeierstrass
-    family: str
+    shape: str
     rank_upper: Optional[int]
     omega_N: int
     surrogate_nu2_lower: Optional[int]
     max_M_proven: Optional[int]
     method_notes: str
-    exact_check: Optional[ExactCheck] = None
+
+    def verdict(self, M):
+        """Proven iff rank_upper + M <= omega(N) - 2, i.e. M <= max_M_proven.
+
+        Never asserts a counterexample: the rank is only bounded above and
+        nu_2(m_E) only below, so failure to prove is Inconclusive.
+        """
+        if self.max_M_proven is not None and M <= self.max_M_proven:
+            return PROVEN
+        return INCONCLUSIVE
 
 
 def surrogate_nu2_lower(E, policy="include-small"):
@@ -67,32 +69,19 @@ def surrogate_nu2_lower(E, policy="include-small"):
     return omega_n - 2
 
 
-def m_watkins_surrogate(param, M, real_place=True, depth_margin=descent2.DEFAULT_DEPTH_MARGIN,
-                        policy="include-small"):
-    """Proven iff rank_upper(a, b) + M <= omega(N) - 2 on the corresponding curve.
-
-    Never asserts a counterexample: the rank is only bounded above and
-    nu_2(m_E) only below, so failure to prove is Inconclusive.
-    """
-    model, _ = families.e2_curve(param)
-    lower = surrogate_nu2_lower(model, policy)
-    est = descent2.rank_upper(param, real_place, depth_margin)
-    return PROVEN if est.rank_upper + M <= lower else INCONCLUSIVE
-
-
 def m_watkins_exact(rec, M):
     """rank + M <= nu_2(modular_degree) for an externally supplied record."""
     return rec.rank + M <= valuation(rec.modular_degree, 2)
 
 
-def twist_watkins(D, nu2_manin=0, single_prime_cond2=True):
+def twist_watkins(D, nu2_manin=0):
     """Verdict for the twist y^2 = x^3 - D^3 of y^2 = x^3 - 1.
 
     CondI / CondII twists have rank at most 1 and the conjecture holds for
     rank <= 1; large prime support (omega(D) >= 10 + 2 nu2_manin) gives the
     twist-support criterion.  Everything else is Inconclusive.
     """
-    _, cls = families.twist_e0(D, nu2_manin, single_prime_cond2)
+    _, cls = families.twist_e0(D, nu2_manin)
     return {
         COND_I: PROVEN_COND_I,
         COND_II: PROVEN_COND_II,
@@ -100,13 +89,13 @@ def twist_watkins(D, nu2_manin=0, single_prime_cond2=True):
     }.get(cls, INCONCLUSIVE)
 
 
-def report(target, family="e2", policy="include-small", real_place=True,
-           depth_margin=descent2.DEFAULT_DEPTH_MARGIN, record=None):
+def report(target, policy="include-small", real_place=True,
+           depth_margin=descent2.DEFAULT_DEPTH_MARGIN):
     """Bundle every applicable computation for a curve or parameter pair.
 
     target may be an E2Param (full descent applies) or a ShortWeierstrass
     (descent applies when a rational 2-torsion point lets it be written as
-    y^2 = x^3 + ax^2 + bx).  A DatasetRecord adds the exact verdict.
+    y^2 = x^3 + ax^2 + bx).
     """
     notes = []
     if isinstance(target, E2Param):
@@ -128,33 +117,9 @@ def report(target, family="e2", policy="include-small", real_place=True,
     est = descent2.rank_upper(param, real_place, depth_margin) if param else None
     rank_bound = est.rank_upper if est else None
     max_m = None
-    if surrogate is not None and rank_bound is not None:
-        gap = surrogate - rank_bound
-        max_m = gap if gap >= 0 else None
-    exact = None
-    if record is not None:
-        exact = ExactCheck(record.rank, record.modular_degree,
-                           m_watkins_exact(record, 0))
-    return WatkinsReport(model, family, rank_bound, omega_n, surrogate, max_m,
-                         "; ".join(notes), exact)
-
-
-def report_as_dict(rep):
-    """JSON-ready dict with exactly the WatkinsReport field names as keys."""
-    return {
-        "curve": {"A": rep.curve.A, "B": rep.curve.B},
-        "family": rep.family,
-        "rank_upper": rep.rank_upper,
-        "omega_N": rep.omega_N,
-        "surrogate_nu2_lower": rep.surrogate_nu2_lower,
-        "max_M_proven": rep.max_M_proven,
-        "method_notes": rep.method_notes,
-        "exact_check": None if rep.exact_check is None else {
-            "rank": rep.exact_check.rank,
-            "modular_degree": rep.exact_check.modular_degree,
-            "verdict": rep.exact_check.verdict,
-        },
-    }
+    if surrogate is not None and rank_bound is not None and surrogate >= rank_bound:
+        max_m = surrogate - rank_bound
+    return WatkinsReport(model, shape, rank_bound, omega_n, surrogate, max_m, "; ".join(notes))
 
 
 def load_dataset(path):
@@ -195,27 +160,18 @@ def verify_record(rec, M=0, policy="include-small", real_place=True,
     rank_ok: the descent bound is >= the recorded rank whenever the curve
     has a rational 2-torsion point.  Both default to True when inapplicable.
     """
-    E = curves.minimize(ShortWeierstrass(rec.A, rec.B))
+    rep = report(ShortWeierstrass(rec.A, rec.B), policy, real_place, depth_margin)
     nu2 = valuation(rec.modular_degree, 2)
-    shape = curves.two_torsion_shape(E)
+    lower, bound = rep.surrogate_nu2_lower, rep.rank_upper
     out = {
         "label": rec.label,
-        "shape": shape,
+        "shape": rep.shape,
         "nu2_modular_degree": nu2,
-        "surrogate_nu2_lower": None,
-        "surrogate_ok": True,
-        "rank_upper": None,
-        "rank_ok": True,
+        "surrogate_nu2_lower": lower,
+        "surrogate_ok": lower is None or lower <= nu2,
+        "rank_upper": bound,
+        "rank_ok": bound is None or bound >= rec.rank,
         "m_watkins": m_watkins_exact(rec, M),
     }
-    if shape == Z2:
-        lower = surrogate_nu2_lower(E, policy)
-        out["surrogate_nu2_lower"] = lower
-        out["surrogate_ok"] = lower <= nu2
-    ab = curves.e2_param_of(E)
-    if ab is not None:
-        est = descent2.rank_upper(E2Param(*ab), real_place, depth_margin)
-        out["rank_upper"] = est.rank_upper
-        out["rank_ok"] = est.rank_upper >= rec.rank
     out["ok"] = out["surrogate_ok"] and out["rank_ok"]
     return out

@@ -111,12 +111,6 @@ def test_rational_stats():
         arith.rational_stats(Fraction(0))
 
 
-def test_rational_height():
-    assert arith.rational_height(Fraction(3, 7)) == 7
-    assert arith.rational_height(Fraction(-22, 7)) == 22
-    assert arith.rational_height(0) == 1
-
-
 def test_legendre_examples():
     assert arith.legendre(2, 7) == 1
     assert arith.legendre(0, 5) == 0
@@ -145,26 +139,60 @@ def test_legendre_multiplicative():
             assert arith.legendre(a * b, p) == arith.legendre(a, p) * arith.legendre(b, p)
 
 
-def test_q_t_representatives():
-    g = arith.q_t_representatives([2], True)
-    assert sorted(g.representatives) == [-2, -1, 1, 2]
-    g = arith.q_t_representatives([3], False)
-    assert sorted(g.representatives) == [1, 3]
-    g = arith.q_t_representatives([], True)
-    assert sorted(g.representatives) == [-1, 1]
+def test_squarefree_divisors_classes():
+    # one signed representative per class of Q(T), T the primes of n
+    assert sorted(arith.squarefree_divisors(2)) == [-2, -1, 1, 2]
+    assert arith.squarefree_divisors(3, signed=False) == [1, 3]
+    assert arith.squarefree_divisors(27, signed=False) == [1, 3]
+    assert sorted(arith.squarefree_divisors(1)) == [-1, 1]
+    assert sorted(arith.squarefree_divisors(-18)) == [-6, -3, -2, -1, 1, 2, 3, 6]
 
 
 def test_q_t_cardinality_and_inequivalence():
-    for support, inf in (((2, 3), True), ((2, 3, 5), False), ((7,), True)):
-        g = arith.q_t_representatives(support, inf)
-        assert len(g.representatives) == 2 ** (len(support) + (1 if inf else 0))
+    for n, support, inf in ((12, (2, 3), True), (2 * 9 * 125, (2, 3, 5), False),
+                            (-49, (7,), True)):
+        reps = arith.squarefree_divisors(n, signed=inf)
+        assert len(reps) == 2 ** (len(support) + (1 if inf else 0))
         # pairwise inequivalent mod squares: d1/d2 square iff d1 == d2 here
-        reps = g.representatives
         for i, d1 in enumerate(reps):
             for d2 in reps[i + 1 :]:
                 assert arith.squarefree_kernel(d1 * d2) != 1
         if not inf:
             assert all(d > 0 for d in reps)
+
+
+# The least strong pseudoprime to every base in arith._MR_BASES.
+PSEUDOPRIME = 1287836182261 * 2575672364521
+
+
+def test_is_prime_beyond_miller_rabin_bound():
+    assert PSEUDOPRIME == 3317044064679887385961981
+    assert not arith.is_prime(PSEUDOPRIME)
+    assert arith.is_prime(3317044064679887385962123)  # the next prime
+
+
+def test_factor_strong_pseudoprime():
+    assert arith.factor(PSEUDOPRIME).factors == ((1287836182261, 1), (2575672364521, 1))
+
+
+def test_strong_lucas_pseudoprimes():
+    # The strong Lucas pseudoprimes below 10^5 (Selfridge parameters); every
+    # other odd n > 2 passes exactly when it is prime.
+    known = {5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439}
+    for n in range(3, 10**5, 2):
+        assert arith._strong_lucas(n) == (arith.is_prime(n) or n in known), n
+
+
+def test_is_prime_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(17)
+    hi = PSEUDOPRIME << 40
+    cases = [PSEUDOPRIME, PSEUDOPRIME + 2, sympy.nextprime(PSEUDOPRIME)]
+    cases += [rng.randrange(PSEUDOPRIME, hi) | 1 for _ in range(300)]
+    cases += [sympy.randprime(PSEUDOPRIME, hi) for _ in range(30)]
+    cases += [sympy.randprime(2**40, 2**60) * sympy.randprime(2**40, 2**60) for _ in range(30)]
+    for n in cases:
+        assert arith.is_prime(n) == sympy.isprime(n), n
 
 
 def test_unitary_squarefree_divisors():

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from ecdescent import cli, descent3, stats
+from ecdescent import cli, descent2, descent3, stats
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "ecdescent", "data",
                     "sample_dataset.csv")
@@ -83,6 +83,15 @@ def test_descent_undecided_exit1(capsys):
     assert capsys.readouterr().err.startswith("error: depth cap exhausted")
 
 
+def test_descent_lost_trivial_class_exit1(capsys, monkeypatch):
+    sel_phi = descent2.sel_phi
+    monkeypatch.setattr(descent2, "sel_phi", lambda *args: [d for d in sel_phi(*args) if d != 1])
+    code, out = run_cli(["descent", "--a", "0", "--b", "-1"])
+    assert code == 1
+    assert out == ""
+    assert capsys.readouterr().err.startswith("error: trivial class must survive")
+
+
 def test_descent3_class_group_inconsistency_exit1(capsys, monkeypatch):
     def broken(a):
         raise ArithmeticError("3-torsion count 2 is not a power of 3")
@@ -115,6 +124,23 @@ def test_watkins_huge_m_proves_nothing():
     assert code == 0
     _, doc = split_csv_json(out)
     assert doc["proven"] == 0
+
+
+def test_watkins_negative_m_is_usage_error(capsys):
+    code, out = run_cli(["watkins", "--family", "e2", "--height", "2", "--M", "-3"])
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err == "error: --M must be >= 0, got -3\n"
+    code, out = run_cli(["verify", "--dataset", DATA, "--M", "-1"])
+    assert code == 2
+    assert out == ""
+
+
+def test_watkins_twist_rejects_nonzero_m(capsys):
+    code, out = run_cli(["watkins", "--family", "twist-e0", "--range", "30", "--M", "5"])
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err.startswith("error: --M does not apply to family twist-e0")
 
 
 def test_watkins_twist():

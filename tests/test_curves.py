@@ -156,6 +156,12 @@ def test_frobenius_trace_examples():
     assert ap == brute_force_trace(-1, 0, 5)
 
 
+def test_frobenius_trace_hasse_bound_raises(monkeypatch):
+    monkeypatch.setattr(curves, "trace_from_coefficients", lambda A, B, p: 2 * p)
+    with pytest.raises(ArithmeticError, match="Hasse bound"):
+        curves.frobenius_trace(ShortWeierstrass(0, 1), 5)
+
+
 def test_frobenius_trace_against_oracle():
     rng = random.Random(5)
     for _ in range(30):

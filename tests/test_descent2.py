@@ -259,3 +259,16 @@ def test_real_place_toggle_only_shrinks():
         est_with = descent2.rank_upper(param, real_place=True)
         est_without = descent2.rank_upper(param, real_place=False)
         assert est_without.rank_upper >= est_with.rank_upper
+
+
+def test_selmer_invariants_raise():
+    assert descent2._dim_f2([1, -1, 2, -2]) == 2
+    with pytest.raises(ArithmeticError, match="not a power of 2"):
+        descent2._dim_f2([1, 2, 3])
+
+
+def test_rank_upper_lost_trivial_class_raises(monkeypatch):
+    sel_phihat = descent2.sel_phihat
+    monkeypatch.setattr(descent2, "sel_phihat", lambda *args: sel_phihat(*args)[1:])
+    with pytest.raises(ArithmeticError, match="trivial class must survive"):
+        descent2.rank_upper(E2Param(0, -1))

@@ -28,7 +28,7 @@ def test_reduced_forms_and_class_numbers():
     known = {-3: 1, -4: 1, -7: 1, -8: 1, -11: 1, -15: 2, -20: 2, -23: 3,
              -24: 2, -31: 3, -47: 5, -71: 7, -84: 4, -95: 8}
     for D, h in known.items():
-        assert descent3.class_number(D) == h, D
+        assert len(descent3.reduced_forms(D)) == h, D
 
 
 def test_r3_imaginary():
@@ -49,7 +49,7 @@ def test_three_torsion_divides_class_number():
     for D in (-23, -31, -84, -120, -231, -255, -452, -999):
         if D % 4 not in (0, 1):
             continue
-        h = descent3.class_number(D)
+        h = len(descent3.reduced_forms(D))
         assert h % 3 ** descent3.r3_imaginary(D) == 0
 
 

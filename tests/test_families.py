@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ecdescent import curves, families, polys
+from ecdescent import cli, curves, families, polys
 from ecdescent.curves import ShortWeierstrass
 from ecdescent.errors import DomainError, SingularCurve
 from ecdescent.families import E2Param
@@ -39,9 +39,11 @@ def test_e2_curve_dual_of_dual_is_isomorphic():
 
 
 def test_e2_height():
-    assert families.e2_height_leq(E2Param(2, 4), 2)
-    assert not families.e2_height_leq(E2Param(3, 1), 2)
-    assert families.e2_height_leq(E2Param(0, 9), 3)
+    # the e2 scans run over H_2(E_{a,b}) <= X, i.e. |a| <= X and |b| <= X^2
+    assert (2, 4) in cli._e2_pairs(2)
+    assert (3, 1) not in cli._e2_pairs(2)
+    assert (0, 9) in cli._e2_pairs(3)
+    assert (0, 0) not in cli._e2_pairs(3)  # singular
 
 
 def test_e2_from_torsion():
@@ -170,7 +172,6 @@ def test_twist_e0():
     assert families.twist_e0(2)[1] == families.UNCLASSIFIED
     assert families.twist_e0(1)[1] == families.COND_I  # vacuous
     assert families.twist_e0(11)[1] == families.COND_II  # single 3 mod 4 prime
-    assert families.twist_e0(11, single_prime_cond2=False)[1] == families.UNCLASSIFIED
     with pytest.raises(DomainError):
         families.twist_e0(12)
     with pytest.raises(DomainError):

@@ -20,12 +20,17 @@ def test_surrogate_examples():
         watkins.surrogate_nu2_lower(ShortWeierstrass(0, 2))  # trivial torsion
 
 
-def test_m_watkins_surrogate():
-    assert watkins.m_watkins_surrogate(E2Param(3, 3), 0) == watkins.PROVEN
-    assert watkins.m_watkins_surrogate(E2Param(3, 3), 1) == watkins.INCONCLUSIVE
+def test_report_verdict():
+    rep = watkins.report(E2Param(3, 3))
+    assert rep.verdict(0) == watkins.PROVEN
+    assert rep.verdict(1) == watkins.INCONCLUSIVE
+    # no rank bound or no surrogate: nothing is proven
+    assert watkins.report(ShortWeierstrass(-16, 16)).verdict(0) == watkins.INCONCLUSIVE
+    assert watkins.report(ShortWeierstrass(-1, 0)).verdict(0) == watkins.INCONCLUSIVE
     # monotone: proven at M implies proven at all smaller M
     for a, b in ((1, 3), (2, -5), (5, 3)):
-        verdicts = [watkins.m_watkins_surrogate(E2Param(a, b), M) for M in range(4)]
+        rep = watkins.report(E2Param(a, b))
+        verdicts = [rep.verdict(M) for M in range(4)]
         seen_inconclusive = False
         for v in verdicts:
             if v == watkins.INCONCLUSIVE:
@@ -59,6 +64,7 @@ def test_twist_watkins():
 def test_report_param():
     rep = watkins.report(E2Param(3, 3))
     assert rep.curve == ShortWeierstrass(0, -1)
+    assert rep.shape == curves.Z2
     assert rep.rank_upper == 0
     assert rep.omega_N == 2
     assert rep.surrogate_nu2_lower == 0
@@ -77,13 +83,6 @@ def test_report_no_two_torsion():
     rep = watkins.report(ShortWeierstrass(-16, 16))
     assert rep.rank_upper is None
     assert "2-isogeny" in rep.method_notes
-
-
-def test_report_with_record():
-    rec = watkins.DatasetRecord("e0", 0, -1, 0, 64)
-    rep = watkins.report(ShortWeierstrass(0, -1), record=rec)
-    assert rep.exact_check is not None
-    assert rep.exact_check.verdict
 
 
 def test_load_dataset():
@@ -136,16 +135,3 @@ def test_verify_flags_inconsistent_record():
     assert not out["rank_ok"]
     assert not out["ok"]
     assert not out["m_watkins"]
-
-
-def test_report_as_dict_field_names():
-    rep = watkins.report(E2Param(3, 3))
-    doc = watkins.report_as_dict(rep)
-    assert set(doc) == {"curve", "family", "rank_upper", "omega_N",
-                        "surrogate_nu2_lower", "max_M_proven", "method_notes",
-                        "exact_check"}
-    assert doc["curve"] == {"A": 0, "B": -1}
-    assert doc["exact_check"] is None
-    rec = watkins.DatasetRecord("e0", 0, -1, 0, 64)
-    doc = watkins.report_as_dict(watkins.report(ShortWeierstrass(0, -1), record=rec))
-    assert doc["exact_check"]["verdict"] is True
