@@ -21,7 +21,7 @@ from math import isqrt
 from . import curves, descent2, descent3, families, polys, stats, watkins
 from .arith import is_squarefree, primes_up_to
 from .config import load_config
-from .errors import DatasetFormatError, DomainError, PreconditionError, SingularCurve, Undecided
+from .errors import DatasetFormatError, DomainError, SingularCurve, Undecided
 from .families import E2Param
 
 EXIT_OK = 0
@@ -543,7 +543,7 @@ def main(argv=None, out=None):
         return EXIT_USAGE
     try:
         return args.fn(args, cfg, out)
-    except (DomainError, PreconditionError) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SingularCurve, Undecided, ArithmeticError) as exc:

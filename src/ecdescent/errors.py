@@ -13,10 +13,6 @@ class BadReduction(ValueError):
     """A prime of bad reduction was passed where good reduction is required."""
 
 
-class PreconditionError(ValueError):
-    """A stated hypothesis of a bound or verdict does not hold for the input."""
-
-
 class Undecided(RuntimeError):
     """The p-adic solubility search hit its depth cap without a certificate.
 

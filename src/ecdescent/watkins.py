@@ -12,8 +12,8 @@ from typing import Optional
 
 from . import curves, descent2, families
 from .arith import valuation
-from .curves import ShortWeierstrass, Z2
-from .errors import DatasetFormatError, PreconditionError
+from .curves import ShortWeierstrass, Z2, Z2XZ2
+from .errors import DatasetFormatError, DomainError
 from .families import COND_I, COND_II, LARGE_OMEGA, E2Param
 
 PROVEN = "Proven"
@@ -40,33 +40,23 @@ class WatkinsReport:
     curve: ShortWeierstrass
     shape: str
     rank_upper: Optional[int]
-    omega_N: int
+    omega_N: Optional[int]
     surrogate_nu2_lower: Optional[int]
     max_M_proven: Optional[int]
     method_notes: str
 
     def verdict(self, M):
-        """Proven iff rank_upper + M <= omega(N) - 2, i.e. M <= max_M_proven.
+        """Proven iff rank_upper + M <= omega(N) - 2, i.e. M <= max_M_proven,
+        for M >= 0 (max_M_proven is None when no M >= 0 is proven).
 
         Never asserts a counterexample: the rank is only bounded above and
         nu_2(m_E) only below, so failure to prove is Inconclusive.
         """
+        if M < 0:
+            raise DomainError(f"M must be >= 0, got {M}")
         if self.max_M_proven is not None and M <= self.max_M_proven:
             return PROVEN
         return INCONCLUSIVE
-
-
-def surrogate_nu2_lower(E, policy="include-small"):
-    """omega(N) - 2, a lower bound for nu_2(m_E) when E(Q)[2] = Z/2Z.
-
-    The hypothesis is checked; full or trivial rational 2-torsion raises
-    PreconditionError because the bound's assumption fails.
-    """
-    shape = curves.two_torsion_shape(E)
-    if shape != Z2:
-        raise PreconditionError(f"two-torsion shape is {shape}, bound needs Z2")
-    omega_n, _ = curves.conductor_support(E, policy)
-    return omega_n - 2
 
 
 def m_watkins_exact(rec, M):
@@ -95,7 +85,10 @@ def report(target, policy="include-small", real_place=True,
 
     target may be an E2Param (full descent applies) or a ShortWeierstrass
     (descent applies when a rational 2-torsion point lets it be written as
-    y^2 = x^3 + ax^2 + bx).
+    y^2 = x^3 + ax^2 + bx).  The surrogate omega(N) - 2 for nu_2(m_E) needs
+    E(Q)[2] = Z/2Z; omega_N is computed for E2Param targets, whose scan rows
+    print it, and otherwise only for that shape, since it factors the
+    discriminant.
     """
     notes = []
     if isinstance(target, E2Param):
@@ -107,13 +100,15 @@ def report(target, policy="include-small", real_place=True,
         param = E2Param(*ab) if ab is not None else None
         if param is None:
             notes.append("no rational 2-torsion: descent via 2-isogeny inapplicable")
-    omega_n, _ = curves.conductor_support(model, policy)
     shape = curves.two_torsion_shape(model)
+    omega_n = None
+    if shape == Z2 or isinstance(target, E2Param):
+        omega_n, _ = curves.conductor_support(model, policy)
     if shape == Z2:
         surrogate = omega_n - 2
     else:
         surrogate = None
-        notes.append("full 2-torsion" if shape == "Z2xZ2" else "trivial 2-torsion")
+        notes.append("full 2-torsion" if shape == Z2XZ2 else "trivial 2-torsion")
     est = descent2.rank_upper(param, real_place, depth_margin) if param else None
     rank_bound = est.rank_upper if est else None
     max_m = None

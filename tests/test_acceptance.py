@@ -211,7 +211,7 @@ def test_criterion_12_dataset_verification():
     e0 = next(r for r in records if r.label == "e0")
     assert (e0.A, e0.B, e0.rank, e0.modular_degree) == (0, -1, 0, 64)
     E = ShortWeierstrass(e0.A, e0.B)
-    lower = watkins.surrogate_nu2_lower(E)
+    lower = watkins.report(E).surrogate_nu2_lower
     nu2 = valuation(e0.modular_degree, 2)
     assert lower == 0 and nu2 == 6 and lower <= nu2
     for M in range(7):

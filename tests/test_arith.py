@@ -161,18 +161,23 @@ def test_q_t_cardinality_and_inequivalence():
             assert all(d > 0 for d in reps)
 
 
-# The least strong pseudoprime to every base in arith._MR_BASES.
-PSEUDOPRIME = 1287836182261 * 2575672364521
+# The least strong pseudoprime to every base in arith._MR_BASES (psi_12), and
+# the least one to the primes up to 41 (psi_13), which also fools all of them.
+PSEUDOPRIME = 399165290221 * 798330580441
+PSI_13 = 1287836182261 * 2575672364521
 
 
 def test_is_prime_beyond_miller_rabin_bound():
-    assert PSEUDOPRIME == 3317044064679887385961981
+    assert PSEUDOPRIME == arith._MR_BOUND == 318665857834031151167461
+    assert PSI_13 == 3317044064679887385961981
     assert not arith.is_prime(PSEUDOPRIME)
-    assert arith.is_prime(3317044064679887385962123)  # the next prime
+    assert not arith.is_prime(PSI_13)
+    assert arith.is_prime(3317044064679887385962123)  # the prime after psi_13
 
 
 def test_factor_strong_pseudoprime():
-    assert arith.factor(PSEUDOPRIME).factors == ((1287836182261, 1), (2575672364521, 1))
+    assert arith.factor(PSEUDOPRIME).factors == ((399165290221, 1), (798330580441, 1))
+    assert arith.factor(PSI_13).factors == ((1287836182261, 1), (2575672364521, 1))
 
 
 def test_strong_lucas_pseudoprimes():
@@ -187,7 +192,7 @@ def test_is_prime_against_sympy():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(17)
     hi = PSEUDOPRIME << 40
-    cases = [PSEUDOPRIME, PSEUDOPRIME + 2, sympy.nextprime(PSEUDOPRIME)]
+    cases = [PSEUDOPRIME, PSEUDOPRIME + 2, sympy.nextprime(PSEUDOPRIME), PSI_13]
     cases += [rng.randrange(PSEUDOPRIME, hi) | 1 for _ in range(300)]
     cases += [sympy.randprime(PSEUDOPRIME, hi) for _ in range(30)]
     cases += [sympy.randprime(2**40, 2**60) * sympy.randprime(2**40, 2**60) for _ in range(30)]

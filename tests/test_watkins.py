@@ -4,7 +4,7 @@ import pytest
 
 from ecdescent import curves, watkins
 from ecdescent.curves import ShortWeierstrass
-from ecdescent.errors import DatasetFormatError, PreconditionError
+from ecdescent.errors import DatasetFormatError, DomainError
 from ecdescent.families import E2Param
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "ecdescent", "data",
@@ -12,12 +12,16 @@ DATA = os.path.join(os.path.dirname(__file__), "..", "src", "ecdescent", "data",
 
 
 def test_surrogate_examples():
-    assert watkins.surrogate_nu2_lower(ShortWeierstrass(0, -1)) == 0
-    assert watkins.surrogate_nu2_lower(ShortWeierstrass(1, 2)) == 0
-    with pytest.raises(PreconditionError):
-        watkins.surrogate_nu2_lower(ShortWeierstrass(-1, 0))  # full 2-torsion
-    with pytest.raises(PreconditionError):
-        watkins.surrogate_nu2_lower(ShortWeierstrass(0, 2))  # trivial torsion
+    for E in (ShortWeierstrass(0, -1), ShortWeierstrass(1, 2)):
+        rep = watkins.report(E)
+        assert rep.shape == curves.Z2
+        assert rep.surrogate_nu2_lower == 0
+    # the bound needs shape Z2: full or trivial 2-torsion gives no surrogate
+    for E, shape in ((ShortWeierstrass(-1, 0), curves.Z2XZ2),
+                     (ShortWeierstrass(0, 2), curves.TRIVIAL)):
+        rep = watkins.report(E)
+        assert rep.shape == shape
+        assert rep.surrogate_nu2_lower is None
 
 
 def test_report_verdict():
@@ -27,6 +31,8 @@ def test_report_verdict():
     # no rank bound or no surrogate: nothing is proven
     assert watkins.report(ShortWeierstrass(-16, 16)).verdict(0) == watkins.INCONCLUSIVE
     assert watkins.report(ShortWeierstrass(-1, 0)).verdict(0) == watkins.INCONCLUSIVE
+    with pytest.raises(DomainError):
+        rep.verdict(-1)
     # monotone: proven at M implies proven at all smaller M
     for a, b in ((1, 3), (2, -5), (5, 3)):
         rep = watkins.report(E2Param(a, b))
@@ -124,9 +130,28 @@ def test_verify_surrogate_against_all_records():
     from ecdescent.arith import valuation
 
     for rec in watkins.load_dataset(DATA):
-        E = curves.minimize(ShortWeierstrass(rec.A, rec.B))
-        if curves.two_torsion_shape(E) == curves.Z2:
-            assert watkins.surrogate_nu2_lower(E) <= valuation(rec.modular_degree, 2)
+        rep = watkins.report(ShortWeierstrass(rec.A, rec.B))
+        if rep.shape == curves.Z2:
+            assert rep.surrogate_nu2_lower <= valuation(rec.modular_degree, 2)
+
+
+def test_verify_factors_discriminant_only_for_z2(monkeypatch):
+    """omega(N) is needed only by the Z2 surrogate; other shapes skip the
+    factorization of the discriminant."""
+    calls = []
+    real = curves.conductor_support
+
+    def counting(E, policy="include-small"):
+        calls.append(E)
+        return real(E, policy)
+
+    monkeypatch.setattr(curves, "conductor_support", counting)
+    for A, B in ((-16, 16), (-1, 0)):  # trivial and full 2-torsion
+        out = watkins.verify_record(watkins.DatasetRecord("x", A, B, 0, 1))
+        assert out["surrogate_nu2_lower"] is None
+    assert calls == []
+    watkins.verify_record(watkins.DatasetRecord("e0", 0, -1, 0, 64))
+    assert len(calls) == 1
 
 
 def test_verify_flags_inconsistent_record():
