@@ -147,9 +147,9 @@ def cmd_enumerate(args, cfg, out):
     policy = cfg.policy
     rank_bounds = args.rank_bounds
     header = "params,A,B,omega_N" + (",rank_upper" if rank_bounds else "")
+    if args.family != "twist-e0" and args.height is None:
+        raise DomainError(f"--height is required for family {args.family}")
     if args.family == "e2":
-        if args.height is None:
-            raise DomainError("--height is required for family e2")
         fn = partial(_e2_row, policy=policy, rank_bounds=rank_bounds,
                      real_place=cfg.solubility_real_place,
                      depth_margin=cfg.depth_cap_extra)
@@ -163,8 +163,6 @@ def cmd_enumerate(args, cfg, out):
             raise DomainError("--rank-bounds is supported for families e2 and type1")
         rows = _tate_rows(int(args.family[1]), args.height, policy)
     elif args.family == "type1":
-        if args.height is None:
-            raise DomainError("--height is required for family type1")
         amax = args.height**3
         fn = partial(_type1_row, policy=policy, rank_bounds=rank_bounds)
         values = [a for a in range(-amax, amax + 1) if a != 0]
@@ -301,6 +299,8 @@ def cmd_watkins(args, cfg, out):
 
 
 def _parse_poly(text):
+    if text is None:
+        raise DomainError("--poly is required")
     try:
         coeffs = [int(x) for x in text.split(",")]
     except ValueError:
@@ -397,6 +397,8 @@ def cmd_stats(args, cfg, out):
                    within_bound=worst <= bound)
         _emit_json(doc, out)
     elif exp == "density-cor-main":
+        if args.height is None:
+            raise DomainError("--height is required for density-cor-main")
         certified, total = stats.certificate_density(args.height)
         _emit_csv("X,certified,total", [_row(args.height, certified, total)], out)
         doc.update(X=args.height, certified=certified, total=total,

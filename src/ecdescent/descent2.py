@@ -6,8 +6,8 @@ into the phi- (resp. phi-hat-) Selmer set when its space is soluble over R
 and over Q_p for every p | 2b(a^2 - 4b).  The rank bound is
 dim_phi + dim_phihat - 2.
 
-p-adic solubility is decided exactly: (U, V) is scaled primitive, the two
-dehomogenizations are searched by iterative deepening over residues mod p^k,
+p-adic solubility is decided exactly: (U, V) is scaled primitive, each
+residue class of P^1(Z_p) is searched depth first by its digits mod p^k,
 and a branch is closed once the value's valuation and unit class are pinned
 (unit squares mod p for odd p, unit = 1 mod 8 for p = 2).  A hard depth cap
 of nu_p(4 d1 d2 (F^2 - 4 d1 d2)) plus a configurable margin turns any
@@ -19,6 +19,7 @@ from functools import lru_cache
 from math import gcd
 
 from .arith import (
+    CACHE_BOUND,
     factor,
     is_prime,
     is_square,
@@ -68,18 +69,22 @@ def real_soluble(space):
     return F > 0 and F * F >= 4 * d1 * d2
 
 
-def _decide_zp(c4, c2, c0, p, cap):
+def _decide_zp(c4, c2, c0, p, cap, first):
     """Does c4 x^4 + c2 x^2 + c0 take a square value (or 0) for some x in Z_p?
 
-    Iterative deepening over residue classes x = r mod p^k.  Within a class
-    the value's valuation v and unit part mod p^(k-v) are constant, so the
-    class resolves once v < k (odd p) or v <= k - 3 (p = 2, unit needed mod
-    8).  Returns True/False, or None if some branch hits the depth cap.
+    Depth first over residue classes x = r mod p^k from the digits `first`
+    at k = 1, one lazy digit iterator per depth.  Within a class the value's
+    valuation v and unit part mod p^(k-v) are constant, so the class resolves
+    once v < k (odd p) or v <= k - 3 (p = 2, unit needed mod 8).  Returns
+    True/False, or None if some branch hits the depth cap.
     """
     undecided = False
-    stack = [(r, 1) for r in range(p)]
+    stack = [iter(first)]
     while stack:
-        r, k = stack.pop()
+        if (r := next(stack[-1], None)) is None:
+            stack.pop()
+            continue
+        k = len(stack)
         t = c4 * r**4 + c2 * r * r + c0
         if t == 0:
             return True  # exact zero of the quartic: a point with Z = 0
@@ -98,7 +103,7 @@ def _decide_zp(c4, c2, c0, p, cap):
             undecided = True
             continue
         step = p**k
-        stack.extend((r + j * step, k + 1) for j in range(p))
+        stack.append(iter(range(r + (p - 1) * step, r - 1, -step)))
     return None if undecided else False
 
 
@@ -107,25 +112,25 @@ def _padic_soluble_cached(d1, F, d2, p, depth_margin):
     cap = valuation(4 * d1 * d2 * (F * F - 4 * d1 * d2), p) + depth_margin
     if p == 2:
         cap += 2  # unit class needs three more known bits
-    first = _decide_zp(d1, F, d2, p, cap)
-    if first is True:
-        return True
-    second = _decide_zp(d2, F, d1, p, cap)
-    if second is True:
-        return True
-    if first is None or second is None:
+    first = _decide_zp(d1, F, d2, p, cap, range(p - 1, -1, -1))
+    found = first or _decide_zp(d2, F, d1, p, cap, (0,))
+    if found is not True and None in (first, found):
         raise Undecided(f"depth cap exhausted for ({d1},{F},{d2}) at p={p}")
-    return False
+    return found
 
 
 def padic_soluble(space, p, depth_margin=DEFAULT_DEPTH_MARGIN):
     """Exact Q_p-solubility of the quartic space, (U, V) != (0, 0).
 
-    Primitive (U, V) splits into V a unit (x = U/V in Z_p) and U a unit
-    (x = V/U in Z_p), giving the two dehomogenized quartics.
+    Primitive (U, V) has V a unit (chart x = U/V in Z_p) or U a unit and V
+    in pZ_p (chart x = V/U in pZ_p: class 0 mod p only).
     """
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
+    # emptied when full like the factor memo: LRU links would cost ~50 bytes
+    # an entry, 2.5 MB (+10% peak RSS) on a `watkins e2 --height 8` scan
+    if _padic_soluble_cached.cache_info().currsize >= CACHE_BOUND:
+        _padic_soluble_cached.cache_clear()
     return _padic_soluble_cached(space.d1, space.F, space.d2, p, depth_margin)
 
 
@@ -134,7 +139,7 @@ def fastpath_insoluble(a, b, d, p):
 
     Requires p > 3 prime, p | b, p coprime to a, and d a square-free unitary
     divisor of a^2 - 4b (sign free).  The space C_{d, -2a, (a^2-4b)/d} has no
-    Q_p-point iff (d/p) = -1 and (nu_p(b) odd or (a/p) = 1).
+    Q_p-point iff (d/p) = -1 and `nonresidues_insoluble(a, b, p)`.
     """
     if p <= 3 or not is_prime(p):
         raise DomainError(f"p = {p} must be a prime > 3")
@@ -145,7 +150,13 @@ def fastpath_insoluble(a, b, d, p):
         raise DomainError("d must divide a^2 - 4b")
     if abs(d) not in unitary_squarefree_divisors(n):
         raise DomainError("d must be a square-free unitary divisor of a^2 - 4b")
-    return legendre(d, p) == -1 and (valuation(b, p) % 2 == 1 or legendre(a, p) == 1)
+    return legendre(d, p) == -1 and nonresidues_insoluble(a, b, p)
+
+
+def nonresidues_insoluble(a, b, p):
+    """For a prime p > 3 with p | b and p coprime to a: are the phi-spaces of
+    all classes d with (d/p) = -1 insoluble at p?"""
+    return valuation(b, p) % 2 == 1 or legendre(a, p) == 1
 
 
 def _local_primes(param):
@@ -166,7 +177,6 @@ def _survivors(param, quartic_of, classes, real_place, depth_margin):
             continue
         if all(padic_soluble(space, p, depth_margin) for p in local):
             out.append(d)
-    out.sort(key=lambda d: (abs(d), d < 0))
     return out
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .arith import factor, legendre, squarefree_kernel
+from .arith import CACHE_BOUND, factor, legendre, squarefree_kernel
 from .errors import DomainError
 
 RATIONAL = 1  # square-class marker for the degenerate "field" Q
@@ -140,7 +140,7 @@ def reduced_forms(D):
     return sorted(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_BOUND)
 def r3_imaginary(D):
     """3-rank of the form class group of discriminant D < 0.
 

@@ -12,7 +12,7 @@ from decimal import Decimal, getcontext
 from fractions import Fraction
 from math import gcd, isqrt, log
 
-from . import curves, families, polys
+from . import curves, descent2, families, polys
 from .arith import factor, is_square, legendre, primes_up_to
 from .errors import DomainError
 
@@ -422,27 +422,22 @@ def certificate_density(X):
 def has_insolubility_certificate(a, b):
     """Local certificate killing one F_2-dimension of a Selmer group.
 
-    A prime p | b with p > 3, p coprime to a, and (nu_p(b) odd or (a/p) = 1)
+    A prime p | b at which `descent2.nonresidues_insoluble(a, b, p)` holds
     makes every class d with (d/p) = -1 locally insoluble on the phi side;
     the certificate also needs a finite prime q | a^2 - 4b with (q/p) = -1
     so that the killed character is nontrivial away from the sign class.
-    The mirror version at p | a^2 - 4b kills on the phi-hat side.  Combined
-    with the either-or collapse of one sign class, either variant gives
-    rank <= omega(N) - 2 for coprime pairs.
+    The same certificate on the dual pair (-2a, a^2 - 4b), with q | b, kills
+    on the phi-hat side.  Combined with the either-or collapse of one sign
+    class, either variant gives rank <= omega(N) - 2 for coprime pairs.
     """
     n = a * a - 4 * b
-    n_primes = [q for q, _ in factor(n).factors]
-    b_primes = [q for q, _ in factor(b).factors]
-    for p, e in factor(b).factors:
-        if p <= 3 or a % p == 0:
-            continue
-        if e % 2 == 1 or legendre(a, p) == 1:
-            if any(legendre(q, p) == -1 for q in n_primes):
-                return True
-    for p, e in factor(n).factors:
-        if p <= 3 or a % p == 0:
-            continue
-        if e % 2 == 1 or legendre(-2 * a, p) == 1:
-            if any(legendre(q, p) == -1 for q in b_primes):
-                return True
-    return False
+    return _phi_certificate(a, b, n) or _phi_certificate(-2 * a, n, b)
+
+
+def _phi_certificate(a, b, m):
+    """Some p | b with `nonresidues_insoluble(a, b, p)` and q | m, (q/p) = -1."""
+    qs = [q for q, _ in factor(m).factors]
+    return any(
+        descent2.nonresidues_insoluble(a, b, p) and any(legendre(q, p) == -1 for q in qs)
+        for p, _ in factor(b).factors if p > 3 and a % p
+    )

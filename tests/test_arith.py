@@ -214,6 +214,20 @@ def test_cache_toggle_identical_results():
     assert a == b
 
 
+def test_factor_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(arith, "CACHE_BOUND", 4)
+    arith.set_factor_cache(False)
+    arith.set_factor_cache(True)
+    try:
+        for n in range(1000, 1020):
+            assert arith.factor(n).value() == n
+            assert 1 <= len(arith._factor_cache) <= 4
+        assert arith.factor(1019).value() == 1019  # a hit after the clears
+    finally:
+        arith.set_factor_cache(False)
+        arith.set_factor_cache(True)
+
+
 def test_primes_up_to_and_next_prime():
     assert arith.primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert arith.next_prime(3) == 5

@@ -62,6 +62,22 @@ def test_enumerate_missing_height_is_usage_error():
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["enumerate", "--family", "e3"], "--height is required for family e3"),
+    (["enumerate", "--family", "e5"], "--height is required for family e5"),
+    (["enumerate", "--family", "e7"], "--height is required for family e7"),
+    (["enumerate", "--family", "type1"], "--height is required for family type1"),
+    (["stats", "normal-order", "--heights", "15"], "--poly is required"),
+    (["stats", "roots-mod"], "--poly is required"),
+    (["stats", "density-cor-main"], "--height is required for density-cor-main"),
+], ids=["e3", "e5", "e7", "type1", "normal-order", "roots-mod", "density-cor-main"])
+def test_missing_option_is_usage_error(capsys, argv, message):
+    code, out = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_descent_json():
     code, out = run_cli(["descent", "--a", "0", "--b", "-1"])
     assert code == 0

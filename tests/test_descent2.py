@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -6,13 +7,16 @@ import pytest
 
 from ecdescent import descent2
 from ecdescent.arith import (
+    factor,
     legendre,
+    primes_up_to,
+    squarefree_divisors,
     squarefree_kernel,
     unitary_squarefree_divisors,
     valuation,
 )
 from ecdescent.descent2 import HomogeneousSpace
-from ecdescent.errors import DomainError
+from ecdescent.errors import DomainError, Undecided
 from ecdescent.families import E2Param
 
 
@@ -65,6 +69,116 @@ def test_padic_vs_naive_search():
         found += 1
         for p in (2, 3, 5, 7, 13):
             assert descent2.padic_soluble(space, p), (space, p)
+
+
+def _reference_decide_zp(c4, c2, c0, p, cap):
+    """The retired worklist search: every expanded class puts all p of its
+    children on one list, and the search starts from all p residues."""
+    undecided = False
+    stack = [(r, 1) for r in range(p)]
+    while stack:
+        r, k = stack.pop()
+        t = c4 * r**4 + c2 * r * r + c0
+        if t == 0:
+            return True
+        v = valuation(t, p)
+        if (v <= k - 3) if p == 2 else (v < k):
+            if v % 2 == 0:
+                u = t // p**v
+                if (u % 8 == 1) if p == 2 else (legendre(u, p) == 1):
+                    return True
+            continue
+        if k >= cap:
+            undecided = True
+            continue
+        step = p**k
+        stack.extend((r + j * step, k + 1) for j in range(p))
+    return None if undecided else False
+
+
+def reference_padic_soluble(space, p, depth_margin):
+    """The retired two-chart driver: x = U/V and x = V/U both over all of Z_p."""
+    d1, F, d2 = space.d1, space.F, space.d2
+    cap = valuation(4 * d1 * d2 * (F * F - 4 * d1 * d2), p) + depth_margin
+    if p == 2:
+        cap += 2
+    first = _reference_decide_zp(d1, F, d2, p, cap)
+    second = first or _reference_decide_zp(d2, F, d1, p, cap)
+    if second is True:
+        return True
+    return "Undecided" if None in (first, second) else False
+
+
+def padic_outcome(space, p, depth_margin):
+    try:
+        return descent2.padic_soluble(space, p, depth_margin)
+    except Undecided:
+        return "Undecided"
+
+
+def test_padic_soluble_against_reference_box():
+    """Every phi and phi-hat space of |a| <= 6, |b| <= 16 at every local
+    prime: the search gives the reference's True/False/Undecided."""
+    tally = {True: 0, False: 0, "Undecided": 0}
+    for a in range(-6, 7):
+        for b in range(-16, 17):
+            n = a * a - 4 * b
+            if b * n == 0:
+                continue
+            primes = {2} | {p for p, _ in factor(b * n).factors}
+            spaces = [HomogeneousSpace(d, -2 * a, n // d) for d in squarefree_divisors(n)]
+            spaces += [HomogeneousSpace(d, a, b // d) for d in squarefree_divisors(b)]
+            for space in spaces:
+                for p in primes:
+                    for margin in (0, 1, 2, 5):
+                        want = reference_padic_soluble(space, p, margin)
+                        assert padic_outcome(space, p, margin) == want, (space, p, margin)
+                        tally[want] += 1
+    assert min(tally.values()) > 100, tally
+
+
+def test_padic_soluble_against_reference_random():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coeff = st.integers(-200, 200).filter(bool)
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(coeff, st.integers(-200, 200), coeff,
+                      st.sampled_from(primes_up_to(50)), st.sampled_from((0, 1, 2, 5)))
+    def check(d1, F, d2, p, margin):
+        hypothesis.assume(F * F != 4 * d1 * d2)
+        space = HomogeneousSpace(d1, F, d2)
+        assert padic_outcome(space, p, margin) == reference_padic_soluble(space, p, margin)
+
+    check()
+
+
+def test_padic_search_memory_does_not_grow_with_p():
+    descent2._padic_soluble_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        assert descent2.padic_soluble(HomogeneousSpace(3, -2, -13), 181499)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+def test_padic_search_is_not_recursive():
+    assert descent2.padic_soluble(HomogeneousSpace(2, -3, 1), 5, depth_margin=2000)
+
+
+def test_padic_cache_is_bounded(monkeypatch):
+    assert descent2.CACHE_BOUND == 1 << 16
+    space = HomogeneousSpace(3, -2, -13)
+    primes = (2, 3, 5, 7, 11, 13, 17)
+    want = [descent2.padic_soluble(space, p) for p in primes]
+    monkeypatch.setattr(descent2, "CACHE_BOUND", 3)
+    descent2._padic_soluble_cached.cache_clear()
+    for p, soluble in zip(primes, want):
+        assert descent2.padic_soluble(space, p) == soluble
+        assert 1 <= descent2._padic_soluble_cached.cache_info().currsize <= 3
+    descent2._padic_soluble_cached.cache_clear()
 
 
 def test_fastpath_examples():

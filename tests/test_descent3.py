@@ -1,6 +1,6 @@
 import pytest
 
-from ecdescent import descent3
+from ecdescent import arith, descent3
 from ecdescent.arith import is_squarefree
 from ecdescent.errors import DomainError
 
@@ -29,6 +29,10 @@ def test_reduced_forms_and_class_numbers():
              -24: 2, -31: 3, -47: 5, -71: 7, -84: 4, -95: 8}
     for D, h in known.items():
         assert len(descent3.reduced_forms(D)) == h, D
+
+
+def test_r3_cache_is_bounded():
+    assert descent3.r3_imaginary.cache_info().maxsize == arith.CACHE_BOUND == 1 << 16
 
 
 def test_r3_imaginary():
