@@ -88,15 +88,18 @@ def _decide_zp(c4, c2, c0, p, cap, first):
         t = c4 * r**4 + c2 * r * r + c0
         if t == 0:
             return True  # exact zero of the quartic: a point with Z = 0
-        v = valuation(t, p)
+        # a child of an unresolved class has nu_p(t) >= known: divide once
+        known = max(k - 3, 0) if p == 2 else k - 1
+        if known:
+            t //= p**known
+        v = known + valuation(t, p)
         resolved = (v <= k - 3) if p == 2 else (v < k)
-        if resolved:
+        if resolved:  # then v = known and t is the unit part
             if v % 2 == 0:
-                u = t // p**v
                 if p == 2:
-                    if u % 8 == 1:
+                    if t % 8 == 1:
                         return True
-                elif legendre(u, p) == 1:
+                elif pow(t, (p - 1) // 2, p) == 1:
                     return True
             continue
         if k >= cap:
@@ -109,6 +112,8 @@ def _decide_zp(c4, c2, c0, p, cap, first):
 
 @lru_cache(maxsize=None)
 def _padic_soluble_cached(d1, F, d2, p, depth_margin):
+    if not is_prime(p):
+        raise DomainError(f"{p} is not prime")
     cap = valuation(4 * d1 * d2 * (F * F - 4 * d1 * d2), p) + depth_margin
     if p == 2:
         cap += 2  # unit class needs three more known bits
@@ -125,8 +130,6 @@ def padic_soluble(space, p, depth_margin=DEFAULT_DEPTH_MARGIN):
     Primitive (U, V) has V a unit (chart x = U/V in Z_p) or U a unit and V
     in pZ_p (chart x = V/U in pZ_p: class 0 mod p only).
     """
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
     # emptied when full like the factor memo: LRU links would cost ~50 bytes
     # an entry, 2.5 MB (+10% peak RSS) on a `watkins e2 --height 8` scan
     if _padic_soluble_cached.cache_info().currsize >= CACHE_BOUND:

@@ -144,14 +144,13 @@ def reduced_forms(D):
 def r3_imaginary(D):
     """3-rank of the form class group of discriminant D < 0.
 
-    Counts elements g with g^3 = identity by explicit Gauss composition over
-    the reduced forms; the count is 3^r3.
+    Counts elements g with g^3 = identity, i.e. g^2 = g^-1, by one Gauss
+    composition per reduced form (g^-1 of (a, b, c) is (a, -b, c), reduced);
+    the count is 3^r3.
     """
-    forms = reduced_forms(D)
-    ident = identity_form(D)
     cubes = 0
-    for f in forms:
-        if compose(f, compose(f, f, D), D) == ident:
+    for a, b, c in reduced_forms(D):
+        if compose((a, b, c), (a, b, c), D) == reduce_form(a, -b, c):
             cubes += 1
     r3 = 0
     while 3**r3 < cubes:

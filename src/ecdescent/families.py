@@ -61,10 +61,9 @@ def e2_curve(p):
     as its (a', b') parameter pair.
     """
     a, b = p.a, p.b
-    long_model = LongWeierstrass(0, a, 0, b, 0)
-    model = curves.short_model(long_model)
-    dual = E2Param(-2 * a, a * a - 4 * b)
-    return model, dual
+    # x -> x - a/3, then (A, B) scaled by 3^4, 3^6
+    model = curves.minimize(ShortWeierstrass(81 * b - 27 * a * a, 54 * a**3 - 243 * a * b))
+    return model, E2Param(-2 * a, a * a - 4 * b)
 
 
 def e2_from_torsion(a, b):
@@ -109,14 +108,14 @@ def _is_cube(n):
 def tate_normal(b, c):
     """E(b, c): Y^2 + (1-c)XY - bY = X^3 - bX^2, with a torsion point at (0, 0).
 
-    Discriminant b^3 (16b^2 - 8bc^2 - 20bc + b + c(c-1)^3); b = 0 is singular.
+    A singular E(b, c), b = 0 among them, raises SingularCurve.
     """
-    b = Fraction(b)
-    c = Fraction(c)
-    disc = b**3 * (16 * b * b - 8 * b * c * c - 20 * b * c + b + c * (c - 1) ** 3)
-    if disc == 0:
-        raise SingularCurve(f"E({b}, {c}) is singular")
     return LongWeierstrass(1 - c, -b, -b, 0, 0)
+
+
+# (b(t), c(t)) of the Tate normal form whose point (0, 0) has order ell,
+# ascending coefficients.
+TATE_BC = {5: ([0, 1], [0, 1]), 7: ([0, 0, -1, 1], [0, -1, 1])}
 
 
 def e5_curve(t):
@@ -124,7 +123,7 @@ def e5_curve(t):
 
     Discriminant t^5 (t^2 - 11t - 1).
     """
-    return tate_normal(t, t)
+    return tate_normal(*(polys.evaluate(f, t) for f in TATE_BC[5]))
 
 
 def e7_curve(t):
@@ -132,8 +131,24 @@ def e7_curve(t):
 
     Discriminant (t^3 - 8t^2 + 5t + 1)(t - 1)^7 t^7.
     """
-    t = Fraction(t)
-    return tate_normal(t**3 - t * t, t * t - t)
+    return tate_normal(*(polys.evaluate(f, t) for f in TATE_BC[7]))
+
+
+def tate_short_polys(ell):
+    """Integer polynomials (A(t), B(t)) = (-27 c4(t), -54 c6(t)) of the 5- or
+    7-torsion Tate family, ascending coefficients.
+
+    deg A = 4w and deg B = 6w with w = 1 for ell = 5 and w = 2 for ell = 7.
+    """
+    b_poly, c_poly = TATE_BC[ell]
+    one_minus_c = polys.sub([1], c_poly)
+    b2 = polys.add(polys.mul(one_minus_c, one_minus_c), polys.scale(b_poly, -4))
+    b4 = polys.mul(one_minus_c, polys.scale(b_poly, -1))
+    b6 = polys.mul(b_poly, b_poly)
+    c4 = polys.sub(polys.mul(b2, b2), polys.scale(b4, 24))
+    c6 = polys.sub(polys.scale(polys.mul(b2, b4), 36),
+                   polys.add(polys.power(b2, 3), polys.scale(b6, 216)))
+    return polys.scale(c4, -27), polys.scale(c6, -54)
 
 
 def tate_fibers(ell, X):
@@ -142,19 +157,23 @@ def tate_fibers(ell, X):
 
     Runs over coprime num/den in the family's parameter window scaled by
     SAFETY_BOX_FACTOR, den ascending in the outer loop and num in the inner.
+    A fiber's model is (A(t), B(t)) scaled by den^w, an integral model of the
+    same curve, so `minimize` reaches the minimal one.
     """
     if ell not in (5, 7):
         raise DomainError("Tate fibers cover ell in {5, 7}")
     box = param_box(ell)
-    build = e5_curve if ell == 5 else e7_curve
+    A_poly, B_poly = tate_short_polys(ell)
     num_max = int(SAFETY_BOX_FACTOR * X ** float(box.m)) + 1
     den_max = int(SAFETY_BOX_FACTOR * X ** float(box.n)) + 1
     for den in range(1, den_max + 1):
         for num in range(-num_max, num_max + 1):
             if gcd(num, den) != 1:
                 continue
+            A = polys.homogeneous_value(A_poly, num, den)
+            B = polys.homogeneous_value(B_poly, num, den)
             try:
-                model = curves.short_model(build(Fraction(num, den)))
+                model = curves.minimize(ShortWeierstrass(A, B))
             except SingularCurve:
                 continue
             if curves.height_leq(model, X):

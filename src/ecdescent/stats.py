@@ -349,34 +349,14 @@ def average_trace(A_coeffs, B_coeffs, p):
     return Fraction(total, p)
 
 
-def _tate_short_polys(ell):
-    """Ascending coefficient lists (A(t), B(t)) of the short model of the
-    5- or 7-torsion Tate family, via -27 c4 and -54 c6."""
-    if ell == 5:
-        b_poly, c_poly = [0, 1], [0, 1]
-    else:
-        b_poly, c_poly = [0, 0, -1, 1], [0, -1, 1]
-    one_minus_c = polys.sub([1], c_poly)
-    b2 = polys.add(polys.mul(one_minus_c, one_minus_c), polys.scale(b_poly, -4))
-    b4 = polys.mul(one_minus_c, polys.scale(b_poly, -1))
-    b6 = polys.mul(b_poly, b_poly)
-    c4 = polys.sub(polys.mul(b2, b2), polys.scale(b4, 24))
-    c6 = polys.add(
-        polys.sub(polys.scale(polys.power(b2, 3), -1),
-                  polys.scale(b6, 216)),
-        polys.scale(polys.mul(b2, b4), 36),
-    )
-    return polys.scale(c4, -27), polys.scale(c6, -54)
-
-
 def _family_polys(family):
     """(A(t), B(t), Delta(t)) of one torsion family: e5, e7 or e3poly."""
     if family == "e3poly":
         return families.e3_polynomials()
     if family == "e5":
-        return (*_tate_short_polys(5), families.delta5_poly())
+        return (*families.tate_short_polys(5), families.delta5_poly())
     if family == "e7":
-        return (*_tate_short_polys(7), families.delta7_poly())
+        return (*families.tate_short_polys(7), families.delta7_poly())
     raise DomainError(f"unknown family {family!r}")
 
 

@@ -164,6 +164,13 @@ def test_padic_search_memory_does_not_grow_with_p():
     assert peak < 1 << 20, peak
 
 
+def test_padic_soluble_rejects_composite_p_every_call():
+    space = HomogeneousSpace(1, 0, -1)
+    for _ in range(2):  # the DomainError is not cached
+        with pytest.raises(DomainError):
+            descent2.padic_soluble(space, 9)
+
+
 def test_padic_search_is_not_recursive():
     assert descent2.padic_soluble(HomogeneousSpace(2, -3, 1), 5, depth_margin=2000)
 

@@ -49,6 +49,17 @@ def test_r3_imaginary():
         descent3.r3_imaginary(4)
 
 
+def test_r3_imaginary_against_cubing():
+    # reference: count the forms whose cube is the identity
+    for D in range(-3, -4000, -1):
+        if D % 4 not in (0, 1):
+            continue
+        ident = descent3.identity_form(D)
+        cubes = sum(1 for f in descent3.reduced_forms(D)
+                    if descent3.compose(f, descent3.compose(f, f, D), D) == ident)
+        assert cubes == 3 ** descent3.r3_imaginary(D), D
+
+
 def test_three_torsion_divides_class_number():
     for D in (-23, -31, -84, -120, -231, -255, -452, -999):
         if D % 4 not in (0, 1):

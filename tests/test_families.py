@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -36,6 +37,16 @@ def test_e2_curve_dual_of_dual_is_isomorphic():
     model, dual = families.e2_curve(p)
     model2, _ = families.e2_curve(families.e2_curve(dual)[1])
     assert model2 == model
+
+
+def test_e2_curve_against_long_model():
+    # reference: the short model of the long model y^2 = x^3 + ax^2 + bx
+    for a in range(-12, 13):
+        for b in range(-150, 151):
+            if b * (a * a - 4 * b) == 0:
+                continue
+            long_model = curves.LongWeierstrass(0, a, 0, b, 0)
+            assert families.e2_curve(E2Param(a, b))[0] == curves.short_model(long_model), (a, b)
 
 
 def test_e2_height():
@@ -152,6 +163,48 @@ def test_torsion_presence_on_tate_fibers():
             assert curves.torsion_order_present(E7, 7)
         except SingularCurve:
             pass
+
+
+def reference_tate_fibers(ell, X):
+    """(fibers, singular count): the Fraction Tate-normal-form loop of
+    `tate_fibers`, each fiber's short model taken from its long model."""
+    box = families.param_box(ell)
+    build = families.e5_curve if ell == 5 else families.e7_curve
+    num_max = int(families.SAFETY_BOX_FACTOR * X ** float(box.m)) + 1
+    den_max = int(families.SAFETY_BOX_FACTOR * X ** float(box.n)) + 1
+    out, singular = [], 0
+    for den in range(1, den_max + 1):
+        for num in range(-num_max, num_max + 1):
+            if gcd(num, den) != 1:
+                continue
+            try:
+                model = curves.short_model(build(Fraction(num, den)))
+            except SingularCurve:
+                singular += 1
+                continue
+            if curves.height_leq(model, X):
+                out.append((num, den, model))
+    return out, singular
+
+
+@pytest.mark.parametrize("ell, heights", [(5, (5, 20, 56, 120)), (7, (8, 50, 300, 1000))])
+def test_tate_fibers_against_long_models(ell, heights):
+    for X in heights:
+        want, singular = reference_tate_fibers(ell, X)
+        assert singular == (1 if ell == 5 else 2)  # t = 0, and t = 1 for ell = 7
+        assert list(families.tate_fibers(ell, X)) == want, (ell, X)
+
+
+def test_integer_paths_build_no_long_model(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("long Weierstrass model built")
+
+    for name in ("tate_normal", "e5_curve", "e7_curve", "LongWeierstrass"):
+        monkeypatch.setattr(families, name, refuse)
+    monkeypatch.setattr(curves, "short_model", refuse)
+    assert len(list(families.tate_fibers(5, 56))) > 0
+    assert len(list(families.tate_fibers(7, 50))) > 0
+    assert families.e2_curve(E2Param(3, -5))[0] == ShortWeierstrass(-8, 7)
 
 
 def test_e3_polynomials_exact():

@@ -234,7 +234,7 @@ def test_avg_frobenius_matches_direct_fiber_sum():
     """Independent oracle: good fibers by brute-force point count, singular
     fibers by the smooth-locus group order (p - a_p nonsingular points)."""
     p = 13
-    A_poly, B_poly = stats._tate_short_polys(5)
+    A_poly, B_poly = families.tate_short_polys(5)
     delta5 = families.delta5_poly()
     total = 0
     for r in range(p):
