@@ -13,7 +13,7 @@ from math import gcd, lcm
 
 from . import polys
 from .arith import factor, is_prime, is_square, valuation
-from .errors import BadReduction, DomainError, SingularCurve
+from .errors import DomainError, SingularCurve
 
 TRIVIAL = "Trivial"
 Z2 = "Z2"
@@ -230,10 +230,10 @@ def trace_from_coefficients(A, B, p, chi=None):
 def frobenius_trace(E, p):
     """a_p = p + 1 - #E(F_p) for a prime p > 3 of good reduction."""
     if p <= 3 or not is_prime(p):
-        raise BadReduction(f"{p} is not a prime > 3")
+        raise DomainError(f"{p} is not a prime > 3")
     Em = minimize(E)
     if invariants(Em).delta % p == 0:
-        raise BadReduction(f"bad reduction at {p}")
+        raise DomainError(f"bad reduction at {p}")
     ap = trace_from_coefficients(Em.A, Em.B, p)
     if ap * ap > 4 * p:
         raise ArithmeticError(f"Hasse bound violated: a_{p} = {ap}")

@@ -6,12 +6,18 @@ into the phi- (resp. phi-hat-) Selmer set when its space is soluble over R
 and over Q_p for every p | 2b(a^2 - 4b).  The rank bound is
 dim_phi + dim_phihat - 2.
 
-p-adic solubility is decided exactly: (U, V) is scaled primitive, each
-residue class of P^1(Z_p) is searched depth first by its digits mod p^k,
-and a branch is closed once the value's valuation and unit class are pinned
-(unit squares mod p for odd p, unit = 1 mod 8 for p = 2).  A hard depth cap
-of nu_p(4 d1 d2 (F^2 - 4 d1 d2)) plus a configurable margin turns any
-unresolved branch into an Undecided error rather than a silent guess.
+p-adic solubility is decided exactly: (U, V) is scaled primitive and the
+residue classes x + p^k Z_p of P^1(Z_p) are searched depth first.  Each
+class is decided from lam = nu_p(g(x)) and mu = nu_p(g'(x)) by Lemmas 6
+(odd p) and 7 (p = 2) of Birch and Swinnerton-Dyer, Notes on elliptic
+curves I, J. reine angew. Math. 212 (1963); Cremona, Algorithms for Modular
+Elliptic Curves, 3.6, states them as lemma6/lemma7/zpsol.  A class is split
+only when k <= min(lam, mu) (or k = 1 at p = 2), which bounds the depth by
+nu_p(Res(g, g')) + 1, Res = 16 d1^2 d2 (F^2 - 4 d1 d2)^2 != 0 (d1 and d2
+swap in the chart x = V/U).  A hard depth cap of
+nu_p(4 d1 d2 (F^2 - 4 d1 d2)) plus a configurable margin still turns a
+class that would split past it into an Undecided error rather than a
+silent guess.
 """
 
 from dataclasses import dataclass
@@ -70,13 +76,20 @@ def real_soluble(space):
 
 
 def _decide_zp(c4, c2, c0, p, cap, first):
-    """Does c4 x^4 + c2 x^2 + c0 take a square value (or 0) for some x in Z_p?
+    """Does g(x) = c4 x^4 + c2 x^2 + c0 take a square value (or 0) on Z_p?
 
-    Depth first over residue classes x = r mod p^k from the digits `first`
-    at k = 1, one lazy digit iterator per depth.  Within a class the value's
-    valuation v and unit part mod p^(k-v) are constant, so the class resolves
-    once v < k (odd p) or v <= k - 3 (p = 2, unit needed mod 8).  Returns
-    True/False, or None if some branch hits the depth cap.
+    Depth first over residue classes x = r + p^k Z_p from the digits
+    `first` at k = 1, one lazy digit iterator per depth.  A class is decided
+    from lam = nu_p(g(r)) and mu = nu_p(g'(r)) by Lemmas 6 (odd p) and 7
+    (p = 2) of Birch and Swinnerton-Dyer, Notes on elliptic curves I (1963),
+    as in Cremona, Algorithms for Modular Elliptic Curves, 3.6:
+      soluble if g(r) is a square, or mu < k <= lam - mu (Hensel); at p = 2
+      also if mu < k, lam even and lam = mu + k - 1, or lam = mu + k - 2
+      with g(r) / 2^lam = 1 mod 4;
+      split into its p children if mu >= k and lam >= 2k; at p = 2 also if
+      mu >= k, lam = 2k - 2 and g(r) / 2^lam = 1 mod 4;
+      insoluble otherwise.
+    Returns True/False, or None if a class to split lies at the depth cap.
     """
     undecided = False
     stack = [iter(first)]
@@ -88,20 +101,21 @@ def _decide_zp(c4, c2, c0, p, cap, first):
         t = c4 * r**4 + c2 * r * r + c0
         if t == 0:
             return True  # exact zero of the quartic: a point with Z = 0
-        # a child of an unresolved class has nu_p(t) >= known: divide once
-        known = max(k - 3, 0) if p == 2 else k - 1
-        if known:
-            t //= p**known
-        v = known + valuation(t, p)
-        resolved = (v <= k - 3) if p == 2 else (v < k)
-        if resolved:  # then v = known and t is the unit part
-            if v % 2 == 0:
-                if p == 2:
-                    if t % 8 == 1:
-                        return True
-                elif pow(t, (p - 1) // 2, p) == 1:
-                    return True
+        lam = valuation(t, p)
+        u = t // p**lam
+        if lam % 2 == 0 and ((u % 8 == 1) if p == 2 else pow(u, (p - 1) // 2, p) == 1):
+            return True
+        if lam < (k - 2 if p == 2 else k):
+            continue  # below every soluble and splitting case
+        dg = 2 * r * (2 * c4 * r * r + c2)
+        mu = valuation(dg, p) if dg else k  # any mu >= k decides alike
+        if mu < k:  # g maps the class onto g(r) + p^(mu+k) Z_p
+            if lam >= mu + k or p == 2 and lam % 2 == 0 and (
+                    lam == mu + k - 1 or lam == mu + k - 2 and u % 4 == 1):
+                return True
             continue
+        if not (lam >= 2 * k or p == 2 and lam == 2 * k - 2 and u % 4 == 1):
+            continue  # g(class) lies in g(r) + p^(2k) Z_p: no square
         if k >= cap:
             undecided = True
             continue

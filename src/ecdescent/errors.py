@@ -9,10 +9,6 @@ class SingularCurve(ValueError):
     """A Weierstrass model (or parameter choice) has vanishing discriminant."""
 
 
-class BadReduction(ValueError):
-    """A prime of bad reduction was passed where good reduction is required."""
-
-
 class Undecided(RuntimeError):
     """The p-adic solubility search hit its depth cap without a certificate.
 

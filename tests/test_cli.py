@@ -92,8 +92,17 @@ def test_descent_singular_exit1(capsys):
     assert code == 1
 
 
-def test_descent_undecided_exit1(capsys):
-    code, out = run_cli(["--depth-cap-extra", "0", "descent", "--a", "-5", "--b", "-30"])
+def test_descent_undecided_exit1(capsys, monkeypatch):
+    # no space is known to reach the cap, even at --depth-cap-extra 0, so
+    # the search runs with the cap lowered to depth 1
+    decide = descent2._decide_zp
+    monkeypatch.setattr(descent2, "_decide_zp",
+                        lambda c4, c2, c0, p, cap, first: decide(c4, c2, c0, p, 1, first))
+    descent2._padic_soluble_cached.cache_clear()
+    try:
+        code, out = run_cli(["descent", "--a", "-5", "--b", "-30"])
+    finally:
+        descent2._padic_soluble_cached.cache_clear()
     assert code == 1
     assert out == ""
     assert capsys.readouterr().err.startswith("error: depth cap exhausted")

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -71,8 +72,8 @@ def test_padic_vs_naive_search():
             assert descent2.padic_soluble(space, p), (space, p)
 
 
-def _reference_decide_zp(c4, c2, c0, p, cap):
-    """The retired worklist search: every expanded class puts all p of its
+def _worklist_decide_zp(c4, c2, c0, p, cap):
+    """The first retired search: every expanded class puts all p of its
     children on one list, and the search starts from all p residues."""
     undecided = False
     stack = [(r, 1) for r in range(p)]
@@ -96,17 +97,69 @@ def _reference_decide_zp(c4, c2, c0, p, cap):
     return None if undecided else False
 
 
-def reference_padic_soluble(space, p, depth_margin):
-    """The retired two-chart driver: x = U/V and x = V/U both over all of Z_p."""
+def _depth_first_decide_zp(c4, c2, c0, p, cap, first):
+    """The second retired search: the same closing rule, depth first with one
+    lazy digit iterator per depth.  A class x = r mod p^k is closed only once
+    v = nu_p(g(r)) < k (odd p) or v <= k - 3 (p = 2), when the value's
+    valuation and unit class are constant on it; otherwise all p children
+    are opened."""
+    undecided = False
+    stack = [iter(first)]
+    while stack:
+        if (r := next(stack[-1], None)) is None:
+            stack.pop()
+            continue
+        k = len(stack)
+        t = c4 * r**4 + c2 * r * r + c0
+        if t == 0:
+            return True
+        # a child of an unresolved class has nu_p(t) >= known: divide once
+        known = max(k - 3, 0) if p == 2 else k - 1
+        if known:
+            t //= p**known
+        v = known + valuation(t, p)
+        if (v <= k - 3) if p == 2 else (v < k):  # then v = known
+            if v % 2 == 0:
+                if p == 2:
+                    if t % 8 == 1:
+                        return True
+                elif pow(t, (p - 1) // 2, p) == 1:
+                    return True
+            continue
+        if k >= cap:
+            undecided = True
+            continue
+        step = p**k
+        stack.append(iter(range(r + (p - 1) * step, r - 1, -step)))
+    return None if undecided else False
+
+
+def _reference_cap(space, p, depth_margin):
     d1, F, d2 = space.d1, space.F, space.d2
     cap = valuation(4 * d1 * d2 * (F * F - 4 * d1 * d2), p) + depth_margin
-    if p == 2:
-        cap += 2
-    first = _reference_decide_zp(d1, F, d2, p, cap)
-    second = first or _reference_decide_zp(d2, F, d1, p, cap)
-    if second is True:
+    return cap + 2 if p == 2 else cap
+
+
+def _two_charts(first, second):
+    if first is True or second is True:
         return True
     return "Undecided" if None in (first, second) else False
+
+
+def worklist_padic_soluble(space, p, depth_margin):
+    """The first retired driver: x = U/V and x = V/U both over all of Z_p."""
+    d1, F, d2 = space.d1, space.F, space.d2
+    cap = _reference_cap(space, p, depth_margin)
+    first = _worklist_decide_zp(d1, F, d2, p, cap)
+    return _two_charts(first, first or _worklist_decide_zp(d2, F, d1, p, cap))
+
+
+def reference_padic_soluble(space, p, depth_margin):
+    """The second retired driver: x = U/V over Z_p, x = V/U over pZ_p."""
+    d1, F, d2 = space.d1, space.F, space.d2
+    cap = _reference_cap(space, p, depth_margin)
+    first = _depth_first_decide_zp(d1, F, d2, p, cap, range(p - 1, -1, -1))
+    return _two_charts(first, first or _depth_first_decide_zp(d2, F, d1, p, cap, (0,)))
 
 
 def padic_outcome(space, p, depth_margin):
@@ -116,10 +169,25 @@ def padic_outcome(space, p, depth_margin):
         return "Undecided"
 
 
+def check_against_reference(space, p, margin):
+    """The outcome kind: the search's answer equals the reference's where the
+    reference decides, and the reference's answer at margin 12 where it hits
+    its cap."""
+    want = reference_padic_soluble(space, p, margin)
+    kind = want
+    if want == "Undecided":
+        want = reference_padic_soluble(space, p, 12)
+        kind = f"Undecided at {margin}"
+    assert want != "Undecided", (space, p)
+    assert padic_outcome(space, p, margin) == want, (space, p, margin)
+    return kind
+
+
 def test_padic_soluble_against_reference_box():
     """Every phi and phi-hat space of |a| <= 6, |b| <= 16 at every local
-    prime: the search gives the reference's True/False/Undecided."""
-    tally = {True: 0, False: 0, "Undecided": 0}
+    prime: the search gives the reference's True/False, and decides where
+    the reference hits its cap."""
+    tally = Counter()
     for a in range(-6, 7):
         for b in range(-16, 17):
             n = a * a - 4 * b
@@ -131,26 +199,60 @@ def test_padic_soluble_against_reference_box():
             for space in spaces:
                 for p in primes:
                     for margin in (0, 1, 2, 5):
-                        want = reference_padic_soluble(space, p, margin)
-                        assert padic_outcome(space, p, margin) == want, (space, p, margin)
-                        tally[want] += 1
-    assert min(tally.values()) > 100, tally
+                        tally[check_against_reference(space, p, margin)] += 1
+    kinds = (True, False, "Undecided at 0", "Undecided at 1")
+    assert min(tally[kind] for kind in kinds) > 200, tally
+
+
+def test_reference_searches_agree():
+    """The two retired searches give the same True/False/Undecided."""
+    for a in range(-4, 5):
+        for b in range(-8, 9):
+            n = a * a - 4 * b
+            if b * n == 0:
+                continue
+            primes = {2} | {p for p, _ in factor(b * n).factors}
+            for d in squarefree_divisors(n):
+                space = HomogeneousSpace(d, -2 * a, n // d)
+                for p in primes:
+                    for margin in (0, 1, 5):
+                        assert (worklist_padic_soluble(space, p, margin)
+                                == reference_padic_soluble(space, p, margin)), (space, p)
 
 
 def test_padic_soluble_against_reference_random():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     coeff = st.integers(-200, 200).filter(bool)
+    tally = Counter()
 
     @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
     @hypothesis.given(coeff, st.integers(-200, 200), coeff,
                       st.sampled_from(primes_up_to(50)), st.sampled_from((0, 1, 2, 5)))
     def check(d1, F, d2, p, margin):
         hypothesis.assume(F * F != 4 * d1 * d2)
-        space = HomogeneousSpace(d1, F, d2)
-        assert padic_outcome(space, p, margin) == reference_padic_soluble(space, p, margin)
+        tally[check_against_reference(HomogeneousSpace(d1, F, d2), p, margin)] += 1
 
     check()
+    assert tally[True] > 100 and tally[False] > 10, tally
+
+
+def test_big_prime_is_decided_at_the_root(monkeypatch):
+    """At p = 1000003, g = (x^2 - 1)^2 mod p.  The retired closing rule
+    opened all p children of x = -1 mod p, over 10^6 valuation calls,
+    before it tried another residue."""
+    calls = Counter()
+
+    def counting(n, p):
+        calls[p] += 1
+        return valuation(n, p)
+
+    monkeypatch.setattr(descent2, "valuation", counting)
+    descent2._padic_soluble_cached.cache_clear()
+    est = descent2.rank_upper(E2Param(1, 3000009))
+    descent2._padic_soluble_cached.cache_clear()
+    assert 1 in est.phi_classes and 1 in est.phihat_classes
+    assert sum(calls.values()) < 1000, calls
 
 
 def test_padic_search_memory_does_not_grow_with_p():
