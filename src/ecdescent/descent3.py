@@ -109,34 +109,20 @@ def _xgcd(a, b):
     return a, x0, y0
 
 
-def identity_form(D):
-    if D % 2 == 0:
-        return (1, 0, -D // 4)
-    return (1, 1, (1 - D) // 4)
-
-
 def reduced_forms(D):
     """All primitive reduced forms of discriminant D < 0 (the form class group)."""
     if D >= 0 or D % 4 not in (0, 1):
         raise DomainError(f"{D} is not a negative discriminant")
     out = []
-    bmax = isqrt(-D // 3)
-    for b in range(bmax + 1):
-        if (b - D) % 2 != 0:
-            continue
-        ac4 = b * b - D
-        if ac4 % 4 != 0:
-            continue
-        ac = ac4 // 4
-        a = max(b, 1)
-        while a * a <= ac:
+    for b in range(D & 1, isqrt(-D // 3) + 1, 2):  # b = D mod 2, so 4 | b^2 - D
+        ac = (b * b - D) // 4
+        for a in range(max(b, 1), isqrt(ac) + 1):
             if ac % a == 0:
                 c = ac // a
-                if gcd(gcd(a, b), c) == 1:
+                if gcd(a, b, c) == 1:
                     out.append((a, b, c))
                     if b and b != a and a != c:
                         out.append((a, -b, c))
-            a += 1
     return sorted(out)
 
 
@@ -144,14 +130,22 @@ def reduced_forms(D):
 def r3_imaginary(D):
     """3-rank of the form class group of discriminant D < 0.
 
-    Counts elements g with g^3 = identity, i.e. g^2 = g^-1, by one Gauss
-    composition per reduced form (g^-1 of (a, b, c) is (a, -b, c), reduced);
-    the count is 3^r3.
+    Counts the elements g with g^3 = identity; the count is 3^r3.  If 3 does
+    not divide h(D), the number of reduced forms, there are none but the
+    identity (Lagrange), and nothing is composed.  Otherwise g^3 = identity
+    means g^2 = g^-1, where g^-1 of (a, b, c) is (a, -b, c).  An ambiguous
+    form (b = 0, |b| = a or a = c) is its own inverse, so its order divides 2
+    and it has order 3 only if it is the identity, counted once up front.
+    Every other reduced form pairs with its inverse, also reduced and of the
+    same order, so one composition per pair (the form with b > 0) counts two.
     """
-    cubes = 0
-    for a, b, c in reduced_forms(D):
-        if compose((a, b, c), (a, b, c), D) == reduce_form(a, -b, c):
-            cubes += 1
+    forms = reduced_forms(D)
+    if len(forms) % 3:
+        return 0
+    cubes = 1
+    for a, b, c in forms:
+        if 0 < b < a < c and compose((a, b, c), (a, b, c), D) == (a, -b, c):
+            cubes += 2
     r3 = 0
     while 3**r3 < cubes:
         r3 += 1
@@ -211,6 +205,6 @@ def rank_upper_type1(a):
     unit_a = unit_3dim(-3 * a)
     unit_m = unit_3dim(a)
     sa = len(s_set(a).primes)
-    sm = len(s_set(-27 * a).primes)
+    sm = sa  # nu_p(-27a) = nu_p(a) for p > 3, and 2, 3 are always in: S_{-27a} = S_a
     bound = cls_a.r3 + unit_a + cls_m.r3 + unit_m + sa + sm
     return bound, Type1Bound(bound, cls_a, unit_a, cls_m, unit_m, sa, sm)

@@ -1,8 +1,52 @@
+from math import gcd, isqrt
+
 import pytest
 
 from ecdescent import arith, descent3
 from ecdescent.arith import is_squarefree
 from ecdescent.errors import DomainError
+
+
+def identity_form(D):
+    if D % 2 == 0:
+        return (1, 0, -D // 4)
+    return (1, 1, (1 - D) // 4)
+
+
+def reference_reduced_forms(D):
+    """The retired enumeration: every b up to sqrt(|D|/3), a stepped by a while loop."""
+    out = []
+    bmax = isqrt(-D // 3)
+    for b in range(bmax + 1):
+        if (b - D) % 2 != 0:
+            continue
+        ac4 = b * b - D
+        if ac4 % 4 != 0:
+            continue
+        ac = ac4 // 4
+        a = max(b, 1)
+        while a * a <= ac:
+            if ac % a == 0:
+                c = ac // a
+                if gcd(gcd(a, b), c) == 1:
+                    out.append((a, b, c))
+                    if b and b != a and a != c:
+                        out.append((a, -b, c))
+            a += 1
+    return sorted(out)
+
+
+def reference_r3_imaginary(D):
+    """The retired 3-rank: one composition per reduced form, no shortcut."""
+    cubes = 0
+    for a, b, c in reference_reduced_forms(D):
+        if descent3.compose((a, b, c), (a, b, c), D) == descent3.reduce_form(a, -b, c):
+            cubes += 1
+    r3 = 0
+    while 3**r3 < cubes:
+        r3 += 1
+    assert 3**r3 == cubes, (D, cubes)
+    return r3
 
 
 def test_s_set():
@@ -26,7 +70,7 @@ def test_s_set_isogeny_invariance():
 def test_reduced_forms_and_class_numbers():
     # classical class numbers for small discriminants
     known = {-3: 1, -4: 1, -7: 1, -8: 1, -11: 1, -15: 2, -20: 2, -23: 3,
-             -24: 2, -31: 3, -47: 5, -71: 7, -84: 4, -95: 8}
+             -24: 2, -31: 3, -47: 5, -71: 7, -84: 4, -95: 8, -3321607: 567}
     for D, h in known.items():
         assert len(descent3.reduced_forms(D)) == h, D
 
@@ -43,10 +87,45 @@ def test_r3_imaginary():
     assert descent3.r3_imaginary(-47) == 0  # h = 5
     # first discriminant of 3-rank 2
     assert descent3.r3_imaginary(-3299) == 2
+    assert descent3.r3_imaginary(-3321607) == 3  # h = 567 = 3^4 * 7
     with pytest.raises(DomainError):
         descent3.r3_imaginary(-5)  # not a discriminant
     with pytest.raises(DomainError):
         descent3.r3_imaginary(4)
+
+
+def test_reduced_forms_and_r3_against_reference():
+    for D in (*range(-3, -10001, -1), -3321607):
+        if D % 4 not in (0, 1):
+            continue
+        assert descent3.reduced_forms(D) == reference_reduced_forms(D), D
+        assert descent3.r3_imaginary.__wrapped__(D) == reference_r3_imaginary(D), D
+
+
+def test_r3_imaginary_skips_composition_when_3_does_not_divide_h(monkeypatch):
+    def no_compose(f1, f2, D):
+        raise AssertionError("composed although 3 does not divide h(D)")
+
+    monkeypatch.setattr(descent3, "compose", no_compose)
+    for D, h in ((-47, 5), (-71, 7), (-95, 8)):
+        assert len(descent3.reduced_forms(D)) == h
+        assert descent3.r3_imaginary.__wrapped__(D) == 0, D
+
+
+def test_r3_imaginary_composes_once_per_inverse_pair(monkeypatch):
+    calls = []
+    compose = descent3.compose
+
+    def counted(f1, f2, D):
+        calls.append(f1)
+        return compose(f1, f2, D)
+
+    monkeypatch.setattr(descent3, "compose", counted)
+    for D, r3 in ((-23, 1), (-3299, 2), (-3321607, 3)):
+        h = len(descent3.reduced_forms(D))
+        calls.clear()
+        assert descent3.r3_imaginary.__wrapped__(D) == r3
+        assert 0 < len(calls) <= (h - 1) // 2, (D, h, len(calls))
 
 
 def test_r3_imaginary_against_cubing():
@@ -54,7 +133,7 @@ def test_r3_imaginary_against_cubing():
     for D in range(-3, -4000, -1):
         if D % 4 not in (0, 1):
             continue
-        ident = descent3.identity_form(D)
+        ident = identity_form(D)
         cubes = sum(1 for f in descent3.reduced_forms(D)
                     if descent3.compose(f, descent3.compose(f, f, D), D) == ident)
         assert cubes == 3 ** descent3.r3_imaginary(D), D
@@ -71,7 +150,7 @@ def test_three_torsion_divides_class_number():
 def test_composition_group_axioms():
     for D in (-23, -84, -104, -231):
         forms = descent3.reduced_forms(D)
-        ident = descent3.identity_form(D)
+        ident = identity_form(D)
         assert ident in forms
         for f in forms:
             assert descent3.compose(ident, f, D) == f
