@@ -1,8 +1,10 @@
 """Exact integer and rational number-theory kernel.
 
-Factorization (trial division + Pollard rho with Miller-Rabin, which is
-deterministic below _MR_BOUND and completed by a strong Lucas test, BPSW, above),
-distinct-prime counts, square-free parts, Legendre symbols, the Moebius
+Factorization (trial division by the primes below 2^10 that a gcd with their
+product shows to divide, exact integer roots for perfect powers, and Pollard
+rho only for the other composites; primality by Miller-Rabin, which is
+deterministic below _MR_BOUND and completed by a strong Lucas test, BPSW,
+above), distinct-prime counts, square-free parts, Legendre symbols, the Moebius
 function, and signed square-free divisors (representatives of the square
 classes Q(T) supported on the primes T of n).
 
@@ -14,7 +16,7 @@ CACHE_BOUND entries, the bound of the descent2 and descent3 caches too.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from .errors import DomainError
 
@@ -43,8 +45,10 @@ def primes_up_to(n):
     return [i for i in range(n + 1) if sieve[i]]
 
 
-# Primes below 2^10; they seed trial division in `_factor_abs`.
+# Primes below 2^10; they seed trial division in `_factor_abs`, which divides
+# by those that the gcd with their product (about 1,400 bits) shows to divide.
 _SMALL_PRIMES = primes_up_to(1 << 10)
+_SMALL_PRODUCT = prod(_SMALL_PRIMES)
 
 
 def is_prime(n):
@@ -124,6 +128,30 @@ def _strong_lucas(n):
     return False
 
 
+def _iroot(n, k):
+    """floor(n^(1/k)) for n >= 0 and k >= 1, by integer Newton iteration."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // k)  # above the root, so Newton descends to it
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _perfect_power(n):
+    """(r, j) with n = r^j for a prime j, or None; n has no prime factor
+    below 2^10, so r > 2^10 and only j with 2^(10 j) <= n can occur."""
+    for j in _SMALL_PRIMES:
+        if n >> (10 * j) == 0:
+            return None
+        r = _iroot(n, j)
+        if r**j == n:
+            return r, j
+    return None
+
+
 def _pollard_rho(n):
     """Brent-cycle Pollard rho; returns a nontrivial factor of composite odd n."""
     if n % 2 == 0:
@@ -185,33 +213,50 @@ def set_factor_cache(enabled):
         _factor_cache.clear()
 
 
+def _small_prime_divisors(n):
+    """The primes below 2^10 that divide n, in increasing order."""
+    g = gcd(n, _SMALL_PRODUCT)  # square-free, so once p^2 > g, g is 1 or prime
+    out = []
+    for p in _SMALL_PRIMES:
+        if p * p > g:
+            break
+        if g % p == 0:
+            out.append(p)
+            g //= p
+    if g > 1:
+        out.append(g)
+    return out
+
+
 def _factor_abs(n):
     """Factor n >= 1 into a dict {prime: exponent}."""
     if _cache_enabled and n in _factor_cache:
         return _factor_cache[n]
     m = n
     out = {}
-    for p in _SMALL_PRIMES:
-        if p * p > m:
-            break
+    for p in _small_prime_divisors(n):
+        e = 0
         while m % p == 0:
-            out[p] = out.get(p, 0) + 1
             m //= p
-    if m > 1:
-        # m has no prime factor below 2^10, so below 2^20 it must be prime;
-        # larger cofactors are split by rho with Miller-Rabin leaves.
-        if m < _TRIAL_LIMIT or is_prime(m):
-            out[m] = out.get(m, 0) + 1
-        else:
-            stack = [m]
-            while stack:
-                k = stack.pop()
-                if is_prime(k):
-                    out[k] = out.get(k, 0) + 1
-                    continue
-                d = _pollard_rho(k)
-                stack.append(d)
-                stack.append(k // d)
+            e += 1
+        out[p] = e
+    # m has no prime factor below 2^10, so every divisor of it below 2^20 is
+    # prime; larger composites are perfect powers, split by exact roots, or
+    # split by rho.  The stack holds (divisor, exponent) pairs.
+    stack = [(m, 1)] if m > 1 else []
+    while stack:
+        k, e = stack.pop()
+        if k < _TRIAL_LIMIT or is_prime(k):
+            out[k] = out.get(k, 0) + e
+            continue
+        power = _perfect_power(k)
+        if power:
+            r, j = power
+            stack.append((r, e * j))
+            continue
+        d = _pollard_rho(k)
+        stack.append((d, e))
+        stack.append((k // d, e))
     if _cache_enabled:
         if len(_factor_cache) >= CACHE_BOUND:
             _factor_cache.clear()

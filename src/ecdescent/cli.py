@@ -3,7 +3,8 @@
 Subcommands: enumerate, descent, descent3, watkins, stats, verify.  Output
 is CSV and/or a single JSON summary document on stdout (the JSON line is
 last); diagnostics go to stderr.  Exit codes: 0 success, 1 mathematical
-inconsistency or singular input, 2 usage or parse errors.
+inconsistency, singular input or a stdout closed by its reader, 2 usage or
+parse errors.
 
 Enumerations can be partitioned across worker processes; merged rows are
 canonically sorted before emission, so output is byte-identical for any
@@ -11,8 +12,8 @@ worker count.
 """
 
 import argparse
-import concurrent.futures
 import json
+import os
 import sys
 from fractions import Fraction
 from functools import partial
@@ -50,9 +51,14 @@ def _emit_json(doc, out):
 
 
 def _chunk_map(fn, items, workers):
-    """Map fn over items, optionally across processes; order-stable result."""
+    """Map fn over items, optionally across processes.  With a pool the
+    results come back chunk by chunk, not in item order; callers sort.
+    concurrent.futures is imported only then: it adds about 10 ms to the
+    CLI's import."""
     if workers <= 1 or len(items) < 2 * workers:
         return [fn(it) for it in items]
+    import concurrent.futures
+
     chunks = [items[i::workers] for i in range(workers)]
     out = []
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
@@ -544,7 +550,14 @@ def main(argv=None, out=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.fn(args, cfg, out)
+        code = args.fn(args, cfg, out)
+        out.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`).  Point it at devnull so the
+        # flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INCONSISTENT
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -22,6 +22,40 @@ def trial_division(n):
     return tuple(sorted(out.items()))
 
 
+def reference_factor_abs(n):
+    """The trial-division and rho loop that `_factor_abs` replaced: every
+    prime below 2^10 is tried, and every composite cofactor goes to rho."""
+    m = n
+    out = {}
+    for p in arith._SMALL_PRIMES:
+        if p * p > m:
+            break
+        while m % p == 0:
+            out[p] = out.get(p, 0) + 1
+            m //= p
+    if m > 1:
+        if m < arith._TRIAL_LIMIT or arith.is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            stack = [m]
+            while stack:
+                k = stack.pop()
+                if arith.is_prime(k):
+                    out[k] = out.get(k, 0) + 1
+                    continue
+                d = arith._pollard_rho(k)
+                stack.append(d)
+                stack.append(k // d)
+    return tuple(sorted(out.items()))
+
+
+@pytest.fixture
+def memo_off():
+    arith.set_factor_cache(False)
+    yield
+    arith.set_factor_cache(True)
+
+
 def test_factor_examples():
     assert arith.factor(12).factors == ((2, 2), (3, 1))
     assert arith.factor(12).sign == 1
@@ -55,6 +89,59 @@ def test_factor_round_trip_random_large():
         assert f.value() == n
         assert f.factors == trial_division(n)
         assert all(arith.is_prime(p) for p, _ in f.factors)
+
+
+def test_factor_against_reference_loop(memo_off):
+    # The twist discriminants D^3 and -432 D^6, then random values and prime
+    # powers times cofactors.
+    rng = random.Random(8)
+    cases = [D**3 for D in range(1, 400)] + [432 * D**6 for D in range(1, 400)]
+    cases += [rng.randrange(1, 10**15) for _ in range(300)]
+    cases += [arith.next_prime(rng.randrange(1, 10**5)) ** rng.randrange(1, 8)
+              * rng.randrange(1, 10**4) for _ in range(300)]
+    for n in cases:
+        assert arith.factor(n).factors == reference_factor_abs(n), n
+
+
+def _powers(rng, lo, hi, count):
+    return [arith.next_prime(rng.randrange(lo, hi)) ** rng.randrange(1, 8) for _ in range(count)]
+
+
+def test_factor_prime_powers_against_sympy(memo_off):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(31)
+    small = _powers(rng, 2**10, 2**20, 60)
+    large = _powers(rng, 2**20, 2**24, 60)
+    cases = small + large
+    cases += [a * b for a, b in zip(small, reversed(large))]
+    cases += [a * b for a, b in zip(small[:30], small[30:])]
+    cases += [a * b for a, b in zip(large[:30], large[30:])]
+    cases += [2 ** rng.randrange(0, 40) * 3 ** rng.randrange(0, 25) * q for q in small + large]
+    for n in cases:
+        assert dict(arith.factor(n).factors) == sympy.factorint(n), n
+        assert dict(arith.factor(-n).factors) == sympy.factorint(n), n
+
+
+def test_perfect_powers_split_without_rho(memo_off, monkeypatch):
+    def no_rho(n):
+        raise AssertionError(f"rho called on {n}")
+
+    monkeypatch.setattr(arith, "_pollard_rho", no_rho)
+    mersenne = 2**61 - 1
+    assert arith.factor(1031**3).factors == ((1031, 3),)
+    assert arith.factor(-432 * 4999**6) == arith.Factorization(-1, ((2, 4), (3, 3), (4999, 6)))
+    assert arith.factor(mersenne**2).factors == ((mersenne, 2),)
+    assert arith.factor(6 * 1031**5).factors == ((2, 1), (3, 1), (1031, 5))
+
+
+def test_iroot_exact():
+    rng = random.Random(200)
+    for k in (2, 3, 5, 7):
+        for _ in range(20):
+            r = rng.getrandbits(200) | (1 << 199)
+            assert arith._iroot(r**k, k) == r
+            assert arith._iroot(r**k - 1, k) == r - 1
+    assert [arith._iroot(n, 3) for n in range(10)] == [0, 1, 1, 1, 1, 1, 1, 1, 2, 2]
 
 
 def test_factor_semiprime():

@@ -293,6 +293,29 @@ def test_entry_point_subprocess():
     assert json.loads(proc.stdout)["rank_upper"] == 0
 
 
+def test_cli_import_leaves_out_concurrent_futures():
+    code = "import sys, ecdescent.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # About 128 kB of output, more than a pipe holds, so the writer is still
+    # writing when the reader closes the pipe.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ecdescent.cli", "enumerate", "--family", "twist-e0",
+         "--range", "5000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"params,A,B,omega_N\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert stderr == ""  # no traceback, no "Exception ignored" at exit
+
+
 def test_enumerate_e3_against_brute_force():
     """The a-window must include large-|a| rows where 6ab cancels 27a^4."""
     from math import isqrt
