@@ -22,7 +22,7 @@ from math import isqrt
 from . import curves, descent2, descent3, families, polys, stats, watkins
 from .arith import is_squarefree, primes_up_to
 from .config import load_config
-from .errors import DatasetFormatError, DomainError, SingularCurve, Undecided
+from .errors import DatasetFormatError, DomainError, SingularCurve
 from .families import E2Param
 
 EXIT_OK = 0
@@ -84,14 +84,14 @@ def _e2_pairs(X):
     return out
 
 
-def _e2_row(pair, policy, rank_bounds, real_place, depth_margin):
+def _e2_row(pair, policy, rank_bounds, real_place):
     a, b = pair
     param = E2Param(a, b)
     model, _ = families.e2_curve(param)
     omega_n, _ = curves.conductor_support(model, policy)
     fields = [f"{a};{b}", model.A, model.B, omega_n]
     if rank_bounds:
-        est = descent2.rank_upper(param, real_place, depth_margin)
+        est = descent2.rank_upper(param, real_place)
         fields.append(est.rank_upper)
     return _row(*fields)
 
@@ -157,8 +157,7 @@ def cmd_enumerate(args, cfg, out):
         raise DomainError(f"--height is required for family {args.family}")
     if args.family == "e2":
         fn = partial(_e2_row, policy=policy, rank_bounds=rank_bounds,
-                     real_place=cfg.solubility_real_place,
-                     depth_margin=cfg.depth_cap_extra)
+                     real_place=cfg.solubility_real_place)
         rows = _chunk_map(fn, _e2_pairs(args.height), cfg.workers)
     elif args.family == "e3":
         if rank_bounds:
@@ -194,7 +193,7 @@ def cmd_enumerate(args, cfg, out):
 
 def cmd_descent(args, cfg, out):
     param = E2Param(args.a, args.b)
-    est = descent2.rank_upper(param, cfg.solubility_real_place, cfg.depth_cap_extra)
+    est = descent2.rank_upper(param, cfg.solubility_real_place)
     _emit_json(
         {
             "a": args.a,
@@ -243,10 +242,9 @@ def cmd_descent3(args, cfg, out):
 # ------------------------------------------------------------------ watkins
 
 
-def _watkins_e2_row(pair, M, policy, real_place, depth_margin):
+def _watkins_e2_row(pair, M, policy, real_place):
     a, b = pair
-    rep = watkins.report(E2Param(a, b), policy=policy, real_place=real_place,
-                         depth_margin=depth_margin)
+    rep = watkins.report(E2Param(a, b), policy=policy, real_place=real_place)
     surrogate = "" if rep.surrogate_nu2_lower is None else rep.surrogate_nu2_lower
     verdict = rep.verdict(M)
     line = _row(a, b, rep.curve.A, rep.curve.B, rep.omega_N, rep.rank_upper, surrogate,
@@ -266,8 +264,7 @@ def cmd_watkins(args, cfg, out):
         if args.height is None:
             raise DomainError("--height is required for family e2")
         fn = partial(_watkins_e2_row, M=M, policy=cfg.policy,
-                     real_place=cfg.solubility_real_place,
-                     depth_margin=cfg.depth_cap_extra)
+                     real_place=cfg.solubility_real_place)
         rows = _chunk_map(fn, _e2_pairs(args.height), cfg.workers)
         header = "a,b,A,B,omega_N,rank_upper,surrogate_nu2_lower,verdict,note"
     elif args.family == "twist-e0":
@@ -428,8 +425,7 @@ def cmd_verify(args, cfg, out):
     results = []
     all_ok = True
     for rec in records:
-        res = watkins.verify_record(rec, args.M, cfg.policy,
-                                    cfg.solubility_real_place, cfg.depth_cap_extra)
+        res = watkins.verify_record(rec, args.M, cfg.policy, cfg.solubility_real_place)
         results.append(res)
         all_ok = all_ok and res["ok"]
     _emit_json(
@@ -461,9 +457,7 @@ def build_parser():
                         default=None, help="test the real place in local solubility")
     parser.add_argument("--no-real-place", action="store_false", dest="real_place",
                         default=None)
-    parser.add_argument("--depth-cap-extra", type=int, dest="depth_cap_extra")
     parser.add_argument("--workers", type=int)
-    parser.add_argument("--seed", type=int)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -542,9 +536,7 @@ def main(argv=None, out=None):
             policy=args.policy,
             nu2_manin=args.nu2_manin,
             solubility_real_place=args.real_place,
-            depth_cap_extra=args.depth_cap_extra,
             workers=args.workers,
-            seed=args.seed,
         )
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -561,7 +553,7 @@ def main(argv=None, out=None):
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SingularCurve, Undecided, ArithmeticError) as exc:
+    except (SingularCurve, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
 

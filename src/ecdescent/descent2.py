@@ -12,12 +12,11 @@ class is decided from lam = nu_p(g(x)) and mu = nu_p(g'(x)) by Lemmas 6
 (odd p) and 7 (p = 2) of Birch and Swinnerton-Dyer, Notes on elliptic
 curves I, J. reine angew. Math. 212 (1963); Cremona, Algorithms for Modular
 Elliptic Curves, 3.6, states them as lemma6/lemma7/zpsol.  A class is split
-only when k <= min(lam, mu) (or k = 1 at p = 2), which bounds the depth by
-nu_p(Res(g, g')) + 1, Res = 16 d1^2 d2 (F^2 - 4 d1 d2)^2 != 0 (d1 and d2
-swap in the chart x = V/U).  A hard depth cap of
-nu_p(4 d1 d2 (F^2 - 4 d1 d2)) plus a configurable margin still turns a
-class that would split past it into an Undecided error rather than a
-silent guess.
+only when k <= min(lam, mu) (or k = 1 at p = 2), and Res(g, g') lies in
+(g, g') Z[x], so the depth is bounded by nu_p(Res(g, g')) + 1 with
+Res = 16 d1^2 d2 (F^2 - 4 d1 d2)^2 != 0 (d1 and d2 swap in the chart
+x = V/U).  The search has no cap of its own: a split at depth k >= 2 with
+p^k not dividing Res raises ArithmeticError.
 """
 
 from dataclasses import dataclass
@@ -35,9 +34,7 @@ from .arith import (
     unitary_squarefree_divisors,
     valuation,
 )
-from .errors import DomainError, Undecided
-
-DEFAULT_DEPTH_MARGIN = 5
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -75,7 +72,12 @@ def real_soluble(space):
     return F > 0 and F * F >= 4 * d1 * d2
 
 
-def _decide_zp(c4, c2, c0, p, cap, first):
+def quartic_resultant(c4, c2, c0):
+    """Res(g, g') for g = c4 x^4 + c2 x^2 + c0."""
+    return 16 * c4 * c4 * c0 * (c2 * c2 - 4 * c4 * c0) ** 2
+
+
+def _decide_zp(c4, c2, c0, p, first):
     """Does g(x) = c4 x^4 + c2 x^2 + c0 take a square value (or 0) on Z_p?
 
     Depth first over residue classes x = r + p^k Z_p from the digits
@@ -89,9 +91,10 @@ def _decide_zp(c4, c2, c0, p, cap, first):
       split into its p children if mu >= k and lam >= 2k; at p = 2 also if
       mu >= k, lam = 2k - 2 and g(r) / 2^lam = 1 mod 4;
       insoluble otherwise.
-    Returns True/False, or None if a class to split lies at the depth cap.
+    A split at k >= 2 has min(lam, mu) >= k, so p^k | Res(g, g'); one that
+    breaks this bound raises ArithmeticError.
     """
-    undecided = False
+    res = quartic_resultant(c4, c2, c0)
     stack = [iter(first)]
     while stack:
         if (r := next(stack[-1], None)) is None:
@@ -116,29 +119,22 @@ def _decide_zp(c4, c2, c0, p, cap, first):
             continue
         if not (lam >= 2 * k or p == 2 and lam == 2 * k - 2 and u % 4 == 1):
             continue  # g(class) lies in g(r) + p^(2k) Z_p: no square
-        if k >= cap:
-            undecided = True
-            continue
         step = p**k
+        if k >= 2 and res % step:
+            raise ArithmeticError(
+                f"class {r} mod {p}^{k} of ({c4},{c2},{c0}) splits past nu_{p}(Res(g, g'))")
         stack.append(iter(range(r + (p - 1) * step, r - 1, -step)))
-    return None if undecided else False
+    return False
 
 
 @lru_cache(maxsize=None)
-def _padic_soluble_cached(d1, F, d2, p, depth_margin):
+def _padic_soluble_cached(d1, F, d2, p):
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    cap = valuation(4 * d1 * d2 * (F * F - 4 * d1 * d2), p) + depth_margin
-    if p == 2:
-        cap += 2  # unit class needs three more known bits
-    first = _decide_zp(d1, F, d2, p, cap, range(p - 1, -1, -1))
-    found = first or _decide_zp(d2, F, d1, p, cap, (0,))
-    if found is not True and None in (first, found):
-        raise Undecided(f"depth cap exhausted for ({d1},{F},{d2}) at p={p}")
-    return found
+    return _decide_zp(d1, F, d2, p, range(p - 1, -1, -1)) or _decide_zp(d2, F, d1, p, (0,))
 
 
-def padic_soluble(space, p, depth_margin=DEFAULT_DEPTH_MARGIN):
+def padic_soluble(space, p):
     """Exact Q_p-solubility of the quartic space, (U, V) != (0, 0).
 
     Primitive (U, V) has V a unit (chart x = U/V in Z_p) or U a unit and V
@@ -148,7 +144,7 @@ def padic_soluble(space, p, depth_margin=DEFAULT_DEPTH_MARGIN):
     # an entry, 2.5 MB (+10% peak RSS) on a `watkins e2 --height 8` scan
     if _padic_soluble_cached.cache_info().currsize >= CACHE_BOUND:
         _padic_soluble_cached.cache_clear()
-    return _padic_soluble_cached(space.d1, space.F, space.d2, p, depth_margin)
+    return _padic_soluble_cached(space.d1, space.F, space.d2, p)
 
 
 def fastpath_insoluble(a, b, d, p):
@@ -185,19 +181,19 @@ def _local_primes(param):
     return sorted(primes)
 
 
-def _survivors(param, quartic_of, classes, real_place, depth_margin):
+def _survivors(param, quartic_of, classes, real_place):
     local = _local_primes(param)
     out = []
     for d in classes:
         space = quartic_of(d)
         if real_place and not real_soluble(space):
             continue
-        if all(padic_soluble(space, p, depth_margin) for p in local):
+        if all(padic_soluble(space, p) for p in local):
             out.append(d)
     return out
 
 
-def sel_phi(param, real_place=True, depth_margin=DEFAULT_DEPTH_MARGIN):
+def sel_phi(param, real_place=True):
     """Surviving classes d in Q(T1), T1 = primes(a^2 - 4b) and infinity.
 
     The space for class d is Z^2 = d U^4 - 2a U^2 V^2 + ((a^2-4b)/d) V^4;
@@ -206,17 +202,17 @@ def sel_phi(param, real_place=True, depth_margin=DEFAULT_DEPTH_MARGIN):
     n = param.disc_quadratic
     classes = squarefree_divisors(n)
     quartic = lambda d: HomogeneousSpace(d, -2 * param.a, n // d)
-    return _survivors(param, quartic, classes, real_place, depth_margin)
+    return _survivors(param, quartic, classes, real_place)
 
 
-def sel_phihat(param, real_place=True, depth_margin=DEFAULT_DEPTH_MARGIN):
+def sel_phihat(param, real_place=True):
     """Surviving classes d in Q(T2), T2 = primes(b) and infinity.
 
     The space for class d is Z^2 = d U^4 + a U^2 V^2 + (b/d) V^4.
     """
     classes = squarefree_divisors(param.b)
     quartic = lambda d: HomogeneousSpace(d, param.a, param.b // d)
-    return _survivors(param, quartic, classes, real_place, depth_margin)
+    return _survivors(param, quartic, classes, real_place)
 
 
 def _dim_f2(classes):
@@ -227,14 +223,14 @@ def _dim_f2(classes):
     return dim
 
 
-def rank_upper(param, real_place=True, depth_margin=DEFAULT_DEPTH_MARGIN):
+def rank_upper(param, real_place=True):
     """Selmer sets for both isogeny directions and the rank bound.
 
     rank(E_{a,b}(Q)) <= dim_phi + dim_phihat - 2, clamped at 0 (the clamp is
     recorded; the bound is vacuous below zero).
     """
-    phi = sel_phi(param, real_place, depth_margin)
-    phihat = sel_phihat(param, real_place, depth_margin)
+    phi = sel_phi(param, real_place)
+    phihat = sel_phihat(param, real_place)
     if 1 not in phi or 1 not in phihat:
         raise ArithmeticError(f"trivial class must survive, got {phi} and {phihat}")
     dim_phi = _dim_f2(phi)
@@ -246,11 +242,11 @@ def rank_upper(param, real_place=True, depth_margin=DEFAULT_DEPTH_MARGIN):
     )
 
 
-def either_or_check(param, real_place=True, depth_margin=DEFAULT_DEPTH_MARGIN):
+def either_or_check(param, real_place=True):
     """At least one of the two Selmer sets contains no negative class."""
-    if all(d > 0 for d in sel_phi(param, real_place, depth_margin)):
+    if all(d > 0 for d in sel_phi(param, real_place)):
         return True
-    return all(d > 0 for d in sel_phihat(param, real_place, depth_margin))
+    return all(d > 0 for d in sel_phihat(param, real_place))
 
 
 def construct_b_candidates(a, M, bound):

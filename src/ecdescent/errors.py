@@ -9,15 +9,6 @@ class SingularCurve(ValueError):
     """A Weierstrass model (or parameter choice) has vanishing discriminant."""
 
 
-class Undecided(RuntimeError):
-    """The p-adic solubility search hit its depth cap without a certificate.
-
-    This must not happen for nondegenerate quartic spaces; it indicates either
-    a degenerate input that slipped through validation or a depth cap that is
-    too small.
-    """
-
-
 class DatasetFormatError(ValueError):
     """A dataset CSV file does not match the expected schema."""
 

@@ -7,6 +7,7 @@ absence of a proof is reported as Inconclusive, never as a counterexample.
 """
 
 import csv
+import io
 from dataclasses import dataclass
 from typing import Optional
 
@@ -79,8 +80,7 @@ def twist_watkins(D, nu2_manin=0):
     }.get(cls, INCONCLUSIVE)
 
 
-def report(target, policy="include-small", real_place=True,
-           depth_margin=descent2.DEFAULT_DEPTH_MARGIN):
+def report(target, policy="include-small", real_place=True):
     """Bundle every applicable computation for a curve or parameter pair.
 
     target may be an E2Param (full descent applies) or a ShortWeierstrass
@@ -109,7 +109,7 @@ def report(target, policy="include-small", real_place=True,
     else:
         surrogate = None
         notes.append("full 2-torsion" if shape == Z2XZ2 else "trivial 2-torsion")
-    est = descent2.rank_upper(param, real_place, depth_margin) if param else None
+    est = descent2.rank_upper(param, real_place) if param else None
     rank_bound = est.rank_upper if est else None
     max_m = None
     if surrogate is not None and rank_bound is not None and surrogate >= rank_bound:
@@ -120,42 +120,45 @@ def report(target, policy="include-small", real_place=True,
 def load_dataset(path):
     """Parse a dataset CSV with header exactly label,A,B,rank,modular_degree."""
     records = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"not UTF-8 text at byte {exc.start}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DatasetFormatError("empty dataset", line=1)
+    if header != DATASET_HEADER:
+        raise DatasetFormatError(f"bad header {header!r}", line=1)
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 5:
+            raise DatasetFormatError(f"expected 5 fields, got {len(row)}", line=lineno)
+        label = row[0]
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetFormatError("empty dataset", line=1)
-        if header != DATASET_HEADER:
-            raise DatasetFormatError(f"bad header {header!r}", line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise DatasetFormatError(f"expected 5 fields, got {len(row)}", line=lineno)
-            label = row[0]
-            try:
-                A, B, rank, degree = (int(x) for x in row[1:])
-            except ValueError:
-                raise DatasetFormatError(f"non-integer field in {row!r}", line=lineno)
-            if rank < 0 or degree < 1:
-                raise DatasetFormatError("rank must be >= 0 and modular_degree >= 1",
-                                         line=lineno)
-            records.append(DatasetRecord(label, A, B, rank, degree))
+            A, B, rank, degree = (int(x) for x in row[1:])
+        except ValueError:
+            raise DatasetFormatError(f"non-integer field in {row!r}", line=lineno)
+        if rank < 0 or degree < 1:
+            raise DatasetFormatError("rank must be >= 0 and modular_degree >= 1",
+                                     line=lineno)
+        records.append(DatasetRecord(label, A, B, rank, degree))
     if not records:
         raise DatasetFormatError("dataset has no records", line=1)
     return records
 
 
-def verify_record(rec, M=0, policy="include-small", real_place=True,
-                  depth_margin=descent2.DEFAULT_DEPTH_MARGIN):
+def verify_record(rec, M=0, policy="include-small", real_place=True):
     """All consistency checks for one dataset record.
 
     surrogate_ok: omega(N) - 2 <= nu_2(m) whenever the curve has shape Z2.
     rank_ok: the descent bound is >= the recorded rank whenever the curve
     has a rational 2-torsion point.  Both default to True when inapplicable.
     """
-    rep = report(ShortWeierstrass(rec.A, rec.B), policy, real_place, depth_margin)
+    rep = report(ShortWeierstrass(rec.A, rec.B), policy, real_place)
     nu2 = valuation(rec.modular_degree, 2)
     lower, bound = rep.surrogate_nu2_lower, rep.rank_upper
     out = {

@@ -92,20 +92,18 @@ def test_descent_singular_exit1(capsys):
     assert code == 1
 
 
-def test_descent_undecided_exit1(capsys, monkeypatch):
-    # no space is known to reach the cap, even at --depth-cap-extra 0, so
-    # the search runs with the cap lowered to depth 1
-    decide = descent2._decide_zp
-    monkeypatch.setattr(descent2, "_decide_zp",
-                        lambda c4, c2, c0, p, cap, first: decide(c4, c2, c0, p, 1, first))
+def test_descent_resultant_invariant_exit1(capsys, monkeypatch):
+    # a split at depth k >= 2 needs p^k | Res(g, g'); a resultant of 1 makes
+    # the first such split (class 2 mod 4 of the space (3, 12, 52)) break it
+    monkeypatch.setattr(descent2, "quartic_resultant", lambda *coeffs: 1)
     descent2._padic_soluble_cached.cache_clear()
     try:
-        code, out = run_cli(["descent", "--a", "-5", "--b", "-30"])
+        code, out = run_cli(["descent", "--a", "-6", "--b", "-30"])
     finally:
         descent2._padic_soluble_cached.cache_clear()
     assert code == 1
     assert out == ""
-    assert capsys.readouterr().err.startswith("error: depth cap exhausted")
+    assert capsys.readouterr().err.startswith("error: class 2 mod 2^2 of (3,12,52) splits past")
 
 
 def test_descent_lost_trivial_class_exit1(capsys, monkeypatch):
@@ -263,6 +261,15 @@ def test_verify_malformed_exit2(tmp_path):
     assert code == 2
 
 
+def test_verify_non_utf8_exit2(tmp_path, capsys):
+    p = tmp_path / "latin1.csv"
+    p.write_bytes(b"label,A,B,rank,modular_degree\ne\xe9,0,-1,0,1\n")
+    code, out = run_cli(["verify", "--dataset", str(p)])
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err == "error: not UTF-8 text at byte 31\n"
+
+
 def test_unknown_flags_exit2():
     with pytest.raises(SystemExit) as err:
         cli.main(["enumerate", "--bogus"], out=io.StringIO())
@@ -282,6 +289,42 @@ def test_config_file_and_override(tmp_path):
     assert doc["config"]["policy"] == "exclude-23"
     assert doc["config"]["nu2_manin"] == 1
     assert doc["config"]["workers"] == 1  # flag overrides file
+
+
+def test_config_file_non_integer_exit2(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("policy=exclude-23\nworkers=abc\n")
+    code, out = run_cli(["--config", str(cfgfile), "stats", "volume", "--precision", "12"])
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err == f"error: {cfgfile}:2: workers must be an integer, got 'abc'\n"
+
+
+def test_config_file_non_utf8_exit2(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_bytes(b"# r\xe9glages\nworkers=2\n")
+    code, out = run_cli(["--config", str(cfgfile), "stats", "volume", "--precision", "12"])
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err == f"error: {cfgfile}: not UTF-8 text at byte 3\n"
+
+
+def test_retired_options_are_gone_but_echoed(tmp_path):
+    for flag in ("--depth-cap-extra", "--seed"):
+        with pytest.raises(SystemExit) as err:
+            cli.main([flag, "5", "descent", "--a", "0", "--b", "-1"], out=io.StringIO())
+        assert err.value.code == 2
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("seed=1\n")
+    code, _ = run_cli(["--config", str(cfgfile), "descent", "--a", "0", "--b", "-1"])
+    assert code == 2
+    # the JSON echo keeps both at their last values until the benchmark's
+    # reference hashes are re-recorded
+    code, out = run_cli(["descent", "--a", "0", "--b", "-1"])
+    assert json.loads(out)["config"] == {
+        "policy": "include-small", "nu2_manin": 0, "solubility_real_place": True,
+        "workers": 1, "depth_cap_extra": 5, "seed": 0}
 
 
 def test_entry_point_subprocess():

@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -6,7 +7,7 @@ from math import gcd
 
 import pytest
 
-from ecdescent import descent2
+from ecdescent import descent2, polys
 from ecdescent.arith import (
     factor,
     legendre,
@@ -17,7 +18,7 @@ from ecdescent.arith import (
     valuation,
 )
 from ecdescent.descent2 import HomogeneousSpace
-from ecdescent.errors import DomainError, Undecided
+from ecdescent.errors import DomainError
 from ecdescent.families import E2Param
 
 
@@ -162,31 +163,24 @@ def reference_padic_soluble(space, p, depth_margin):
     return _two_charts(first, first or _depth_first_decide_zp(d2, F, d1, p, cap, (0,)))
 
 
-def padic_outcome(space, p, depth_margin):
-    try:
-        return descent2.padic_soluble(space, p, depth_margin)
-    except Undecided:
-        return "Undecided"
-
-
 def check_against_reference(space, p, margin):
     """The outcome kind: the search's answer equals the reference's where the
-    reference decides, and the reference's answer at margin 12 where it hits
-    its cap."""
+    reference decides at this margin, and the reference's answer at margin 12
+    where it hits its cap."""
     want = reference_padic_soluble(space, p, margin)
     kind = want
     if want == "Undecided":
         want = reference_padic_soluble(space, p, 12)
         kind = f"Undecided at {margin}"
     assert want != "Undecided", (space, p)
-    assert padic_outcome(space, p, margin) == want, (space, p, margin)
+    assert descent2.padic_soluble(space, p) == want, (space, p, margin)
     return kind
 
 
 def test_padic_soluble_against_reference_box():
     """Every phi and phi-hat space of |a| <= 6, |b| <= 16 at every local
-    prime: the search gives the reference's True/False, and decides where
-    the reference hits its cap."""
+    prime: the search, which has no cap, gives the reference's True/False,
+    also where the reference hits its cap at margin 0 or 1."""
     tally = Counter()
     for a in range(-6, 7):
         for b in range(-16, 17):
@@ -273,8 +267,53 @@ def test_padic_soluble_rejects_composite_p_every_call():
             descent2.padic_soluble(space, 9)
 
 
-def test_padic_search_is_not_recursive():
-    assert descent2.padic_soluble(HomogeneousSpace(2, -3, 1), 5, depth_margin=2000)
+def test_padic_search_is_not_recursive(monkeypatch):
+    """g = 2 (x^2 - 1)^2 + 5^2400, and 2 is a non-residue mod 5, so every
+    class x = -1 mod 5^k with k < 1200 splits: the search goes deeper than
+    Python's recursion limit, reading the depth off the caller's `k`."""
+    depth = 0
+
+    def spying(n, p):
+        nonlocal depth
+        depth = max(depth, sys._getframe(1).f_locals["k"])
+        return valuation(n, p)
+
+    monkeypatch.setattr(descent2, "valuation", spying)
+    descent2._padic_soluble_cached.cache_clear()
+    try:
+        assert descent2.padic_soluble(HomogeneousSpace(2, -4, 2 + 5**2400), 5)
+    finally:
+        descent2._padic_soluble_cached.cache_clear()
+    assert depth > sys.getrecursionlimit(), depth
+
+
+def test_quartic_resultant_closed_form():
+    """Res(g, g') = 16 c4^2 c0 (c2^2 - 4 c4 c0)^2, the bound behind the
+    search's depth invariant, against the Sylvester determinant, in both
+    charts (c4 and c0 swap)."""
+    checked = 0
+    for d1 in range(-6, 7):
+        for F in range(-8, 9):
+            for d2 in range(-6, 7):
+                if d1 * d2 * (F * F - 4 * d1 * d2) == 0:
+                    continue
+                for c4, c0 in ((d1, d2), (d2, d1)):
+                    g = [c0, 0, F, 0, c4]
+                    assert (descent2.quartic_resultant(c4, F, c0)
+                            == polys.resultant(g, polys.derivative(g))), (c4, F, c0)
+                checked += 1
+    assert checked == 2424
+
+
+def test_split_past_the_resultant_raises(monkeypatch):
+    """g = -4 x^4 - 6 x^2 - 81 splits the class 0 mod 9; with a resultant
+    of 3-adic valuation 1 that split breaks the invariant."""
+    c4, c2, c0 = -4, -6, -81
+    assert descent2.quartic_resultant(c4, c2, c0) % 9 == 0
+    assert descent2._decide_zp(c4, c2, c0, 3, range(2, -1, -1)) is False
+    monkeypatch.setattr(descent2, "quartic_resultant", lambda *coeffs: 3)
+    with pytest.raises(ArithmeticError, match=r"class 0 mod 3\^2 .* splits past nu_3"):
+        descent2._decide_zp(c4, c2, c0, 3, range(2, -1, -1))
 
 
 def test_padic_cache_is_bounded(monkeypatch):
