@@ -1,6 +1,6 @@
-"""Exact integer and rational number-theory kernel.
+"""Exact integer number-theory kernel.
 
-Factorization (trial division by the primes below 2^10 that a gcd with their
+Factoring (trial division by the primes below 2^10 that a gcd with their
 product shows to divide, exact integer roots for perfect powers, and Pollard
 rho only for the other composites; primality by Miller-Rabin, which is
 deterministic below _MR_BOUND and completed by a strong Lucas test, BPSW,
@@ -14,8 +14,6 @@ factorization memo keyed by absolute value, which is a cache and nothing more
 CACHE_BOUND entries, the bound of the descent2 and descent3 caches too.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt, prod
 
 from .errors import DomainError
@@ -184,23 +182,6 @@ def _pollard_rho(n):
             return g
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Signed factorization: sign * prod(p^e) with strictly increasing primes."""
-
-    sign: int
-    factors: tuple  # ((prime, exponent), ...)
-
-    def value(self):
-        n = self.sign
-        for p, e in self.factors:
-            n *= p**e
-        return n
-
-    def primes(self):
-        return [p for p, _ in self.factors]
-
-
 _factor_cache = {}
 _cache_enabled = True
 
@@ -265,12 +246,11 @@ def _factor_abs(n):
 
 
 def factor(n):
-    """Exact deterministic factorization of a nonzero integer."""
+    """Exact deterministic factorization of |n| for nonzero n: the prime powers
+    ((p, e), ...) with strictly increasing p; () for n = +-1."""
     if n == 0:
         raise DomainError("cannot factor zero")
-    sign = 1 if n > 0 else -1
-    fac = _factor_abs(abs(n))
-    return Factorization(sign, tuple(sorted(fac.items())))
+    return tuple(sorted(_factor_abs(abs(n)).items()))
 
 
 def omega(n):
@@ -332,21 +312,6 @@ def mobius(n):
     if any(e > 1 for e in fac.values()):
         return 0
     return -1 if len(fac) % 2 else 1
-
-
-def rational_stats(r):
-    """(omega, squarefree part, denominator omega) of a nonzero rational.
-
-    omega(a/b) = omega(a) + omega(b) and s(a/b) = s(a*b), taken in lowest
-    terms; the third component is omega of the reduced denominator.
-    """
-    r = Fraction(r)
-    if r == 0:
-        raise DomainError("rational_stats(0) is undefined")
-    num, den = r.numerator, r.denominator
-    om_num = 0 if abs(num) == 1 else omega(num)
-    om_den = 0 if den == 1 else omega(den)
-    return om_num + om_den, squarefree_part(num * den), om_den
 
 
 def legendre(a, p):

@@ -301,24 +301,26 @@ def cmd_watkins(args, cfg, out):
 # -------------------------------------------------------------------- stats
 
 
+def _parse_ints(text, what):
+    """The comma-separated integers of one option value."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise DomainError(f"bad {what} {text!r}; expected comma-separated integers")
+
+
 def _parse_poly(text):
     if text is None:
         raise DomainError("--poly is required")
-    try:
-        coeffs = [int(x) for x in text.split(",")]
-    except ValueError:
-        raise DomainError(f"bad polynomial {text!r}; expected comma-separated integers")
+    coeffs = _parse_ints(text, "polynomial")
     if not polys.normalize(coeffs):
         raise DomainError("zero polynomial")
     return coeffs
 
 
 def _parse_heights(text):
-    try:
-        hs = [int(x) for x in text.split(",")]
-    except ValueError:
-        raise DomainError(f"bad heights {text!r}")
-    if not hs or any(h < 1 for h in hs):
+    hs = _parse_ints(text, "heights")
+    if any(h < 1 for h in hs):
         raise DomainError("heights must be positive")
     return hs
 
@@ -338,11 +340,9 @@ def cmd_stats(args, cfg, out):
     elif exp in ("count-r2", "count-r3", "count-family"):
         heights = _parse_heights(args.heights)
         if exp == "count-family":
-            pts = [(X, stats.count_family(args.ell, X)) for X in heights]
             doc["ell"] = args.ell
-        else:
-            count = stats.count_r2 if exp == "count-r2" else stats.count_r3
-            pts = [(X, count(X)) for X in heights]
+        ell = {"count-r2": 2, "count-r3": 3}.get(exp, args.ell)
+        pts = stats.family_series(ell, heights)
         _emit_csv("X,count", [_row(*pt) for pt in pts], out)
         doc["counts"] = pts
         if len(pts) >= 3 and all(c > 0 for _, c in pts):
@@ -350,7 +350,7 @@ def cmd_stats(args, cfg, out):
         _emit_json(doc, out)
     elif exp == "normal-order":
         f = _parse_poly(args.poly)
-        S = [int(x) for x in args.exclude.split(",")] if args.exclude else []
+        S = _parse_ints(args.exclude, "exclude") if args.exclude else []
         heights = _parse_heights(args.heights)
         rows = []
         samples = []

@@ -78,16 +78,16 @@ def _reducible_prime(A, B):
     zero is impossible for a nonsingular curve.
     """
     if A == 0:
-        for p, e in factor(B).factors:
+        for p, e in factor(B):
             if e >= 6:
                 return p
         return None
     if B == 0:
-        for p, e in factor(A).factors:
+        for p, e in factor(A):
             if e >= 4:
                 return p
         return None
-    for p, e in factor(gcd(abs(A), abs(B))).factors:
+    for p, e in factor(gcd(abs(A), abs(B))):
         if e >= 4 and valuation(A, p) >= 4 and valuation(B, p) >= 6:
             return p
     return None
@@ -138,7 +138,7 @@ def conductor_support(E, policy="include-small"):
         raise DomainError(f"unknown policy {policy!r}")
     Em = minimize(E)
     delta = invariants(Em).delta
-    support = [p for p, _ in factor(delta).factors]
+    support = [p for p, _ in factor(delta)]
     if policy == "exclude-23":
         support = [p for p in support if p not in (2, 3)]
     return len(support), support

@@ -176,8 +176,8 @@ def _local_primes(param):
     """Sorted primes dividing 2 b (a^2 - 4b)."""
     n = param.disc_quadratic
     primes = {2}
-    primes.update(p for p, _ in factor(param.b).factors)
-    primes.update(p for p, _ in factor(n).factors)
+    primes.update(p for p, _ in factor(param.b))
+    primes.update(p for p, _ in factor(n))
     return sorted(primes)
 
 

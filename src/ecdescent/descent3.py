@@ -22,12 +22,6 @@ RATIONAL_TRIVIAL = "rational-trivial"
 
 
 @dataclass(frozen=True)
-class SPrimeSet:
-    a: int
-    primes: tuple
-
-
-@dataclass(frozen=True)
 class ClassGroup3:
     field_kernel: int  # square-free d with K = Q(sqrt(d)); 1 means K = Q
     r3: int
@@ -36,7 +30,6 @@ class ClassGroup3:
 
 @dataclass(frozen=True)
 class Type1Bound:
-    bound: int
     class_a: ClassGroup3
     unit_a: int
     class_m27a: ClassGroup3
@@ -50,14 +43,15 @@ class Type1Bound:
 
 
 def s_set(a):
-    """S_a: always 2 and 3, plus primes p > 3 with nu_p(a) in {2, 4} and (-3/p) = 1."""
+    """S_a as a sorted tuple of primes: always 2 and 3, plus primes p > 3 with
+    nu_p(a) in {2, 4} and (-3/p) = 1."""
     if a == 0:
         raise DomainError("a must be nonzero")
     primes = {2, 3}
-    for p, e in factor(a).factors:
+    for p, e in factor(a):
         if p > 3 and e in (2, 4) and legendre(-3, p) == 1:
             primes.add(p)
-    return SPrimeSet(a, tuple(sorted(primes)))
+    return tuple(sorted(primes))
 
 
 def reduce_form(a, b, c):
@@ -204,7 +198,7 @@ def rank_upper_type1(a):
     cls_m = class_bound(a)
     unit_a = unit_3dim(-3 * a)
     unit_m = unit_3dim(a)
-    sa = len(s_set(a).primes)
+    sa = len(s_set(a))
     sm = sa  # nu_p(-27a) = nu_p(a) for p > 3, and 2, 3 are always in: S_{-27a} = S_a
     bound = cls_a.r3 + unit_a + cls_m.r3 + unit_m + sa + sm
-    return bound, Type1Bound(bound, cls_a, unit_a, cls_m, unit_m, sa, sm)
+    return bound, Type1Bound(cls_a, unit_a, cls_m, unit_m, sa, sm)

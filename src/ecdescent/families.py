@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import curves, polys
-from .arith import factor, is_square, is_squarefree, omega
+from .arith import _iroot, factor, is_square, is_squarefree, omega
 from .curves import LongWeierstrass, ShortWeierstrass
 from .errors import DomainError, SingularCurve
 
@@ -45,15 +45,6 @@ class E2Param:
         return self.a * self.a - 4 * self.b
 
 
-@dataclass(frozen=True)
-class ParamBox:
-    """Exponent box |num(t)| = O(X^m), |den(t)| = O(X^n) for one torsion family."""
-
-    ell: int
-    m: Fraction
-    n: Fraction
-
-
 def e2_curve(p):
     """Minimal short model of y^2 = x^3 + ax^2 + bx, plus the dual parameters.
 
@@ -85,24 +76,11 @@ def type1(a):
     if a == 0:
         raise DomainError("a must be nonzero")
     member = set()
-    if _is_cube(a):
+    if _iroot(abs(a), 3) ** 3 == abs(a):
         member.add(E2_TAG)
     if a > 0 and is_square(a):
         member.add(E3_TAG)
     return ShortWeierstrass(0, a), ShortWeierstrass(0, -27 * a), frozenset(member)
-
-
-def _is_cube(n):
-    """Whether n is the cube of an integer, by an exact integer Newton root."""
-    m = abs(n)
-    if m < 2:
-        return True
-    r = 1 << -(-m.bit_length() // 3)  # 2^ceil(bits/3) >= cbrt(m)
-    while True:
-        s = (2 * r + m // (r * r)) // 3
-        if s >= r:
-            return r**3 == m
-        r = s
 
 
 def tate_normal(b, c):
@@ -162,10 +140,10 @@ def tate_fibers(ell, X):
     """
     if ell not in (5, 7):
         raise DomainError("Tate fibers cover ell in {5, 7}")
-    box = param_box(ell)
+    m, n = param_box(ell)
     A_poly, B_poly = tate_short_polys(ell)
-    num_max = int(SAFETY_BOX_FACTOR * X ** float(box.m)) + 1
-    den_max = int(SAFETY_BOX_FACTOR * X ** float(box.n)) + 1
+    num_max = int(SAFETY_BOX_FACTOR * X ** float(m)) + 1
+    den_max = int(SAFETY_BOX_FACTOR * X ** float(n)) + 1
     for den in range(1, den_max + 1):
         for num in range(-num_max, num_max + 1):
             if gcd(num, den) != 1:
@@ -214,7 +192,7 @@ def twist_e0(D, nu2_manin=0):
     if D == 0 or not is_squarefree(D):
         raise DomainError(f"{D} is not a nonzero square-free integer")
     curve = ShortWeierstrass(0, -(D**3))
-    primes = [p for p, _ in factor(D).factors]
+    primes = [p for p, _ in factor(D)]
     bad = [p for p in primes if p % 12 != 5]
     if not bad:
         cls = COND_I
@@ -228,7 +206,8 @@ def twist_e0(D, nu2_manin=0):
 
 
 def param_box(ell):
-    """Window exponents (m, n) for enumerating t = a/b per torsion family.
+    """Window exponents (m, n), |num(t)| = O(X^m) and |den(t)| = O(X^n), for
+    enumerating t = num/den per torsion family.
 
     Chosen so that m + n matches the family's count exponent: 2 for ell = 3,
     1 for ell = 5, 1/2 for ell = 7.
@@ -240,5 +219,4 @@ def param_box(ell):
     }
     if ell not in table:
         raise DomainError(f"no parameter box for ell = {ell}")
-    m, n = table[ell]
-    return ParamBox(ell, m, n)
+    return table[ell]

@@ -8,19 +8,13 @@ traces over family fibers, and the local-insolubility certificate density.
 """
 
 from dataclasses import dataclass
-from decimal import Decimal, getcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import gcd, isqrt, log
 
 from . import curves, descent2, families, polys
 from .arith import factor, is_square, legendre, primes_up_to
 from .errors import DomainError
-
-
-@dataclass(frozen=True)
-class CountSeries:
-    family: str
-    points: tuple  # ((X, count), ...)
 
 
 @dataclass(frozen=True)
@@ -91,8 +85,10 @@ def count_r3(X):
 
 
 def _decimal_root(c1, precision):
-    """Unique real root of x^3 + c1*x - 1 by Newton iteration, certified by sign."""
-    getcontext().prec = precision + 15
+    """Unique real root of x^3 + c1*x - 1 by Newton iteration, certified by sign.
+
+    Runs in the current decimal context, which needs precision + 15 digits.
+    """
     x = Decimal(1)
     for _ in range(200):
         fx = x**3 + c1 * x - 1
@@ -116,16 +112,17 @@ def volume_constant(precision=30):
     """
     if precision < 10:
         raise DomainError("precision must be >= 10")
-    a_plus = _decimal_root(Decimal(1), precision)
-    a_minus = _decimal_root(Decimal(-1), precision)
-    value = 2 * (a_minus / a_plus).ln() + Decimal(4) / Decimal(3) * (a_plus + a_minus)
-    q = Decimal(10) ** (-precision)
-    return VolumeConstant(a_plus.quantize(q), a_minus.quantize(q), value.quantize(q))
+    with localcontext() as ctx:
+        ctx.prec = precision + 15
+        a_plus = _decimal_root(Decimal(1), precision)
+        a_minus = _decimal_root(Decimal(-1), precision)
+        value = 2 * (a_minus / a_plus).ln() + Decimal(4) / Decimal(3) * (a_plus + a_minus)
+        q = Decimal(10) ** (-precision)
+        return VolumeConstant(a_plus.quantize(q), a_minus.quantize(q), value.quantize(q))
 
 
-def slope(series):
-    """Least-squares slope of log(count) against log(X)."""
-    pts = series.points if isinstance(series, CountSeries) else tuple(series)
+def slope(pts):
+    """Least-squares slope of log(count) against log(X) over ((X, count), ...)."""
     if len(pts) < 3:
         raise DomainError("need at least 3 points")
     if any(c <= 0 for _, c in pts):
@@ -150,15 +147,13 @@ def count_family(ell, X):
 
 
 def family_series(ell, heights):
-    """CountSeries over the given heights: region count for ell = 3, fiber
-    enumeration for ell in {5, 7}."""
-    pts = []
-    for X in heights:
-        if ell == 3:
-            pts.append((X, count_r3(X)))
-        else:
-            pts.append((X, count_family(ell, X)))
-    return CountSeries(f"e{ell}", tuple(pts))
+    """((X, count), ...) over the given heights: region counts for ell = 2 and
+    3, distinct minimal fibers for ell in {5, 7}."""
+    if ell == 2:
+        return tuple((X, count_r2(X)) for X in heights)
+    if ell == 3:
+        return tuple((X, count_r3(X)) for X in heights)
+    return tuple((X, count_family(ell, X)) for X in heights)
 
 
 def _distinct_roots_gcd(f, p):
@@ -208,7 +203,7 @@ def roots_mod(f, p, square=False):
 def _divisors(n):
     """Positive divisors of n != 0, ascending."""
     out = [1]
-    for p, e in factor(n).factors:
+    for p, e in factor(n):
         out = [d * p**k for d in out for k in range(e + 1)]
     return sorted(out)
 
@@ -293,7 +288,7 @@ def _irreducible_mod_p(f, p):
     d = polys.degree(f)
     if polys.xpow_mod(p**d, f, p) != [0, 1]:
         return False
-    for q in factor(d).primes():
+    for q, _ in factor(d):
         diff = polys.sub(polys.xpow_mod(p ** (d // q), f, p), [0, 1])
         if len(polys._poly_gcd_mod(f, diff, p)) != 1:
             return False
@@ -323,7 +318,7 @@ def normal_order_experiment(f, X, S=()):
             value = polys.homogeneous_value(f, a, b)
             if value == 0:
                 continue
-            om = sum(1 for pr, e in factor(value).factors
+            om = sum(1 for pr, e in factor(value)
                      if e % 2 == 1 and pr not in excluded)
             total += om
             total_sq += om * om
@@ -416,8 +411,8 @@ def has_insolubility_certificate(a, b):
 
 def _phi_certificate(a, b, m):
     """Some p | b with `nonresidues_insoluble(a, b, p)` and q | m, (q/p) = -1."""
-    qs = [q for q, _ in factor(m).factors]
+    qs = [q for q, _ in factor(m)]
     return any(
         descent2.nonresidues_insoluble(a, b, p) and any(legendre(q, p) == -1 for q in qs)
-        for p, _ in factor(b).factors if p > 3 and a % p
+        for p, _ in factor(b) if p > 3 and a % p
     )

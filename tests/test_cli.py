@@ -196,6 +196,34 @@ def test_stats_count_r2():
     assert doc["slope"] > 2.5
 
 
+# The bytes of the parent implementation, which built the series in cmd_stats.
+COUNT_STDOUT = {
+    "count-r2": "X,count\n3,101\n5,489\n8,2033\n"
+                '{"command": "stats.count-r2", "config": {"depth_cap_extra": 5, "nu2_manin": 0, '
+                '"policy": "include-small", "seed": 0, "solubility_real_place": true, "workers": 1}, '
+                '"counts": [[3, 101], [5, 489], [8, 2033]], "slope": 3.0612127697937}\n',
+    "count-r3": "X,count\n3,15\n5,39\n8,103\n"
+                '{"command": "stats.count-r3", "config": {"depth_cap_extra": 5, "nu2_manin": 0, '
+                '"policy": "include-small", "seed": 0, "solubility_real_place": true, "workers": 1}, '
+                '"counts": [[3, 15], [5, 39], [8, 103]], "slope": 1.9629817077430634}\n',
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(COUNT_STDOUT))
+def test_stats_count_stdout_pinned(experiment):
+    assert run_cli(["stats", experiment, "--heights", "3,5,8"]) == (0, COUNT_STDOUT[experiment])
+
+
+@pytest.mark.parametrize("exclude", ["abc", "2,,3"])
+def test_stats_bad_exclude_is_usage_error(capsys, exclude):
+    code, out = run_cli(["stats", "normal-order", "--poly", "1,0,1", "--heights", "10",
+                         "--exclude", exclude])
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err == (
+        f"error: bad exclude {exclude!r}; expected comma-separated integers\n")
+
+
 def test_stats_roots_mod():
     code, out = run_cli(["stats", "roots-mod", "--poly", "-1,-11,1", "--pmax", "1000",
                          "--square"])

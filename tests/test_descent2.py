@@ -187,7 +187,7 @@ def test_padic_soluble_against_reference_box():
             n = a * a - 4 * b
             if b * n == 0:
                 continue
-            primes = {2} | {p for p, _ in factor(b * n).factors}
+            primes = {2} | {p for p, _ in factor(b * n)}
             spaces = [HomogeneousSpace(d, -2 * a, n // d) for d in squarefree_divisors(n)]
             spaces += [HomogeneousSpace(d, a, b // d) for d in squarefree_divisors(b)]
             for space in spaces:
@@ -205,7 +205,7 @@ def test_reference_searches_agree():
             n = a * a - 4 * b
             if b * n == 0:
                 continue
-            primes = {2} | {p for p, _ in factor(b * n).factors}
+            primes = {2} | {p for p, _ in factor(b * n)}
             for d in squarefree_divisors(n):
                 space = HomogeneousSpace(d, -2 * a, n // d)
                 for p in primes:

@@ -50,13 +50,13 @@ def reference_r3_imaginary(D):
 
 
 def test_s_set():
-    assert descent3.s_set(196).primes == (2, 3, 7)  # 196 = 2^2 7^2, (-3/7) = 1
-    assert descent3.s_set(1).primes == (2, 3)
-    assert descent3.s_set(-1).primes == (2, 3)
+    assert descent3.s_set(196) == (2, 3, 7)  # 196 = 2^2 7^2, (-3/7) = 1
+    assert descent3.s_set(1) == (2, 3)
+    assert descent3.s_set(-1) == (2, 3)
     # nu_p = 2 but (-3/p) = -1 keeps p out: p = 5
-    assert descent3.s_set(25).primes == (2, 3)
+    assert descent3.s_set(25) == (2, 3)
     # nu_p = 6 keeps p out even with (-3/p) = 1
-    assert descent3.s_set(7**6).primes == (2, 3)
+    assert descent3.s_set(7**6) == (2, 3)
     with pytest.raises(DomainError):
         descent3.s_set(0)
 
@@ -64,7 +64,7 @@ def test_s_set():
 def test_s_set_isogeny_invariance():
     for a in range(1, 51):
         for s in (a, -a):
-            assert len(descent3.s_set(s).primes) == len(descent3.s_set(-27 * s).primes)
+            assert len(descent3.s_set(s)) == len(descent3.s_set(-27 * s))
 
 
 def test_reduced_forms_and_class_numbers():

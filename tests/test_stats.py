@@ -1,5 +1,5 @@
 import random
-from decimal import Decimal
+from decimal import Decimal, getcontext
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -55,6 +55,12 @@ def test_volume_constant():
         stats.volume_constant(5)
 
 
+def test_volume_constant_keeps_caller_precision():
+    prec = getcontext().prec
+    stats.volume_constant(40)
+    assert getcontext().prec == prec
+
+
 def test_count_r2_tracks_volume():
     vc = stats.volume_constant(15)
     ratio = stats.count_r2(60) / 60**3
@@ -71,6 +77,13 @@ def test_slope():
         stats.slope([(10, 5), (20, 9)])
     with pytest.raises(DomainError):
         stats.slope([(10, 0), (20, 9), (40, 17)])
+
+
+def test_family_series():
+    hs = (3, 5, 8)
+    assert stats.family_series(2, hs) == tuple((X, stats.count_r2(X)) for X in hs)
+    assert stats.family_series(3, hs) == tuple((X, stats.count_r3(X)) for X in hs)
+    assert stats.family_series(5, hs) == tuple((X, stats.count_family(5, X)) for X in hs)
 
 
 def test_count_family_monotone_and_positive():
