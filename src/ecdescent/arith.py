@@ -210,7 +210,9 @@ def _small_prime_divisors(n):
 
 
 def _factor_abs(n):
-    """Factor n >= 1 into a dict {prime: exponent}."""
+    """Factor n >= 1 into its prime powers ((p, e), ...), p increasing.
+
+    The memo holds that tuple, so a hit returns it as is."""
     if _cache_enabled and n in _factor_cache:
         return _factor_cache[n]
     m = n
@@ -238,6 +240,7 @@ def _factor_abs(n):
         d = _pollard_rho(k)
         stack.append((d, e))
         stack.append((k // d, e))
+    out = tuple(sorted(out.items()))
     if _cache_enabled:
         if len(_factor_cache) >= CACHE_BOUND:
             _factor_cache.clear()
@@ -250,7 +253,7 @@ def factor(n):
     ((p, e), ...) with strictly increasing p; () for n = +-1."""
     if n == 0:
         raise DomainError("cannot factor zero")
-    return tuple(sorted(_factor_abs(abs(n)).items()))
+    return _factor_abs(abs(n))
 
 
 def omega(n):
@@ -265,7 +268,7 @@ def squarefree_part(n):
     if n == 0:
         raise DomainError("squarefree part of zero is undefined")
     s = 1
-    for p, e in _factor_abs(abs(n)).items():
+    for p, e in _factor_abs(abs(n)):
         if e % 2 == 1:
             s *= p
     return s
@@ -281,7 +284,7 @@ def squarefree_kernel(n):
 def is_squarefree(n):
     if n == 0:
         return False
-    return all(e == 1 for e in _factor_abs(abs(n)).values())
+    return all(e == 1 for _, e in _factor_abs(abs(n)))
 
 
 def is_square(n):
@@ -309,7 +312,7 @@ def mobius(n):
     if n == 0:
         raise DomainError("mobius(0) is undefined")
     fac = _factor_abs(abs(n))
-    if any(e > 1 for e in fac.values()):
+    if any(e > 1 for _, e in fac):
         return 0
     return -1 if len(fac) % 2 else 1
 
@@ -330,7 +333,7 @@ def squarefree_divisors(n, signed=True):
     if n == 0:
         raise DomainError("divisors of zero are undefined")
     reps = [1]
-    for p in _factor_abs(abs(n)):
+    for p, _ in _factor_abs(abs(n)):
         reps += [r * p for r in reps]
     if signed:
         reps += [-r for r in reps]
@@ -343,7 +346,7 @@ def unitary_squarefree_divisors(n):
     if n == 0:
         raise DomainError("divisors of zero are undefined")
     reps = [1]
-    for p, e in _factor_abs(abs(n)).items():
+    for p, e in _factor_abs(abs(n)):
         if e == 1:
             reps += [r * p for r in reps]
     return sorted(reps)

@@ -153,6 +153,7 @@ def cmd_enumerate(args, cfg, out):
     policy = cfg.policy
     rank_bounds = args.rank_bounds
     header = "params,A,B,omega_N" + (",rank_upper" if rank_bounds else "")
+    _check_window(args)
     if args.family != "twist-e0" and args.height is None:
         raise DomainError(f"--height is required for family {args.family}")
     if args.family == "e2":
@@ -257,9 +258,17 @@ def _check_M(M):
         raise DomainError(f"--M must be >= 0, got {M}")
 
 
+def _check_window(args):
+    """A family scan's --height and --range, where given, are >= 0."""
+    for flag, value in (("--height", args.height), ("--range", args.range)):
+        if value is not None and value < 0:
+            raise DomainError(f"{flag} must be >= 0, got {value}")
+
+
 def cmd_watkins(args, cfg, out):
     M = args.M
     _check_M(M)
+    _check_window(args)
     if args.family == "e2":
         if args.height is None:
             raise DomainError("--height is required for family e2")

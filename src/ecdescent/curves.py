@@ -7,7 +7,7 @@ y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 may carry exact rationals
 `short_model` clears denominators and reduces to the minimal short form.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -24,34 +24,26 @@ Z2XZ2 = "Z2xZ2"
 POLICIES = ("include-small", "exclude-23")
 
 
-@dataclass(frozen=True)
-class ShortWeierstrass:
-    A: int
-    B: int
+class ShortWeierstrass(namedtuple("ShortWeierstrass", "A B")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if 4 * self.A**3 + 27 * self.B**2 == 0:
-            raise SingularCurve(f"y^2 = x^3 + {self.A}x + {self.B} is singular")
+    def __new__(cls, A, B):
+        if 4 * A**3 + 27 * B**2 == 0:
+            raise SingularCurve(f"y^2 = x^3 + {A}x + {B} is singular")
+        return super().__new__(cls, A, B)
 
 
-@dataclass(frozen=True)
-class LongWeierstrass:
-    a1: object
-    a2: object
-    a3: object
-    a4: object
-    a6: object
+class LongWeierstrass(namedtuple("LongWeierstrass", "a1 a2 a3 a4 a6")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, a1, a2, a3, a4, a6):
+        self = super().__new__(cls, a1, a2, a3, a4, a6)
         if invariants(self).delta == 0:
             raise SingularCurve("long Weierstrass model is singular")
+        return self
 
 
-@dataclass(frozen=True)
-class CurveInvariants:
-    c4: object
-    c6: object
-    delta: object
+CurveInvariants = namedtuple("CurveInvariants", "c4 c6 delta")
 
 
 def invariants(model):

@@ -19,7 +19,7 @@ x = V/U).  The search has no cap of its own: a split at depth k >= 2 with
 p^k not dividing Res raises ArithmeticError.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd
 
@@ -37,27 +37,19 @@ from .arith import (
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class HomogeneousSpace:
+class HomogeneousSpace(namedtuple("HomogeneousSpace", "d1 F d2")):
     """Z^2 = d1 U^4 + F U^2 V^2 + d2 V^4 with d1 d2 (F^2 - 4 d1 d2) != 0."""
 
-    d1: int
-    F: int
-    d2: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.d1 * self.d2 * (self.F * self.F - 4 * self.d1 * self.d2) == 0:
+    def __new__(cls, d1, F, d2):
+        if d1 * d2 * (F * F - 4 * d1 * d2) == 0:
             raise DomainError("degenerate quartic space")
+        return super().__new__(cls, d1, F, d2)
 
 
-@dataclass(frozen=True)
-class SelmerEstimate:
-    phi_classes: tuple
-    phihat_classes: tuple
-    dim_phi: int
-    dim_phihat: int
-    rank_upper: int
-    clamped: bool
+SelmerEstimate = namedtuple(
+    "SelmerEstimate", "phi_classes phihat_classes dim_phi dim_phihat rank_upper clamped")
 
 
 def real_soluble(space):

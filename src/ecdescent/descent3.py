@@ -7,7 +7,7 @@ F_3-dimension of units mod cubes, and the sizes of the local prime sets S_a
 and S_{-27a}.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd, isqrt
 
@@ -21,21 +21,12 @@ SCHOLZ_BOUND = "scholz-bound"
 RATIONAL_TRIVIAL = "rational-trivial"
 
 
-@dataclass(frozen=True)
-class ClassGroup3:
-    field_kernel: int  # square-free d with K = Q(sqrt(d)); 1 means K = Q
-    r3: int
-    method: str
+# field_kernel: square-free d with K = Q(sqrt(d)); 1 means K = Q
+ClassGroup3 = namedtuple("ClassGroup3", "field_kernel r3 method")
 
 
-@dataclass(frozen=True)
-class Type1Bound:
-    class_a: ClassGroup3
-    unit_a: int
-    class_m27a: ClassGroup3
-    unit_m27a: int
-    s_a: int
-    s_m27a: int
+class Type1Bound(namedtuple("Type1Bound", "class_a unit_a class_m27a unit_m27a s_a s_m27a")):
+    __slots__ = ()
 
     @property
     def class_unit_total(self):

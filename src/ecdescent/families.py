@@ -6,7 +6,7 @@ models, Tate normal forms (5- and 7-torsion), curves y^2 = x^3 + a with a
 rational 3-isogeny, and quadratic twists of y^2 = x^3 - 1.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -28,16 +28,15 @@ LARGE_OMEGA = "LargeOmega"
 UNCLASSIFIED = "Unclassified"
 
 
-@dataclass(frozen=True)
-class E2Param:
+class E2Param(namedtuple("E2Param", "a b")):
     """Parameters of y^2 = x^3 + ax^2 + bx; nonsingular iff b(a^2 - 4b) != 0."""
 
-    a: int
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.b * (self.a * self.a - 4 * self.b) == 0:
-            raise SingularCurve(f"E_({self.a},{self.b}) is singular")
+    def __new__(cls, a, b):
+        if b * (a * a - 4 * b) == 0:
+            raise SingularCurve(f"E_({a},{b}) is singular")
+        return super().__new__(cls, a, b)
 
     @property
     def disc_quadratic(self):

@@ -7,7 +7,7 @@ factors of square-free parts of polynomial values, averaged Frobenius
 traces over family fibers, and the local-insolubility certificate density.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import gcd, isqrt, log
@@ -17,19 +17,8 @@ from .arith import factor, is_square, legendre, primes_up_to
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class NormalOrderSample:
-    X: int
-    mean: Fraction
-    variance: Fraction
-    sample_count: int
-
-
-@dataclass(frozen=True)
-class VolumeConstant:
-    alpha_plus: Decimal
-    alpha_minus: Decimal
-    value: Decimal
+NormalOrderSample = namedtuple("NormalOrderSample", "X mean variance sample_count")
+VolumeConstant = namedtuple("VolumeConstant", "alpha_plus alpha_minus value")
 
 
 def count_r2(X):

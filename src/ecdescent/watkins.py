@@ -8,8 +8,7 @@ absence of a proof is reported as Inconclusive, never as a counterexample.
 
 import csv
 import io
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 from . import curves, descent2, families
 from .arith import valuation
@@ -27,24 +26,14 @@ PROVEN_LARGE_OMEGA = "ProvenLargeOmega"
 DATASET_HEADER = ["label", "A", "B", "rank", "modular_degree"]
 
 
-@dataclass(frozen=True)
-class DatasetRecord:
-    label: str
-    A: int
-    B: int
-    rank: int
-    modular_degree: int
+DatasetRecord = namedtuple("DatasetRecord", "label A B rank modular_degree")
 
 
-@dataclass(frozen=True)
-class WatkinsReport:
-    curve: ShortWeierstrass
-    shape: str
-    rank_upper: Optional[int]
-    omega_N: Optional[int]
-    surrogate_nu2_lower: Optional[int]
-    max_M_proven: Optional[int]
-    method_notes: str
+class WatkinsReport(namedtuple("WatkinsReport", "curve shape rank_upper omega_N "
+                               "surrogate_nu2_lower max_M_proven method_notes")):
+    """The four int fields after `shape` are None where inapplicable."""
+
+    __slots__ = ()
 
     def verdict(self, M):
         """Proven iff rank_upper + M <= omega(N) - 2, i.e. M <= max_M_proven,

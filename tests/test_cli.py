@@ -159,6 +159,21 @@ def test_watkins_negative_m_is_usage_error(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    *[["enumerate", "--family", family, "--height", "-3"]
+      for family in ("e2", "e3", "e5", "e7", "type1", "twist-e0")],
+    ["enumerate", "--family", "twist-e0", "--range", "-3"],
+    ["watkins", "--family", "e2", "--height", "-3"],
+    ["watkins", "--family", "twist-e0", "--range", "-3"],
+], ids=["e2", "e3", "e5", "e7", "type1", "twist-e0", "twist-e0-range",
+        "watkins-e2", "watkins-twist-e0"])
+def test_negative_window_is_usage_error(capsys, argv):
+    code, out = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err == f"error: {argv[-2]} must be >= 0, got -3\n"
+
+
 def test_watkins_twist_rejects_nonzero_m(capsys):
     code, out = run_cli(["watkins", "--family", "twist-e0", "--range", "30", "--M", "5"])
     assert code == 2
@@ -369,6 +384,21 @@ def test_cli_import_leaves_out_concurrent_futures():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_cli_import_leaves_out_dataclasses_and_typing():
+    # each CLI command is a fresh process and pays this import first; the
+    # benchmark's probes index every ecdescent module right after it
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    code = (f"import sys; sys.path.insert(0, {src!r}); import ecdescent.cli; "
+            "print(' '.join(sorted(m for m in sys.modules "
+            "if m in ('dataclasses', 'typing', 'inspect') or m.startswith('ecdescent.'))))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    modules = {f"ecdescent.{name}" for name in (
+        "arith", "polys", "curves", "families", "descent2", "descent3", "stats", "watkins",
+        "cli", "config", "errors")}
+    assert proc.stdout.split() == sorted(modules)
 
 
 def test_closed_stdout_exits_1_without_traceback():

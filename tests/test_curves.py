@@ -42,12 +42,16 @@ def test_invariant_identity_random_models():
 
 
 def test_singular_rejected():
-    with pytest.raises(SingularCurve):
+    with pytest.raises(SingularCurve, match=r"^y\^2 = x\^3 \+ 0x \+ 0 is singular$"):
         ShortWeierstrass(0, 0)
-    with pytest.raises(SingularCurve):
+    with pytest.raises(SingularCurve, match=r"^y\^2 = x\^3 \+ -3x \+ 2 is singular$"):
         ShortWeierstrass(-3, 2)  # 4*(-27) + 27*4 = 0
-    with pytest.raises(SingularCurve):
+    with pytest.raises(SingularCurve, match="^long Weierstrass model is singular$"):
         LongWeierstrass(0, 0, 0, 0, 0)
+    with pytest.raises(SingularCurve, match="^long Weierstrass model is singular$"):
+        LongWeierstrass(Fraction(1, 2), 0, 0, 0, 0)  # Tate normal E(0, 1/2)
+    with pytest.raises(SingularCurve, match=r"^y\^2 = x\^3 \+ 0x \+ 0 is singular$"):
+        ShortWeierstrass(A=0, B=0)
 
 
 def test_is_minimal():

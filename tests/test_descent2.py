@@ -23,12 +23,14 @@ from ecdescent.families import E2Param
 
 
 def test_space_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^degenerate quartic space$"):
         HomogeneousSpace(0, 1, 2)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^degenerate quartic space$"):
         HomogeneousSpace(1, 2, 0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^degenerate quartic space$"):
         HomogeneousSpace(1, 2, 1)  # F^2 = 4 d1 d2
+    with pytest.raises(DomainError, match="^degenerate quartic space$"):
+        HomogeneousSpace(d1=-1, F=2, d2=-1)  # F^2 = 4 d1 d2 with d1, d2 < 0
 
 
 def test_real_soluble():

@@ -11,10 +11,12 @@ from ecdescent.families import E2Param
 
 
 def test_e2_param_validation():
-    with pytest.raises(SingularCurve):
+    with pytest.raises(SingularCurve, match=r"^E_\(0,0\) is singular$"):
         E2Param(0, 0)
-    with pytest.raises(SingularCurve):
+    with pytest.raises(SingularCurve, match=r"^E_\(2,1\) is singular$"):
         E2Param(2, 1)  # a^2 - 4b = 0
+    with pytest.raises(SingularCurve, match=r"^E_\(3,0\) is singular$"):
+        E2Param(a=3, b=0)
     assert E2Param(0, -1).disc_quadratic == 4
 
 
