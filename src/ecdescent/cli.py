@@ -22,8 +22,7 @@ from math import isqrt
 from . import curves, descent2, descent3, families, polys, stats, watkins
 from .arith import is_squarefree, primes_up_to
 from .config import load_config
-from .errors import DatasetFormatError, DomainError, SingularCurve
-from .families import E2Param
+from .errors import DomainError, SingularCurve
 
 EXIT_OK = 0
 EXIT_INCONSISTENT = 1
@@ -75,21 +74,10 @@ def _map_list(job):
 # ---------------------------------------------------------------- enumerate
 
 
-def _e2_pairs(X):
-    out = []
-    for a in range(-X, X + 1):
-        for b in range(-X * X, X * X + 1):
-            if b * (a * a - 4 * b) != 0:
-                out.append((a, b))
-    return out
-
-
-def _e2_row(pair, policy, rank_bounds, real_place):
-    a, b = pair
-    param = E2Param(a, b)
+def _e2_row(param, policy, rank_bounds, real_place):
     model, _ = families.e2_curve(param)
     omega_n, _ = curves.conductor_support(model, policy)
-    fields = [f"{a};{b}", model.A, model.B, omega_n]
+    fields = [f"{param.a};{param.b}", model.A, model.B, omega_n]
     if rank_bounds:
         est = descent2.rank_upper(param, real_place)
         fields.append(est.rank_upper)
@@ -159,7 +147,7 @@ def cmd_enumerate(args, cfg, out):
     if args.family == "e2":
         fn = partial(_e2_row, policy=policy, rank_bounds=rank_bounds,
                      real_place=cfg.solubility_real_place)
-        rows = _chunk_map(fn, _e2_pairs(args.height), cfg.workers)
+        rows = _chunk_map(fn, list(families.e2_window(args.height)), cfg.workers)
     elif args.family == "e3":
         if rank_bounds:
             raise DomainError("--rank-bounds is supported for families e2 and type1")
@@ -193,7 +181,7 @@ def cmd_enumerate(args, cfg, out):
 
 
 def cmd_descent(args, cfg, out):
-    param = E2Param(args.a, args.b)
+    param = families.E2Param(args.a, args.b)
     est = descent2.rank_upper(param, cfg.solubility_real_place)
     _emit_json(
         {
@@ -214,8 +202,7 @@ def cmd_descent(args, cfg, out):
 
 def cmd_descent3(args, cfg, out):
     if args.a == 0:
-        print("error: a must be nonzero", file=sys.stderr)
-        return EXIT_INCONSISTENT
+        raise SingularCurve("a must be nonzero")
     bound, comp = descent3.rank_upper_type1(args.a)
     _emit_json(
         {
@@ -243,12 +230,11 @@ def cmd_descent3(args, cfg, out):
 # ------------------------------------------------------------------ watkins
 
 
-def _watkins_e2_row(pair, M, policy, real_place):
-    a, b = pair
-    rep = watkins.report(E2Param(a, b), policy=policy, real_place=real_place)
+def _watkins_e2_row(param, M, policy, real_place):
+    rep = watkins.report(param, policy=policy, real_place=real_place)
     surrogate = "" if rep.surrogate_nu2_lower is None else rep.surrogate_nu2_lower
     verdict = rep.verdict(M)
-    line = _row(a, b, rep.curve.A, rep.curve.B, rep.omega_N, rep.rank_upper, surrogate,
+    line = _row(param.a, param.b, rep.curve.A, rep.curve.B, rep.omega_N, rep.rank_upper, surrogate,
                 verdict, rep.method_notes)
     return line, verdict
 
@@ -258,9 +244,10 @@ def _check_M(M):
         raise DomainError(f"--M must be >= 0, got {M}")
 
 
-def _check_window(args):
-    """A family scan's --height and --range, where given, are >= 0."""
-    for flag, value in (("--height", args.height), ("--range", args.range)):
+def _check_window(args, flags=("--height", "--range")):
+    """The window bounds `flags` of a scan, where given, are >= 0."""
+    for flag in flags:
+        value = getattr(args, flag[2:])
         if value is not None and value < 0:
             raise DomainError(f"{flag} must be >= 0, got {value}")
 
@@ -274,7 +261,7 @@ def cmd_watkins(args, cfg, out):
             raise DomainError("--height is required for family e2")
         fn = partial(_watkins_e2_row, M=M, policy=cfg.policy,
                      real_place=cfg.solubility_real_place)
-        rows = _chunk_map(fn, _e2_pairs(args.height), cfg.workers)
+        rows = _chunk_map(fn, list(families.e2_window(args.height)), cfg.workers)
         header = "a,b,A,B,omega_N,rank_upper,surrogate_nu2_lower,verdict,note"
     elif args.family == "twist-e0":
         if args.range is None:
@@ -374,6 +361,7 @@ def cmd_stats(args, cfg, out):
         doc.update(poly=f, exclude=S, samples=samples)
         _emit_json(doc, out)
     elif exp == "roots-mod":
+        _check_window(args, ("--pmax",))
         f = _parse_poly(args.poly)
         deg = polys.degree(f)
         rows = []
@@ -395,6 +383,7 @@ def cmd_stats(args, cfg, out):
                    bound=2 * deg, violations=violations)
         _emit_json(doc, out)
     elif exp == "avg-frobenius":
+        _check_window(args, ("--pmax",))
         rows = []
         worst = Fraction(0)
         for p in primes_up_to(args.pmax):
@@ -426,11 +415,7 @@ def cmd_stats(args, cfg, out):
 
 def cmd_verify(args, cfg, out):
     _check_M(args.M)
-    try:
-        records = watkins.load_dataset(args.dataset)
-    except (DatasetFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    records = watkins.load_dataset(args.dataset)
     results = []
     all_ok = True
     for rec in records:
@@ -536,6 +521,8 @@ def _glue_option_values(argv, flags=("--poly", "--exclude", "--heights")):
 
 
 def main(argv=None, out=None):
+    """Run one command; the one place where exceptions become exit codes:
+    DomainError (bad options, config or dataset files) 2, the others 1."""
     out = out or sys.stdout
     parser = build_parser()
     args = parser.parse_args(_glue_option_values(argv if argv is not None else sys.argv[1:]))
@@ -547,10 +534,6 @@ def main(argv=None, out=None):
             solubility_real_place=args.real_place,
             workers=args.workers,
         )
-    except (DomainError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         code = args.fn(args, cfg, out)
         out.flush()
         return code
@@ -559,12 +542,9 @@ def main(argv=None, out=None):
         # flush at exit cannot raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_INCONSISTENT
-    except DomainError as exc:
+    except (DomainError, SingularCurve, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (SingularCurve, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
+        return EXIT_USAGE if isinstance(exc, DomainError) else EXIT_INCONSISTENT
 
 
 if __name__ == "__main__":

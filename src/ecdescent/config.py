@@ -40,6 +40,8 @@ def parse_config_file(path):
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise DomainError(f"{path}: not UTF-8 text at byte {exc.start}") from None
+    except OSError as exc:
+        raise DomainError(str(exc)) from None
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -1,9 +1,9 @@
 """Full descent via 2-isogeny for y^2 = x^3 + ax^2 + bx.
 
-Signed square-free divisor classes d of a^2 - 4b (resp. b) index quartic
-homogeneous spaces Z^2 = d U^4 + F U^2 V^2 + (n/d) V^4; a class survives
-into the phi- (resp. phi-hat-) Selmer set when its space is soluble over R
-and over Q_p for every p | 2b(a^2 - 4b).  The rank bound is
+Signed square-free divisor classes d of b index quartic homogeneous spaces
+Z^2 = d U^4 + a U^2 V^2 + (b/d) V^4, which survive into the phi-hat Selmer
+set when soluble over R and over Q_p for every p | 2b(a^2 - 4b); the phi set
+is that of the dual E_{-2a, a^2-4b} at the same primes.  The rank bound is
 dim_phi + dim_phihat - 2.
 
 p-adic solubility is decided exactly: (U, V) is scaled primitive and the
@@ -173,11 +173,12 @@ def _local_primes(param):
     return sorted(primes)
 
 
-def _survivors(param, quartic_of, classes, real_place):
-    local = _local_primes(param)
+def _selmer(side, local, real_place):
+    """Classes d | b of side = (a, b) whose space (d, a, b/d) is soluble over R
+    (tested when real_place) and over Q_p for every p in local."""
     out = []
-    for d in classes:
-        space = quartic_of(d)
+    for d in squarefree_divisors(side.b):
+        space = HomogeneousSpace(d, side.a, side.b // d)
         if real_place and not real_soluble(space):
             continue
         if all(padic_soluble(space, p) for p in local):
@@ -188,13 +189,10 @@ def _survivors(param, quartic_of, classes, real_place):
 def sel_phi(param, real_place=True):
     """Surviving classes d in Q(T1), T1 = primes(a^2 - 4b) and infinity.
 
-    The space for class d is Z^2 = d U^4 - 2a U^2 V^2 + ((a^2-4b)/d) V^4;
-    signed square-free representatives always divide a^2 - 4b exactly.
+    These are the phi-hat classes of `param.dual`: the space for class d is
+    Z^2 = d U^4 - 2a U^2 V^2 + ((a^2-4b)/d) V^4.
     """
-    n = param.disc_quadratic
-    classes = squarefree_divisors(n)
-    quartic = lambda d: HomogeneousSpace(d, -2 * param.a, n // d)
-    return _survivors(param, quartic, classes, real_place)
+    return _selmer(param.dual, _local_primes(param), real_place)
 
 
 def sel_phihat(param, real_place=True):
@@ -202,9 +200,7 @@ def sel_phihat(param, real_place=True):
 
     The space for class d is Z^2 = d U^4 + a U^2 V^2 + (b/d) V^4.
     """
-    classes = squarefree_divisors(param.b)
-    quartic = lambda d: HomogeneousSpace(d, param.a, param.b // d)
-    return _survivors(param, quartic, classes, real_place)
+    return _selmer(param, _local_primes(param), real_place)
 
 
 def _dim_f2(classes):

@@ -2,15 +2,15 @@
 
 
 class DomainError(ValueError):
-    """An argument is outside the mathematical domain of the operation."""
+    """An argument or input file is outside the domain of the operation."""
 
 
 class SingularCurve(ValueError):
     """A Weierstrass model (or parameter choice) has vanishing discriminant."""
 
 
-class DatasetFormatError(ValueError):
-    """A dataset CSV file does not match the expected schema."""
+class DatasetFormatError(DomainError):
+    """A dataset CSV file cannot be read or does not match the expected schema."""
 
     def __init__(self, message, line=None):
         self.line = line

@@ -12,7 +12,7 @@ from math import gcd
 
 from . import curves, polys
 from .arith import _iroot, factor, is_square, is_squarefree, omega
-from .curves import LongWeierstrass, ShortWeierstrass
+from .curves import Z2, Z2XZ2, LongWeierstrass, ShortWeierstrass
 from .errors import DomainError, SingularCurve
 
 E2_TAG = "e2"
@@ -43,17 +43,35 @@ class E2Param(namedtuple("E2Param", "a b")):
         """a^2 - 4b, the discriminant of x^2 + ax + b."""
         return self.a * self.a - 4 * self.b
 
+    @property
+    def dual(self):
+        """The 2-isogenous curve y^2 = x^3 - 2ax^2 + (a^2 - 4b)x."""
+        return E2Param(-2 * self.a, self.disc_quadratic)
+
+    @property
+    def two_torsion(self):
+        """E(Q)[2]: Z2xZ2 iff x^2 + ax + b splits over Q (a^2 - 4b a square), else Z2."""
+        return Z2XZ2 if is_square(self.disc_quadratic) else Z2
+
+
+def e2_window(X):
+    """Yield the nonsingular E2Param with |a| <= X and |b| <= X^2, a
+    ascending in the outer loop and b in the inner."""
+    for a in range(-X, X + 1):
+        for b in range(-X * X, X * X + 1):
+            try:
+                param = E2Param(a, b)
+            except SingularCurve:
+                continue
+            yield param
+
 
 def e2_curve(p):
-    """Minimal short model of y^2 = x^3 + ax^2 + bx, plus the dual parameters.
-
-    The dual 2-isogenous curve is y^2 = x^3 - 2ax^2 + (a^2 - 4b)x, returned
-    as its (a', b') parameter pair.
-    """
+    """Minimal short model of y^2 = x^3 + ax^2 + bx, plus `p.dual`."""
     a, b = p.a, p.b
     # x -> x - a/3, then (A, B) scaled by 3^4, 3^6
     model = curves.minimize(ShortWeierstrass(81 * b - 27 * a * a, 54 * a**3 - 243 * a * b))
-    return model, E2Param(-2 * a, a * a - 4 * b)
+    return model, p.dual
 
 
 def e2_from_torsion(a, b):

@@ -359,27 +359,24 @@ def family_trace_bound(family):
 
 
 def certificate_density(X):
-    """(certified, total) over coprime pairs with |a| <= X, |b| <= X^2.
+    """(certified, total) over the coprime pairs of `families.e2_window(X)`.
 
-    total counts nonsingular coprime pairs whose a^2 - 4b is not a perfect
-    square; certified counts those admitting a local insolubility
-    certificate, which forces rank <= omega(N) - 2 through the descent
-    bound.  See `has_insolubility_certificate`.
+    total counts those whose 2-torsion is Z/2 (a^2 - 4b not a square);
+    certified counts those admitting a local insolubility certificate, which
+    forces rank <= omega(N) - 2 through the descent bound.  See
+    `has_insolubility_certificate`.
     """
     if X < 2:
         raise DomainError("X must be >= 2")
     certified = 0
     total = 0
-    for a in range(-X, X + 1):
-        for b in range(-X * X, X * X + 1):
-            if b == 0 or gcd(a, b) != 1:
-                continue
-            n = a * a - 4 * b
-            if n == 0 or (n > 0 and is_square(n)):
-                continue
-            total += 1
-            if has_insolubility_certificate(a, b):
-                certified += 1
+    for param in families.e2_window(X):
+        a, b = param
+        if gcd(a, b) != 1 or param.two_torsion != curves.Z2:
+            continue
+        total += 1
+        if has_insolubility_certificate(a, b):
+            certified += 1
     return certified, total
 
 

@@ -12,7 +12,7 @@ from collections import namedtuple
 
 from . import curves, descent2, families
 from .arith import valuation
-from .curves import ShortWeierstrass, Z2, Z2XZ2
+from .curves import TRIVIAL, Z2, Z2XZ2, ShortWeierstrass
 from .errors import DatasetFormatError, DomainError
 from .families import COND_I, COND_II, LARGE_OMEGA, E2Param
 
@@ -74,10 +74,10 @@ def report(target, policy="include-small", real_place=True):
 
     target may be an E2Param (full descent applies) or a ShortWeierstrass
     (descent applies when a rational 2-torsion point lets it be written as
-    y^2 = x^3 + ax^2 + bx).  The surrogate omega(N) - 2 for nu_2(m_E) needs
-    E(Q)[2] = Z/2Z; omega_N is computed for E2Param targets, whose scan rows
-    print it, and otherwise only for that shape, since it factors the
-    discriminant.
+    y^2 = x^3 + ax^2 + bx), whose `two_torsion` is the shape.  The surrogate
+    omega(N) - 2 for nu_2(m_E) needs E(Q)[2] = Z/2Z; omega_N is computed for
+    E2Param targets, whose scan rows print it, and otherwise only for that
+    shape, since it factors the discriminant.
     """
     notes = []
     if isinstance(target, E2Param):
@@ -89,7 +89,7 @@ def report(target, policy="include-small", real_place=True):
         param = E2Param(*ab) if ab is not None else None
         if param is None:
             notes.append("no rational 2-torsion: descent via 2-isogeny inapplicable")
-    shape = curves.two_torsion_shape(model)
+    shape = param.two_torsion if param else TRIVIAL
     omega_n = None
     if shape == Z2 or isinstance(target, E2Param):
         omega_n, _ = curves.conductor_support(model, policy)
@@ -114,6 +114,8 @@ def load_dataset(path):
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise DatasetFormatError(f"not UTF-8 text at byte {exc.start}") from None
+    except OSError as exc:
+        raise DatasetFormatError(str(exc)) from None
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)

@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import os
@@ -165,13 +166,15 @@ def test_watkins_negative_m_is_usage_error(capsys):
     ["enumerate", "--family", "twist-e0", "--range", "-3"],
     ["watkins", "--family", "e2", "--height", "-3"],
     ["watkins", "--family", "twist-e0", "--range", "-3"],
+    ["stats", "roots-mod", "--poly", "-1,-11,1", "--pmax", "-5"],
+    ["stats", "avg-frobenius", "--pmax", "-3"],
 ], ids=["e2", "e3", "e5", "e7", "type1", "twist-e0", "twist-e0-range",
-        "watkins-e2", "watkins-twist-e0"])
+        "watkins-e2", "watkins-twist-e0", "roots-mod", "avg-frobenius"])
 def test_negative_window_is_usage_error(capsys, argv):
     code, out = run_cli(argv)
     assert code == 2
     assert out == ""
-    assert capsys.readouterr().err == f"error: {argv[-2]} must be >= 0, got -3\n"
+    assert capsys.readouterr().err == f"error: {argv[-2]} must be >= 0, got {argv[-1]}\n"
 
 
 def test_watkins_twist_rejects_nonzero_m(capsys):
@@ -311,6 +314,27 @@ def test_verify_non_utf8_exit2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert capsys.readouterr().err == "error: not UTF-8 text at byte 31\n"
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["verify", "--dataset", "{missing}"], errno.ENOENT),
+    (["--config", "{missing}", "descent", "--a", "0", "--b", "-1"], errno.ENOENT),
+    (["verify", "--dataset", "{tmp}"], errno.EISDIR),
+], ids=["missing-dataset", "missing-config", "directory-dataset"])
+def test_unreadable_file_is_usage_error(tmp_path, capsys, argv, error):
+    paths = {"missing": str(tmp_path / "missing.csv"), "tmp": str(tmp_path)}
+    argv = [arg.format(**paths) for arg in argv]
+    path = next(arg for arg in argv if arg in paths.values())
+    code, out = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    message = str(OSError(error, os.strerror(error), path))
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_descent3_zero_is_singular_exit1(capsys):
+    assert run_cli(["descent3", "--a", "0"]) == (1, "")
+    assert capsys.readouterr().err == "error: a must be nonzero\n"
 
 
 def test_unknown_flags_exit2():

@@ -370,6 +370,48 @@ def test_fastpath_agrees_with_solver_small():
     assert checked > 100
 
 
+def _survivors_ref(param, quartic_of, classes, real_place):
+    local = descent2._local_primes(param)
+    out = []
+    for d in classes:
+        space = quartic_of(d)
+        if real_place and not descent2.real_soluble(space):
+            continue
+        if all(descent2.padic_soluble(space, p) for p in local):
+            out.append(d)
+    return out
+
+
+def sel_phi_ref(param, real_place=True):
+    """The phi side built from its own spaces, before it became the phi-hat
+    side of the dual."""
+    n = param.disc_quadratic
+    classes = squarefree_divisors(n)
+    quartic = lambda d: HomogeneousSpace(d, -2 * param.a, n // d)
+    return _survivors_ref(param, quartic, classes, real_place)
+
+
+def sel_phihat_ref(param, real_place=True):
+    classes = squarefree_divisors(param.b)
+    quartic = lambda d: HomogeneousSpace(d, param.a, param.b // d)
+    return _survivors_ref(param, quartic, classes, real_place)
+
+
+@pytest.mark.parametrize("real_place", [True, False])
+def test_selmer_sides_match_reference(real_place):
+    checked = 0
+    for a in range(-8, 9):
+        for b in range(-64, 65):
+            if b * (a * a - 4 * b) == 0:
+                continue
+            param = E2Param(a, b)
+            assert descent2.sel_phi(param, real_place) == sel_phi_ref(param, real_place), param
+            assert (descent2.sel_phihat(param, real_place)
+                    == sel_phihat_ref(param, real_place)), param
+            checked += 1
+    assert checked == 2168
+
+
 def test_sel_phi_examples():
     assert descent2.sel_phi(E2Param(0, -1)) == [1, 2]
     assert descent2.sel_phihat(E2Param(0, -1)) == [1, -1]

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from ecdescent import cli, curves, families, polys
+from ecdescent import curves, families, polys
 from ecdescent.curves import ShortWeierstrass
 from ecdescent.errors import DomainError, SingularCurve
 from ecdescent.families import E2Param
@@ -53,10 +53,14 @@ def test_e2_curve_against_long_model():
 
 def test_e2_height():
     # the e2 scans run over H_2(E_{a,b}) <= X, i.e. |a| <= X and |b| <= X^2
-    assert (2, 4) in cli._e2_pairs(2)
-    assert (3, 1) not in cli._e2_pairs(2)
-    assert (0, 9) in cli._e2_pairs(3)
-    assert (0, 0) not in cli._e2_pairs(3)  # singular
+    assert (2, 4) in list(families.e2_window(2))
+    assert (3, 1) not in list(families.e2_window(2))
+    assert (0, 9) in list(families.e2_window(3))
+    assert (0, 0) not in list(families.e2_window(3))  # singular
+    for X in range(5):
+        assert list(families.e2_window(X)) == [
+            (a, b) for a in range(-X, X + 1) for b in range(-X * X, X * X + 1)
+            if b * (a * a - 4 * b) != 0]
 
 
 def test_e2_from_torsion():

@@ -1,10 +1,11 @@
+import io
 import os
 
 import pytest
 
-from ecdescent import curves, watkins
+from ecdescent import cli, curves, polys, watkins
 from ecdescent.curves import ShortWeierstrass
-from ecdescent.errors import DatasetFormatError, DomainError
+from ecdescent.errors import DatasetFormatError, DomainError, SingularCurve
 from ecdescent.families import E2Param
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "ecdescent", "data",
@@ -75,6 +76,45 @@ def test_report_param():
     assert rep.omega_N == 2
     assert rep.surrogate_nu2_lower == 0
     assert rep.max_M_proven == 0
+
+
+def test_report_finds_rational_roots_at_most_once(monkeypatch):
+    """E(Q)[2] of an E2Param comes from a^2 - 4b; a short model's cubic is
+    solved once, by the translation to y^2 = x^3 + ax^2 + bx."""
+    calls = []
+    real = polys.rational_roots
+
+    def counting(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(polys, "rational_roots", counting)
+    assert cli.main(["watkins", "--family", "e2", "--height", "3"], out=io.StringIO()) == 0
+    watkins.report(E2Param(0, -1))
+    assert calls == []
+    watkins.report(ShortWeierstrass(0, -1))
+    assert len(calls) == 1
+
+
+def _nonsingular(make, xs, ys):
+    for x in xs:
+        for y in ys:
+            try:
+                yield make(x, y)
+            except SingularCurve:
+                continue
+
+
+def test_report_shape_matches_two_torsion_shape():
+    """The reference: the rational roots of the minimal model's cubic."""
+    targets = [*_nonsingular(E2Param, range(-10, 11), range(-100, 101)),
+               *_nonsingular(ShortWeierstrass, range(-30, 31), range(-60, 61))]
+    shapes = set()
+    for target in targets:
+        rep = watkins.report(target)
+        assert rep.shape == curves.two_torsion_shape(rep.curve), target
+        shapes.add(rep.shape)
+    assert shapes == {curves.TRIVIAL, curves.Z2, curves.Z2XZ2}
 
 
 def test_report_full_two_torsion():
