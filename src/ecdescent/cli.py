@@ -17,10 +17,9 @@ import os
 import sys
 from fractions import Fraction
 from functools import partial
-from math import isqrt
 
 from . import curves, descent2, descent3, families, polys, stats, watkins
-from .arith import is_squarefree, primes_up_to
+from .arith import primes_up_to
 from .config import load_config
 from .errors import DomainError, SingularCurve
 
@@ -53,7 +52,9 @@ def _chunk_map(fn, items, workers):
     """Map fn over items, optionally across processes.  With a pool the
     results come back chunk by chunk, not in item order; callers sort.
     concurrent.futures is imported only then: it adds about 10 ms to the
-    CLI's import."""
+    CLI's import.  The pool starts all its processes at the first submit,
+    so it is capped at the CPU count."""
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or len(items) < 2 * workers:
         return [fn(it) for it in items]
     import concurrent.futures
@@ -74,106 +75,49 @@ def _map_list(job):
 # ---------------------------------------------------------------- enumerate
 
 
-def _e2_row(param, policy, rank_bounds, real_place):
-    model, _ = families.e2_curve(param)
+def _curve_row(tag, model, policy, *extra):
+    """One enumerate row: tag, the model's A and B, omega(N), then `extra`."""
     omega_n, _ = curves.conductor_support(model, policy)
-    fields = [f"{param.a};{param.b}", model.A, model.B, omega_n]
-    if rank_bounds:
-        est = descent2.rank_upper(param, real_place)
-        fields.append(est.rank_upper)
-    return _row(*fields)
+    return _row(tag, model.A, model.B, omega_n, *extra)
 
 
-def _e3_rows(X, policy):
-    """Parameters whose raw model lies in the height window (the region the
-    count uses); the scaling (a, b) -> (ua, u^3 b) would otherwise make the
-    parameter set unbounded.  Rows carry the minimal model."""
-    rows = []
-    # the two b-intervals separate once 6.75 a^6 exceeds X^3 + 1.5 a^2 X^2,
-    # around |a| ~ 0.8 sqrt(X)
-    amax = int(1.5 * X**0.5) + 3
-    for a in range(-amax, amax + 1):
-        bmax = isqrt(X**3 + 27 * a**6) + 1
-        for b in range(-bmax, bmax + 1):
-            try:
-                raw = families.e3_from_torsion(a, b)
-            except SingularCurve:
-                continue
-            if not curves.height_leq(raw, X):
-                continue
-            model = curves.minimize(raw)
-            omega_n, _ = curves.conductor_support(model, policy)
-            rows.append(_row(f"{a};{b}", model.A, model.B, omega_n))
-    return rows
-
-
-def _tate_rows(ell, X, policy):
-    """One row per distinct minimal model, tagged with the string-least
-    "num/den" among the fibers that give it."""
-    best = {}
-    for num, den, model in families.tate_fibers(ell, X):
-        key = (model.A, model.B)
-        tag = f"{num}/{den}"
-        if key not in best or tag < best[key][0]:
-            best[key] = (tag, model)
-    rows = []
-    for tag, model in best.values():
-        omega_n, _ = curves.conductor_support(model, policy)
-        rows.append(_row(tag, model.A, model.B, omega_n))
-    return rows
+def _e2_row(param, policy, rank_bounds, real_place):
+    extra = [descent2.rank_upper(param, real_place).rank_upper] if rank_bounds else []
+    return _curve_row(f"{param.a};{param.b}", families.e2_curve(param), policy, *extra)
 
 
 def _type1_row(a, policy, rank_bounds):
-    E, _, _ = families.type1(a)
-    omega_n, _ = curves.conductor_support(E, policy)
-    fields = [a, E.A, E.B, omega_n]
-    if rank_bounds:
-        bound, _ = descent3.rank_upper_type1(a)
-        fields.append(bound)
-    return _row(*fields)
-
-
-def _squarefree_range(R):
-    return [D for s in (1, -1) for D in (s * k for k in range(1, R + 1)) if is_squarefree(D)]
+    extra = [descent3.rank_upper_type1(a)[0]] if rank_bounds else []
+    return _curve_row(a, families.type1(a)[0], policy, *extra)
 
 
 def cmd_enumerate(args, cfg, out):
-    policy = cfg.policy
-    rank_bounds = args.rank_bounds
-    header = "params,A,B,omega_N" + (",rank_upper" if rank_bounds else "")
+    family, X, policy, rank_bounds = args.family, args.height, cfg.policy, args.rank_bounds
     _check_window(args)
-    if args.family != "twist-e0" and args.height is None:
-        raise DomainError(f"--height is required for family {args.family}")
-    if args.family == "e2":
+    if family == "twist-e0":
+        X = args.range if args.range is not None else X
+        if X is None:
+            raise DomainError("--range (or --height) is required for twist-e0")
+    elif X is None:
+        raise DomainError(f"--height is required for family {family}")
+    if rank_bounds and family not in ("e2", "type1"):
+        raise DomainError("--rank-bounds is supported for families e2 and type1")
+    if family == "e2":
         fn = partial(_e2_row, policy=policy, rank_bounds=rank_bounds,
                      real_place=cfg.solubility_real_place)
-        rows = _chunk_map(fn, list(families.e2_window(args.height)), cfg.workers)
-    elif args.family == "e3":
-        if rank_bounds:
-            raise DomainError("--rank-bounds is supported for families e2 and type1")
-        rows = _e3_rows(args.height, policy)
-    elif args.family in ("e5", "e7"):
-        if rank_bounds:
-            raise DomainError("--rank-bounds is supported for families e2 and type1")
-        rows = _tate_rows(int(args.family[1]), args.height, policy)
-    elif args.family == "type1":
-        amax = args.height**3
+        rows = _chunk_map(fn, list(families.e2_window(X)), cfg.workers)
+    elif family == "type1":
         fn = partial(_type1_row, policy=policy, rank_bounds=rank_bounds)
-        values = [a for a in range(-amax, amax + 1) if a != 0]
-        rows = _chunk_map(fn, values, cfg.workers)
-    elif args.family == "twist-e0":
-        R = args.range if args.range is not None else args.height
-        if R is None:
-            raise DomainError("--range (or --height) is required for twist-e0")
-        rows = []
-        for D in _squarefree_range(R):
-            E, cls = families.twist_e0(D, cfg.nu2_manin)
-            omega_n, _ = curves.conductor_support(E, policy)
-            rows.append(_row(D, E.A, E.B, omega_n))
-    else:  # pragma: no cover - argparse restricts choices
-        raise DomainError(f"unknown family {args.family}")
+        rows = _chunk_map(fn, families.type1_window(X), cfg.workers)
+    elif family == "e3":
+        rows = [_curve_row(f"{a};{b}", model, policy) for a, b, model in families.e3_window(X)]
+    elif family == "twist-e0":
+        rows = [_curve_row(D, families.twist_e0(D)[0], policy) for D in families.twist_window(X)]
+    else:  # e5, e7; argparse restricts the choices
+        tate = families.tate_curves(int(family[1]), X)
+        rows = [_curve_row(tag, model, policy) for tag, model in tate.values()]
     rows.sort()
-    _emit_csv(header, rows, out)
+    _emit_csv("params,A,B,omega_N" + (",rank_upper" if rank_bounds else ""), rows, out)
     return EXIT_OK
 
 
@@ -192,7 +136,8 @@ def cmd_descent(args, cfg, out):
             "dim_phi": est.dim_phi,
             "dim_phihat": est.dim_phihat,
             "rank_upper": est.rank_upper,
-            "clamped": est.clamped,
+            # fixed: rank_upper raises rather than clamp a negative bound
+            "clamped": False,
             "config": cfg.as_dict(),
         },
         out,
@@ -269,7 +214,7 @@ def cmd_watkins(args, cfg, out):
         if M != 0:
             raise DomainError("--M does not apply to family twist-e0; its verdicts are for M = 0")
         rows = []
-        for D in _squarefree_range(args.range):
+        for D in families.twist_window(args.range):
             E, cls = families.twist_e0(D, cfg.nu2_manin)
             verdict = watkins.twist_watkins(D, cfg.nu2_manin)
             rows.append((_row(D, E.A, E.B, cls, verdict), verdict))

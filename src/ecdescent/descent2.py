@@ -49,7 +49,7 @@ class HomogeneousSpace(namedtuple("HomogeneousSpace", "d1 F d2")):
 
 
 SelmerEstimate = namedtuple(
-    "SelmerEstimate", "phi_classes phihat_classes dim_phi dim_phihat rank_upper clamped")
+    "SelmerEstimate", "phi_classes phihat_classes dim_phi dim_phihat rank_upper")
 
 
 def real_soluble(space):
@@ -214,8 +214,9 @@ def _dim_f2(classes):
 def rank_upper(param, real_place=True):
     """Selmer sets for both isogeny directions and the rank bound.
 
-    rank(E_{a,b}(Q)) <= dim_phi + dim_phihat - 2, clamped at 0 (the clamp is
-    recorded; the bound is vacuous below zero).
+    rank(E_{a,b}(Q)) <= dim_phi + dim_phihat - 2.  Each Selmer set holds the
+    image of its side's Kummer map, and |alpha(E(Q))| |alpha'(E'(Q))| =
+    2^(rank + 2) (Silverman, AEC X.6), so a sum below 2 raises ArithmeticError.
     """
     phi = sel_phi(param, real_place)
     phihat = sel_phihat(param, real_place)
@@ -223,11 +224,11 @@ def rank_upper(param, real_place=True):
         raise ArithmeticError(f"trivial class must survive, got {phi} and {phihat}")
     dim_phi = _dim_f2(phi)
     dim_phihat = _dim_f2(phihat)
-    bound = dim_phi + dim_phihat - 2
-    clamped = bound < 0
-    return SelmerEstimate(
-        tuple(phi), tuple(phihat), dim_phi, dim_phihat, max(bound, 0), clamped
-    )
+    if dim_phi + dim_phihat < 2:
+        raise ArithmeticError(f"Selmer dimensions {dim_phi} + {dim_phihat} are below the 2 "
+                              "that the torsion images give")
+    return SelmerEstimate(tuple(phi), tuple(phihat), dim_phi, dim_phihat,
+                          dim_phi + dim_phihat - 2)
 
 
 def either_or_check(param, real_place=True):

@@ -3,12 +3,13 @@
 Covers the 2-torsion family y^2 = x^3 + ax^2 + bx and its dual, the
 Harron-Snowden style (a, b) parametrizations of 2- and 3-torsion short
 models, Tate normal forms (5- and 7-torsion), curves y^2 = x^3 + a with a
-rational 3-isogeny, and quadratic twists of y^2 = x^3 - 1.
+rational 3-isogeny, and quadratic twists of y^2 = x^3 - 1, each with the
+one window its scans run over.
 """
 
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from . import curves, polys
 from .arith import _iroot, factor, is_square, is_squarefree, omega
@@ -67,11 +68,10 @@ def e2_window(X):
 
 
 def e2_curve(p):
-    """Minimal short model of y^2 = x^3 + ax^2 + bx, plus `p.dual`."""
+    """Minimal short model of y^2 = x^3 + ax^2 + bx."""
     a, b = p.a, p.b
     # x -> x - a/3, then (A, B) scaled by 3^4, 3^6
-    model = curves.minimize(ShortWeierstrass(81 * b - 27 * a * a, 54 * a**3 - 243 * a * b))
-    return model, p.dual
+    return curves.minimize(ShortWeierstrass(81 * b - 27 * a * a, 54 * a**3 - 243 * a * b))
 
 
 def e2_from_torsion(a, b):
@@ -82,6 +82,33 @@ def e2_from_torsion(a, b):
 def e3_from_torsion(a, b):
     """Short model (A, B) = (6ab + 27a^4, b^2 - 27a^6), carrying 3-torsion."""
     return ShortWeierstrass(6 * a * b + 27 * a**4, b * b - 27 * a**6)
+
+
+def e3_a_bound(X):
+    """The |a| bound of the 3-torsion window at height X: no (a, b) beyond
+    it has |6ab + 27a^4| <= X^2 and |b^2 - 27a^6| <= X^3."""
+    # the two b-intervals separate once 6.75 a^6 exceeds X^3 + 1.5 a^2 X^2,
+    # around |a| ~ 0.8 sqrt(X)
+    return int(1.5 * X**0.5) + 3
+
+
+def e3_window(X):
+    """Yield (a, b, minimal model) for each nonsingular `e3_from_torsion(a, b)`
+    of height <= X, a ascending in the outer loop and b in the inner.
+
+    The raw model, not the minimal one, must lie in the window: the scaling
+    (a, b) -> (ua, u^3 b) would otherwise make the parameter set unbounded.
+    """
+    amax = e3_a_bound(X)
+    for a in range(-amax, amax + 1):
+        bmax = isqrt(X**3 + 27 * a**6) + 1
+        for b in range(-bmax, bmax + 1):
+            try:
+                raw = e3_from_torsion(a, b)
+            except SingularCurve:
+                continue
+            if curves.height_leq(raw, X):
+                yield a, b, curves.minimize(raw)
 
 
 def type1(a):
@@ -98,6 +125,13 @@ def type1(a):
     if a > 0 and is_square(a):
         member.add(E3_TAG)
     return ShortWeierstrass(0, a), ShortWeierstrass(0, -27 * a), frozenset(member)
+
+
+def type1_window(X):
+    """The nonzero a with |a| <= X^3, ascending, as a list: scans slice it
+    into worker chunks."""
+    amax = X**3
+    return [*range(-amax, 0), *range(1, amax + 1)]
 
 
 def tate_normal(b, c):
@@ -175,6 +209,19 @@ def tate_fibers(ell, X):
                 yield num, den, model
 
 
+def tate_curves(ell, X):
+    """{(A, B): (tag, model)}, one entry per distinct minimal model of
+    `tate_fibers(ell, X)`, tagged with the string-least "num/den" among the
+    fibers that give it."""
+    best = {}
+    for num, den, model in tate_fibers(ell, X):
+        key = (model.A, model.B)
+        tag = f"{num}/{den}"
+        if key not in best or tag < best[key][0]:
+            best[key] = (tag, model)
+    return best
+
+
 def delta5_poly():
     """t^5 (t^2 - 11t - 1), ascending coefficients."""
     return polys.mul([0, 0, 0, 0, 0, 1], [-1, -11, 1])
@@ -220,6 +267,12 @@ def twist_e0(D, nu2_manin=0):
     else:
         cls = UNCLASSIFIED
     return curve, cls
+
+
+def twist_window(R):
+    """The square-free D with 0 < |D| <= R: positive D first, then negative,
+    each in |D| ascending."""
+    return [D for s in (1, -1) for D in range(s, s * (R + 1), s) if is_squarefree(D)]
 
 
 def param_box(ell):

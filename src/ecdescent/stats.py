@@ -43,9 +43,7 @@ def count_r3(X):
         raise DomainError("X must be >= 1")
     sq, cube = X * X, X**3
     total = 2 * isqrt(cube - 1) + 1  # a = 0 row: b^2 < X^3
-    # the two b-intervals are disjoint once 6.75 a^6 > X^3 + 1.5 a^2 X^2,
-    # i.e. beyond |a| of order 0.8 sqrt(X)
-    amax = int(1.5 * X**0.5) + 3
+    amax = families.e3_a_bound(X)
     for a in range(-amax, amax + 1):
         if a == 0:
             continue
@@ -128,11 +126,8 @@ def slope(pts):
 
 
 def count_family(ell, X):
-    """Number of distinct minimal curves of height <= X in the 5- or 7-torsion family.
-
-    Dedupes the minimal short models (A, B) of `families.tate_fibers`.
-    """
-    return len({(model.A, model.B) for _, _, model in families.tate_fibers(ell, X)})
+    """Number of distinct minimal curves of height <= X in the 5- or 7-torsion family."""
+    return len(families.tate_curves(ell, X))
 
 
 def family_series(ell, heights):

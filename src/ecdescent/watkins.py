@@ -82,7 +82,7 @@ def report(target, policy="include-small", real_place=True):
     notes = []
     if isinstance(target, E2Param):
         param = target
-        model, _ = families.e2_curve(param)
+        model = families.e2_curve(param)
     else:
         model = curves.minimize(target)
         ab = curves.e2_param_of(model)

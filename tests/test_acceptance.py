@@ -247,7 +247,7 @@ def test_criterion_14_density_experiment():
                 continue
             param = E2Param(a, b)
             est = descent2.rank_upper(param)
-            model, _ = families.e2_curve(param)
+            model = families.e2_curve(param)
             omega_n, _ = curves.conductor_support(model)
             if est.rank_upper > omega_n - 2:
                 failures.append((a, b))

@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import io
 import json
 import os
@@ -68,10 +69,15 @@ def test_enumerate_missing_height_is_usage_error():
     (["enumerate", "--family", "e5"], "--height is required for family e5"),
     (["enumerate", "--family", "e7"], "--height is required for family e7"),
     (["enumerate", "--family", "type1"], "--height is required for family type1"),
+    # the window checks come before the --rank-bounds refusal
+    (["enumerate", "--family", "e3", "--rank-bounds"], "--height is required for family e3"),
+    (["enumerate", "--family", "twist-e0", "--rank-bounds"],
+     "--range (or --height) is required for twist-e0"),
     (["stats", "normal-order", "--heights", "15"], "--poly is required"),
     (["stats", "roots-mod"], "--poly is required"),
     (["stats", "density-cor-main"], "--height is required for density-cor-main"),
-], ids=["e3", "e5", "e7", "type1", "normal-order", "roots-mod", "density-cor-main"])
+], ids=["e3", "e5", "e7", "type1", "e3-rank-bounds", "twist-e0-rank-bounds", "normal-order",
+        "roots-mod", "density-cor-main"])
 def test_missing_option_is_usage_error(capsys, argv, message):
     code, out = run_cli(argv)
     assert code == 2
@@ -114,6 +120,15 @@ def test_descent_lost_trivial_class_exit1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert capsys.readouterr().err.startswith("error: trivial class must survive")
+
+
+def test_descent_selmer_dimensions_below_two_exit1(capsys, monkeypatch):
+    monkeypatch.setattr(descent2, "sel_phi", lambda *args: [1])
+    monkeypatch.setattr(descent2, "sel_phihat", lambda *args: [1])
+    code, out = run_cli(["descent", "--a", "0", "--b", "-1"])
+    assert code == 1
+    assert out == ""
+    assert capsys.readouterr().err.startswith("error: Selmer dimensions 0 + 0 are below")
 
 
 def test_descent3_class_group_inconsistency_exit1(capsys, monkeypatch):
@@ -164,11 +179,12 @@ def test_watkins_negative_m_is_usage_error(capsys):
     *[["enumerate", "--family", family, "--height", "-3"]
       for family in ("e2", "e3", "e5", "e7", "type1", "twist-e0")],
     ["enumerate", "--family", "twist-e0", "--range", "-3"],
+    ["enumerate", "--family", "e5", "--rank-bounds", "--height", "-3"],
     ["watkins", "--family", "e2", "--height", "-3"],
     ["watkins", "--family", "twist-e0", "--range", "-3"],
     ["stats", "roots-mod", "--poly", "-1,-11,1", "--pmax", "-5"],
     ["stats", "avg-frobenius", "--pmax", "-3"],
-], ids=["e2", "e3", "e5", "e7", "type1", "twist-e0", "twist-e0-range",
+], ids=["e2", "e3", "e5", "e7", "type1", "twist-e0", "twist-e0-range", "e5-rank-bounds",
         "watkins-e2", "watkins-twist-e0", "roots-mod", "avg-frobenius"])
 def test_negative_window_is_usage_error(capsys, argv):
     code, out = run_cli(argv)
@@ -464,3 +480,71 @@ def test_enumerate_e3_against_brute_force():
     got = {line.split(",")[0] for line in out.strip().splitlines()[1:]}
     assert got == expected
     assert "6;-1022" in got  # cancellation row beyond the naive quartic window
+
+
+# sha256 of the stdout of the implementation that built these windows in
+# `cli` (`_e3_rows`, `_tate_rows`, `_squarefree_range`); twist-e0 at
+# `--height 50` takes the `--range` fallback.
+WINDOW_STDOUT_SHA256 = {
+    "enumerate --family e3 --height 30":
+        "7c0045cc11ac8d3320c1fb65dc98dbeb637e02296136e8e409076ae257f814bf",
+    "enumerate --family e5 --height 80":
+        "583f155910e8725b03be42e66cfc4d3a8c348605e24a44a5274999be278222f1",
+    "enumerate --family e7 --height 300":
+        "3754ad877ceb890385814fde49873592a5ff83884223161cd16388398992689d",
+    "enumerate --family twist-e0 --height 50":
+        "1c5e65e382f98c3b225439927450282fa2006f5fbbe748415fb449238da7ff55",
+    "watkins --family twist-e0 --range 300":
+        "ed254ffefd72395858446cc3420754821cfb224048da8547ed05e92f479a5b6e",
+}
+
+
+@pytest.mark.parametrize("command", sorted(WINDOW_STDOUT_SHA256))
+def test_family_window_stdout_pinned(command):
+    code, out = run_cli(command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == WINDOW_STDOUT_SHA256[command]
+
+
+@pytest.mark.parametrize("family", ["e3", "e5", "e7", "twist-e0"])
+def test_rank_bounds_refused_outside_e2_and_type1(capsys, family):
+    code, out = run_cli(["enumerate", "--family", family, "--height", "5", "--rank-bounds"])
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err == "error: --rank-bounds is supported for families e2 and type1\n"
+
+
+def test_workers_capped_at_cpu_count(monkeypatch):
+    # A stand-in pool: it records its size and maps in process, so no
+    # oversized pool of real processes is ever started.
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    for argv in (["enumerate", "--family", "type1", "--height", "3"],
+                 ["watkins", "--family", "e2", "--height", "2"]):
+        code, serial = run_cli(argv)
+        assert code == 0 and sizes == []
+        code, capped = run_cli(["--workers", "10000", *argv])
+        assert code == 0 and sizes == [3]
+        # the config echo keeps the requested count
+        assert capped == serial.replace('"workers": 1}', '"workers": 10000}')
+        sizes.clear()
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    code, _ = run_cli(["--workers", "10000", "enumerate", "--family", "type1", "--height", "3"])
+    assert code == 0 and sizes == []

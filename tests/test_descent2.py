@@ -19,7 +19,7 @@ from ecdescent.arith import (
 )
 from ecdescent.descent2 import HomogeneousSpace
 from ecdescent.errors import DomainError
-from ecdescent.families import E2Param
+from ecdescent.families import E2Param, e2_window
 
 
 def test_space_validation():
@@ -430,11 +430,22 @@ def test_rank_upper_examples():
 
 
 def test_rank_upper_clamp():
-    # b and a^2 - 4b both perfect squares force tiny Selmer sets
+    # b and a^2 - 4b both perfect squares force tiny Selmer sets; the torsion
+    # images alone give dim_phi + dim_phihat >= 2, so no bound needs a clamp
     est = descent2.rank_upper(E2Param(5, 4))
-    assert est.rank_upper >= 0
-    if est.dim_phi + est.dim_phihat < 2:
-        assert est.clamped
+    assert "clamped" not in est._fields
+    assert est.rank_upper == est.dim_phi + est.dim_phihat - 2 >= 0
+    for real_place in (True, False):
+        for param in e2_window(4):
+            est = descent2.rank_upper(param, real_place)
+            assert est.dim_phi + est.dim_phihat >= 2, (param, real_place)
+
+
+def test_rank_upper_below_torsion_images_raises(monkeypatch):
+    monkeypatch.setattr(descent2, "sel_phi", lambda *args: [1])
+    monkeypatch.setattr(descent2, "sel_phihat", lambda *args: [1])
+    with pytest.raises(ArithmeticError, match=r"^Selmer dimensions 0 \+ 0 are below"):
+        descent2.rank_upper(E2Param(0, -1))
 
 
 def test_rank_upper_scaling_invariance():

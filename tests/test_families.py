@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 
 from ecdescent import curves, families, polys
+from ecdescent.arith import is_squarefree
 from ecdescent.curves import ShortWeierstrass
 from ecdescent.errors import DomainError, SingularCurve
 from ecdescent.families import E2Param
@@ -21,24 +22,22 @@ def test_e2_param_validation():
 
 
 def test_e2_curve_examples():
-    model, dual = families.e2_curve(E2Param(0, -1))
-    assert model == ShortWeierstrass(-1, 0)  # y^2 = x^3 - x
-    assert (dual.a, dual.b) == (0, 4)
+    p = E2Param(0, -1)
+    assert families.e2_curve(p) == ShortWeierstrass(-1, 0)  # y^2 = x^3 - x
+    assert (p.dual.a, p.dual.b) == (0, 4)
 
-    model, dual = families.e2_curve(E2Param(3, 3))
-    assert model == ShortWeierstrass(0, -1)  # shift of y^2 = x^3 - 1
-    assert (dual.a, dual.b) == (-6, -3)
+    p = E2Param(3, 3)
+    assert families.e2_curve(p) == ShortWeierstrass(0, -1)  # shift of y^2 = x^3 - 1
+    assert (p.dual.a, p.dual.b) == (-6, -3)
 
-    _, dual = families.e2_curve(E2Param(0, 4))
-    assert (dual.a, dual.b) == (0, -16)
+    p = E2Param(0, 4)
+    assert (p.dual.a, p.dual.b) == (0, -16)
 
 
 def test_e2_curve_dual_of_dual_is_isomorphic():
     # duality squares to multiplication by 2: E'' is E scaled by u = 2
     p = E2Param(3, -5)
-    model, dual = families.e2_curve(p)
-    model2, _ = families.e2_curve(families.e2_curve(dual)[1])
-    assert model2 == model
+    assert families.e2_curve(p.dual.dual) == families.e2_curve(p)
 
 
 def test_e2_curve_against_long_model():
@@ -48,7 +47,7 @@ def test_e2_curve_against_long_model():
             if b * (a * a - 4 * b) == 0:
                 continue
             long_model = curves.LongWeierstrass(0, a, 0, b, 0)
-            assert families.e2_curve(E2Param(a, b))[0] == curves.short_model(long_model), (a, b)
+            assert families.e2_curve(E2Param(a, b)) == curves.short_model(long_model), (a, b)
 
 
 def test_e2_height():
@@ -210,7 +209,7 @@ def test_integer_paths_build_no_long_model(monkeypatch):
     monkeypatch.setattr(curves, "short_model", refuse)
     assert len(list(families.tate_fibers(5, 56))) > 0
     assert len(list(families.tate_fibers(7, 50))) > 0
-    assert families.e2_curve(E2Param(3, -5))[0] == ShortWeierstrass(-8, 7)
+    assert families.e2_curve(E2Param(3, -5)) == ShortWeierstrass(-8, 7)
 
 
 def test_e3_polynomials_exact():
@@ -260,3 +259,22 @@ def test_param_box():
     assert sum(families.param_box(7)) == Fraction(1, 2)
     with pytest.raises(DomainError):
         families.param_box(11)
+
+
+def test_type1_and_twist_windows_against_inline_definitions():
+    for X in range(6):
+        amax = X**3
+        assert families.type1_window(X) == [a for a in range(-amax, amax + 1) if a != 0]
+        assert families.twist_window(X) == [
+            D for s in (1, -1) for D in (s * k for k in range(1, X + 1)) if is_squarefree(D)]
+
+
+@pytest.mark.parametrize("ell, heights", [(5, (5, 20, 56, 120)), (7, (8, 50, 300, 1000))])
+def test_tate_curves_against_set_dedupe(ell, heights):
+    for X in heights:
+        fibers = list(families.tate_fibers(ell, X))
+        curves_by_key = families.tate_curves(ell, X)
+        assert len(curves_by_key) == len({(model.A, model.B) for _, _, model in fibers})
+        for (A, B), (tag, model) in curves_by_key.items():
+            assert (model.A, model.B) == (A, B)
+            assert tag == min(f"{num}/{den}" for num, den, m in fibers if m == model)

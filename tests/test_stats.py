@@ -297,7 +297,7 @@ def test_certificate_soundness_exhaustive_small():
                 continue
             param = E2Param(a, b)
             est = descent2.rank_upper(param)
-            model, _ = families.e2_curve(param)
+            model = families.e2_curve(param)
             omega_n, _ = curves.conductor_support(model)
             assert est.rank_upper <= omega_n - 2, (a, b)
 
