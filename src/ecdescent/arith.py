@@ -328,15 +328,14 @@ def legendre(a, p):
     return -1 if t == p - 1 else 1
 
 
-def squarefree_divisors(n, signed=True):
+def squarefree_divisors(n):
     """Signed square-free divisors of n (all square classes dividing rad(n))."""
     if n == 0:
         raise DomainError("divisors of zero are undefined")
     reps = [1]
     for p, _ in _factor_abs(abs(n)):
         reps += [r * p for r in reps]
-    if signed:
-        reps += [-r for r in reps]
+    reps += [-r for r in reps]
     reps.sort(key=lambda d: (abs(d), d < 0))
     return reps
 

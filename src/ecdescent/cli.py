@@ -157,13 +157,13 @@ def cmd_descent3(args, cfg, out):
                 "class_field_a": comp.class_a.field_kernel,
                 "r3_a": comp.class_a.r3,
                 "method_a": comp.class_a.method,
-                "unit_a": comp.unit_a,
+                "unit_a": comp.class_a.unit,
                 "class_field_m27a": comp.class_m27a.field_kernel,
                 "r3_m27a": comp.class_m27a.r3,
                 "method_m27a": comp.class_m27a.method,
-                "unit_m27a": comp.unit_m27a,
+                "unit_m27a": comp.class_m27a.unit,
                 "s_a": comp.s_a,
-                "s_m27a": comp.s_m27a,
+                "s_m27a": comp.s_a,  # S_{-27a} = S_a
             },
             "config": cfg.as_dict(),
         },
@@ -216,7 +216,7 @@ def cmd_watkins(args, cfg, out):
         rows = []
         for D in families.twist_window(args.range):
             E, cls = families.twist_e0(D, cfg.nu2_manin)
-            verdict = watkins.twist_watkins(D, cfg.nu2_manin)
+            verdict = watkins.TWIST_VERDICT[cls]
             rows.append((_row(D, E.A, E.B, cls, verdict), verdict))
         header = "D,A,B,class,verdict"
     else:  # pragma: no cover

@@ -21,16 +21,22 @@ SCHOLZ_BOUND = "scholz-bound"
 RATIONAL_TRIVIAL = "rational-trivial"
 
 
-# field_kernel: square-free d with K = Q(sqrt(d)); 1 means K = Q
-ClassGroup3 = namedtuple("ClassGroup3", "field_kernel r3 method")
+# field_kernel: square-free d with K = Q(sqrt(d)); 1 means K = Q.
+# unit: dim_F3 of the units of K modulo cubes.
+ClassGroup3 = namedtuple("ClassGroup3", "field_kernel r3 method unit")
 
 
-class Type1Bound(namedtuple("Type1Bound", "class_a unit_a class_m27a unit_m27a s_a s_m27a")):
+class Type1Bound(namedtuple("Type1Bound", "class_a class_m27a s_a")):
+    """The fields K_a = Q(sqrt(-3a)) and K_{-27a} = Q(sqrt(a)), and #S_a.
+
+    #S_{-27a} = #S_a: nu_p(-27a) = nu_p(a) for p > 3, and 2, 3 are always in.
+    """
+
     __slots__ = ()
 
     @property
     def class_unit_total(self):
-        return self.class_a.r3 + self.unit_a + self.class_m27a.r3 + self.unit_m27a
+        return self.class_a.r3 + self.class_a.unit + self.class_m27a.r3 + self.class_m27a.unit
 
 
 def s_set(a):
@@ -145,34 +151,26 @@ def fundamental_discriminant(d):
 
 
 def class_bound(d):
-    """3-rank data for Q(sqrt(d)), exact when imaginary, a bound when real.
+    """3-rank and unit data for Q(sqrt(d)); the 3-rank is exact when
+    imaginary, a bound when real.
 
     d is reduced to its square-free kernel; kernel 1 means the rationals
-    (r3 = 0).  Real fields use Scholz reflection: r3(Q(sqrt(d))) is at most
-    r3(Q(sqrt(-3d))), computed exactly on the imaginary partner.
+    (r3 = 0, unit = 0).  Real fields use Scholz reflection: r3(Q(sqrt(d))) is
+    at most r3(Q(sqrt(-3d))), computed exactly on the imaginary partner.  The
+    units modulo cubes have dimension 1 for real fields (the fundamental
+    unit) and for Q(sqrt(-3)) (the sixth roots of unity), else 0.
     """
     if d == 0:
         raise DomainError("square class of zero is undefined")
     k = squarefree_kernel(d)
     if k == 1:
-        return ClassGroup3(RATIONAL, 0, RATIONAL_TRIVIAL)
+        return ClassGroup3(RATIONAL, 0, RATIONAL_TRIVIAL, 0)
     if k < 0:
-        return ClassGroup3(k, r3_imaginary(fundamental_discriminant(k)), EXACT_IMAGINARY)
+        r3 = r3_imaginary(fundamental_discriminant(k))
+        return ClassGroup3(k, r3, EXACT_IMAGINARY, 1 if k == -3 else 0)
     partner = squarefree_kernel(-3 * k)
     r3 = r3_imaginary(fundamental_discriminant(partner))
-    return ClassGroup3(k, r3, SCHOLZ_BOUND)
-
-
-def unit_3dim(d):
-    """dim_F3 of units modulo cubes: 1 for real fields and Q(sqrt(-3)), else 0."""
-    if d == 0:
-        raise DomainError("square class of zero is undefined")
-    k = squarefree_kernel(d)
-    if k > 1:
-        return 1  # fundamental unit
-    if k == -3:
-        return 1  # sixth roots of unity
-    return 0
+    return ClassGroup3(k, r3, SCHOLZ_BOUND, 1)
 
 
 def rank_upper_type1(a):
@@ -180,16 +178,11 @@ def rank_upper_type1(a):
 
     bound = r3(K_a) + units(K_a) + r3(K_{-27a}) + units(K_{-27a})
           + #S_a + #S_{-27a},
-    with K_a = Q(sqrt(-3a)) and K_{-27a} = Q(sqrt(a)).  Class-group terms may
-    be Scholz upper bounds; the sum stays a valid upper bound.
+    with K_a = Q(sqrt(-3a)), K_{-27a} = Q(sqrt(a)) and #S_{-27a} = #S_a.
+    Class-group terms may be Scholz upper bounds; the sum stays a valid upper
+    bound.
     """
     if a == 0:
         raise DomainError("a must be nonzero")
-    cls_a = class_bound(-3 * a)
-    cls_m = class_bound(a)
-    unit_a = unit_3dim(-3 * a)
-    unit_m = unit_3dim(a)
-    sa = len(s_set(a))
-    sm = sa  # nu_p(-27a) = nu_p(a) for p > 3, and 2, 3 are always in: S_{-27a} = S_a
-    bound = cls_a.r3 + unit_a + cls_m.r3 + unit_m + sa + sm
-    return bound, Type1Bound(cls_a, unit_a, cls_m, unit_m, sa, sm)
+    comp = Type1Bound(class_bound(-3 * a), class_bound(a), len(s_set(a)))
+    return comp.class_unit_total + 2 * comp.s_a, comp

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from . import curves, polys
-from .arith import _iroot, factor, is_square, is_squarefree, omega
+from .arith import _iroot, factor, is_square, is_squarefree
 from .curves import Z2, Z2XZ2, LongWeierstrass, ShortWeierstrass
 from .errors import DomainError, SingularCurve
 
@@ -253,16 +253,18 @@ def twist_e0(D, nu2_manin=0):
     5 mod 12 condition vacuous).
     LargeOmega: omega(D) >= 10 + 2*nu2_manin.  Otherwise Unclassified.
     """
-    if D == 0 or not is_squarefree(D):
+    if D == 0:
+        raise DomainError(f"{D} is not a nonzero square-free integer")
+    fac = factor(D)
+    if any(e > 1 for _, e in fac):
         raise DomainError(f"{D} is not a nonzero square-free integer")
     curve = ShortWeierstrass(0, -(D**3))
-    primes = [p for p, _ in factor(D)]
-    bad = [p for p in primes if p % 12 != 5]
+    bad = [p for p, _ in fac if p % 12 != 5]
     if not bad:
         cls = COND_I
     elif len(bad) == 1 and bad[0] % 4 == 3:
         cls = COND_II
-    elif primes and omega(D) >= 10 + 2 * nu2_manin:
+    elif len(fac) >= 10 + 2 * nu2_manin:
         cls = LARGE_OMEGA
     else:
         cls = UNCLASSIFIED

@@ -385,9 +385,10 @@ def has_insolubility_certificate(a, b):
     The same certificate on the dual pair (-2a, a^2 - 4b), with q | b, kills
     on the phi-hat side.  Combined with the either-or collapse of one sign
     class, either variant gives rank <= omega(N) - 2 for coprime pairs.
+    A singular pair raises `SingularCurve`.
     """
-    n = a * a - 4 * b
-    return _phi_certificate(a, b, n) or _phi_certificate(-2 * a, n, b)
+    dual = families.E2Param(a, b).dual
+    return _phi_certificate(a, b, dual.b) or _phi_certificate(dual.a, dual.b, b)
 
 
 def _phi_certificate(a, b, m):

@@ -14,7 +14,7 @@ from . import curves, descent2, families
 from .arith import valuation
 from .curves import TRIVIAL, Z2, Z2XZ2, ShortWeierstrass
 from .errors import DatasetFormatError, DomainError
-from .families import COND_I, COND_II, LARGE_OMEGA, E2Param
+from .families import COND_I, COND_II, LARGE_OMEGA, UNCLASSIFIED, E2Param
 
 PROVEN = "Proven"
 INCONCLUSIVE = "Inconclusive"
@@ -22,6 +22,10 @@ INCONCLUSIVE = "Inconclusive"
 PROVEN_COND_I = "ProvenCondI"
 PROVEN_COND_II = "ProvenCondII"
 PROVEN_LARGE_OMEGA = "ProvenLargeOmega"
+
+# The verdict of each `families.twist_e0` rank class.
+TWIST_VERDICT = {COND_I: PROVEN_COND_I, COND_II: PROVEN_COND_II,
+                 LARGE_OMEGA: PROVEN_LARGE_OMEGA, UNCLASSIFIED: INCONCLUSIVE}
 
 DATASET_HEADER = ["label", "A", "B", "rank", "modular_degree"]
 
@@ -62,11 +66,7 @@ def twist_watkins(D, nu2_manin=0):
     twist-support criterion.  Everything else is Inconclusive.
     """
     _, cls = families.twist_e0(D, nu2_manin)
-    return {
-        COND_I: PROVEN_COND_I,
-        COND_II: PROVEN_COND_II,
-        LARGE_OMEGA: PROVEN_LARGE_OMEGA,
-    }.get(cls, INCONCLUSIVE)
+    return TWIST_VERDICT[cls]
 
 
 def report(target, policy="include-small", real_place=True):

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from ecdescent import cli, descent2, descent3, stats
+from ecdescent import cli, descent2, descent3, families, stats
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "ecdescent", "data",
                     "sample_dataset.csv")
@@ -504,6 +504,48 @@ def test_family_window_stdout_pinned(command):
     code, out = run_cli(command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == WINDOW_STDOUT_SHA256[command]
+
+
+# sha256 of the stdout of the implementation that read each field's units
+# from `descent3.unit_3dim` and classified each twist twice (`twist_e0`, then
+# `watkins.twist_watkins`).
+FIELD_AND_TWIST_STDOUT_SHA256 = {
+    "descent3 --a 1":
+        "b4605e90538218a53092fedd1a1b13ff98a7612882a2c152031b69d735215cba",
+    "descent3 --a -7":
+        "cfad329e708742ce645de1c52b03d3694920d45c1681d4879f7c9f013894e58b",
+    "descent3 --a 64":
+        "767ee7f73edfa3427c054c045eaef89bd4152fb20716233085bc86575689d11d",
+    "descent3 --a -432":
+        "bb845e28ba6983327d084a48b6c147601fea25459baca2bfd3755c704fa9042a",
+    "descent3 --a 1728":
+        "a2fed1550c1578f3e7d1e3434842c5c22324feb3ccbe923d7d5630b3060ab8dc",
+    "watkins --family twist-e0 --range 5000":
+        "f304fbfff2151234b2d9a694a8259ea94cba0720d5436b16feba87bc8586daef",
+}
+
+
+@pytest.mark.parametrize("command", sorted(FIELD_AND_TWIST_STDOUT_SHA256))
+def test_field_and_twist_stdout_pinned(command):
+    code, out = run_cli(command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FIELD_AND_TWIST_STDOUT_SHA256[command]
+
+
+def test_watkins_twist_classifies_each_d_once(monkeypatch):
+    calls = []
+    twist_e0 = families.twist_e0
+
+    def counting(D, nu2_manin=0):
+        calls.append(D)
+        return twist_e0(D, nu2_manin)
+
+    monkeypatch.setattr(families, "twist_e0", counting)
+    code, out = run_cli(["watkins", "--family", "twist-e0", "--range", "300"])
+    assert code == 0
+    rows, _ = split_csv_json(out)
+    assert len(rows) - 1 == 366  # the header is not a row
+    assert len(calls) == len(set(calls)) == 366
 
 
 @pytest.mark.parametrize("family", ["e3", "e5", "e7", "twist-e0"])

@@ -163,9 +163,9 @@ def test_composition_group_axioms():
 
 
 def test_class_bound():
-    assert descent3.class_bound(1) == descent3.ClassGroup3(1, 0, "rational-trivial")
-    assert descent3.class_bound(4) == descent3.ClassGroup3(1, 0, "rational-trivial")
-    assert descent3.class_bound(-3) == descent3.ClassGroup3(-3, 0, "exact-imaginary")
+    assert descent3.class_bound(1) == descent3.ClassGroup3(1, 0, "rational-trivial", 0)
+    assert descent3.class_bound(4) == descent3.ClassGroup3(1, 0, "rational-trivial", 0)
+    assert descent3.class_bound(-3) == descent3.ClassGroup3(-3, 0, "exact-imaginary", 1)
     cb = descent3.class_bound(79)
     assert cb.method == "scholz-bound"
     assert cb.field_kernel == 79
@@ -175,13 +175,28 @@ def test_class_bound():
         descent3.class_bound(0)
 
 
+def reference_unit_3dim(d):
+    """The retired `descent3.unit_3dim`: dim_F3 of units modulo cubes."""
+    if d == 0:
+        raise DomainError("square class of zero is undefined")
+    k = arith.squarefree_kernel(d)
+    if k > 1:
+        return 1  # fundamental unit
+    if k == -3:
+        return 1  # sixth roots of unity
+    return 0
+
+
 def test_unit_3dim():
-    assert descent3.unit_3dim(-1) == 0
-    assert descent3.unit_3dim(-3) == 1
-    assert descent3.unit_3dim(5) == 1
-    assert descent3.unit_3dim(1) == 0
-    assert descent3.unit_3dim(8) == 1  # kernel 2, real
-    assert descent3.unit_3dim(-12) == 1  # kernel -3
+    assert descent3.class_bound(-1).unit == 0
+    assert descent3.class_bound(-3).unit == 1
+    assert descent3.class_bound(5).unit == 1
+    assert descent3.class_bound(1).unit == 0
+    assert descent3.class_bound(8).unit == 1  # kernel 2, real
+    assert descent3.class_bound(-12).unit == 1  # kernel -3
+    for d in range(-3000, 3001):
+        if d:
+            assert descent3.class_bound(d).unit == reference_unit_3dim(d), d
 
 
 def test_fundamental_discriminant():
@@ -195,10 +210,11 @@ def test_fundamental_discriminant():
 def test_rank_upper_type1_a1():
     bound, comp = descent3.rank_upper_type1(1)
     assert bound == 5
+    assert comp._fields == ("class_a", "class_m27a", "s_a")
     assert comp.class_a.field_kernel == -3 and comp.class_a.r3 == 0
-    assert comp.unit_a == 1
-    assert comp.class_m27a.field_kernel == 1 and comp.unit_m27a == 0
-    assert comp.s_a == 2 and comp.s_m27a == 2
+    assert comp.class_a.unit == 1
+    assert comp.class_m27a.field_kernel == 1 and comp.class_m27a.unit == 0
+    assert comp.s_a == 2
     with pytest.raises(DomainError):
         descent3.rank_upper_type1(0)
 
@@ -206,9 +222,27 @@ def test_rank_upper_type1_a1():
 def test_rank_upper_type1_components_are_bounds():
     for a in (2, -2, 5, 12, 100, -45):
         bound, comp = descent3.rank_upper_type1(a)
-        assert bound == (comp.class_a.r3 + comp.unit_a + comp.class_m27a.r3
-                         + comp.unit_m27a + comp.s_a + comp.s_m27a)
+        # S_{-27a} = S_a, so #S_a counts twice
+        assert bound == (comp.class_a.r3 + comp.class_a.unit + comp.class_m27a.r3
+                         + comp.class_m27a.unit + 2 * comp.s_a)
         assert bound >= 0
+
+
+def test_rank_upper_type1_takes_each_kernel_once(monkeypatch):
+    # one kernel per field, plus the Scholz partner of a real field
+    calls = []
+    kernel = descent3.squarefree_kernel
+
+    def counting(d):
+        calls.append(d)
+        return kernel(d)
+
+    monkeypatch.setattr(descent3, "squarefree_kernel", counting)
+    descent3.rank_upper_type1(1)
+    assert len(calls) == 2
+    calls.clear()
+    descent3.rank_upper_type1(2)
+    assert len(calls) == 3
 
 
 def test_square_family_class_unit_constancy():

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from ecdescent import curves, families, polys
+from ecdescent import arith, curves, families, polys
 from ecdescent.arith import is_squarefree
 from ecdescent.curves import ShortWeierstrass
 from ecdescent.errors import DomainError, SingularCurve
@@ -234,6 +234,26 @@ def test_twist_e0():
         families.twist_e0(12)
     with pytest.raises(DomainError):
         families.twist_e0(0)
+
+
+def test_twist_e0_factors_d_once(monkeypatch):
+    # one factorization gives square-freeness, the class and omega(D)
+    calls = []
+    factor_abs = arith._factor_abs
+
+    def counting(n):
+        calls.append(n)
+        return factor_abs(n)
+
+    monkeypatch.setattr(arith, "_factor_abs", counting)
+    arith.set_factor_cache(False)
+    try:
+        for D in (42, 5, 55):
+            calls.clear()
+            families.twist_e0(D)
+            assert calls == [D]
+    finally:
+        arith.set_factor_cache(True)
 
 
 def test_twist_e0_large_omega():

@@ -7,7 +7,7 @@ import pytest
 
 from ecdescent import curves, descent2, families, polys, stats
 from ecdescent.curves import ShortWeierstrass
-from ecdescent.errors import DomainError
+from ecdescent.errors import DomainError, SingularCurve
 from ecdescent.families import E2Param
 
 
@@ -279,6 +279,13 @@ def test_certificate_density():
     # recorded from the loop that stated the window and the 2-torsion rule
     # inline, before both moved to `families`
     assert stats.certificate_density(10) == (1453, 2365)
+
+
+def test_certificate_of_singular_pair_raises():
+    # b = 0 and a^2 = 4b, as for every other E_{a,b} entry point
+    for a, b in ((3, 0), (2, 1), (-4, 4)):
+        with pytest.raises(SingularCurve):
+            stats.has_insolubility_certificate(a, b)
 
 
 def test_certificate_soundness_exhaustive_small():
