@@ -126,7 +126,7 @@ def _strong_lucas(n):
     return False
 
 
-def _iroot(n, k):
+def iroot(n, k):
     """floor(n^(1/k)) for n >= 0 and k >= 1, by integer Newton iteration."""
     if n < 2:
         return n
@@ -144,7 +144,7 @@ def _perfect_power(n):
     for j in _SMALL_PRIMES:
         if n >> (10 * j) == 0:
             return None
-        r = _iroot(n, j)
+        r = iroot(n, j)
         if r**j == n:
             return r, j
     return None

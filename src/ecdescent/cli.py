@@ -315,6 +315,8 @@ def cmd_stats(args, cfg, out):
         # the 2 deg(f) bound needs f and f' coprime mod p, i.e. p away from
         # Res(f, f'); the content gcd alone is not enough
         bad = polys.resultant(f, polys.derivative(f))
+        if args.square and bad == 0:
+            raise DomainError("--square needs f squarefree over Q and nonconstant: Res(f, f') = 0")
         for p in primes_up_to(args.pmax):
             if args.square and bad % p == 0:
                 continue

@@ -194,7 +194,7 @@ def torsion_order_present(E, ell):
     return False
 
 
-def _legendre_table(p):
+def legendre_table(p):
     """chi[r] = Legendre symbol (r/p) for r in [0, p)."""
     chi = [-1] * p
     chi[0] = 0
@@ -210,7 +210,7 @@ def trace_from_coefficients(A, B, p, chi=None):
     +1 split multiplicative, -1 nonsplit, 0 additive.
     """
     if chi is None:
-        chi = _legendre_table(p)
+        chi = legendre_table(p)
     A %= p
     B %= p
     total = 0

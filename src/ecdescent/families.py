@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from . import curves, polys
-from .arith import _iroot, factor, is_square, is_squarefree
+from .arith import factor, iroot, is_square, is_squarefree
 from .curves import Z2, Z2XZ2, LongWeierstrass, ShortWeierstrass
 from .errors import DomainError, SingularCurve
 
@@ -120,7 +120,7 @@ def type1(a):
     if a == 0:
         raise DomainError("a must be nonzero")
     member = set()
-    if _iroot(abs(a), 3) ** 3 == abs(a):
+    if iroot(abs(a), 3) ** 3 == abs(a):
         member.add(E2_TAG)
     if a > 0 and is_square(a):
         member.add(E3_TAG)

@@ -102,27 +102,26 @@ def homogeneous_value(f, a, b):
     return acc
 
 
-def _poly_gcd_mod(f, g, p):
-    """Monic gcd of f, g in F_p[x]; coefficient lists ascending."""
-    f = [c % p for c in f]
-    g = [c % p for c in g]
-    f = normalize(f)
-    g = normalize(g)
+def _rem_mod(f, g, p):
+    """f mod g in F_p[x] for monic g, with coefficients in [0, p)."""
+    r = [c % p for c in f]
+    d = len(g) - 1
+    for i in range(len(r) - d - 1, -1, -1):
+        c = r.pop()  # the coefficient of x^(i + d), cleared by subtracting c x^i g
+        if c:
+            for j in range(d):
+                r[i + j] = (r[i + j] - c * g[j]) % p
+    return normalize(r)
+
+
+def gcd_mod(f, g, p):
+    """gcd of f, g in F_p[x], monic unless g vanishes mod p."""
+    f = normalize([c % p for c in f])
+    g = normalize([c % p for c in g])
     while g:
         inv = pow(g[-1], -1, p)
-        g_monic = [c * inv % p for c in g]
-        # f mod g_monic
-        r = list(f)
-        while len(r) >= len(g_monic) and r:
-            lead = r[-1]
-            if lead:
-                shift = len(r) - len(g_monic)
-                for i, c in enumerate(g_monic):
-                    r[shift + i] = (r[shift + i] - lead * c) % p
-            r = normalize(r)
-            if not r:
-                break
-        f, g = g_monic, normalize(r)
+        g = [c * inv % p for c in g]
+        f, g = g, _rem_mod(f, g, p)
     return f
 
 
@@ -134,28 +133,12 @@ def xpow_mod(e, f, p):
     """
     inv = pow(f[-1], -1, p)
     monic = [c * inv % p for c in f]
-    d = len(monic) - 1
-
-    def mulmod(u, v):
-        w = [0] * (len(u) + len(v) - 1)
-        for i, ui in enumerate(u):
-            if ui:
-                for j, vj in enumerate(v):
-                    w[i + j] = (w[i + j] + ui * vj) % p
-        for i in range(len(w) - 1, d - 1, -1):
-            c = w[i]
-            if c:
-                shift = i - d
-                for j in range(d + 1):
-                    w[shift + j] = (w[shift + j] - c * monic[j]) % p
-        return normalize(w[:d])
-
     out = [1]
     base = [0, 1]
     while e:
         if e & 1:
-            out = mulmod(out, base)
-        base = mulmod(base, base)
+            out = _rem_mod(mul(out, base), monic, p)
+        base = _rem_mod(mul(base, base), monic, p)
         e >>= 1
     return out
 
@@ -173,7 +156,7 @@ def _squarefree_good_prime(f, max_failures=200):
     p = 3
     while True:
         if f[-1] % p != 0:
-            if len(_poly_gcd_mod(f, fp, p)) == 1:
+            if len(gcd_mod(f, fp, p)) == 1:
                 return p
             failures += 1
             if max_failures is not None and failures >= max_failures:
@@ -181,25 +164,32 @@ def _squarefree_good_prime(f, max_failures=200):
         p = next_prime(p)
 
 
+def _divmod_q(f, g):
+    """(q, r) with f = q g + r and deg r < deg g over Q, for nonzero g."""
+    r = [Fraction(c) for c in normalize(f)]
+    g = normalize(g)
+    d = len(g) - 1
+    q = [Fraction(0)] * max(len(r) - d, 0)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = r[i + d] / g[-1]
+        for j in range(d):
+            r[i + j] -= c * g[j]
+    return normalize(q), normalize(r[:d])
+
+
+def _integral(f):
+    """The primitive integer polynomial that is a positive multiple of f over Q."""
+    den = lcm(*(c.denominator for c in f))
+    return primitive([int(c * den) for c in f])
+
+
 def _rational_gcd(f, g):
     """gcd over Q, returned as a primitive integer polynomial."""
-    a = [Fraction(c) for c in f]
-    b = [Fraction(c) for c in g]
-    a = normalize(a)
-    b = normalize(b)
-    while b:
-        lead = b[-1]
-        bm = [c / lead for c in b]
-        r = list(a)
-        while r and len(r) >= len(bm):
-            c = r[-1]
-            shift = len(r) - len(bm)
-            for i, q in enumerate(bm):
-                r[shift + i] = r[shift + i] - c * q
-            r = normalize(r)
-        a, b = bm, r
-    den = lcm(*(c.denominator for c in a))
-    return primitive([int(c * den) for c in a])
+    f, g = normalize(f), normalize(g)
+    while g:
+        g = [Fraction(c) / g[-1] for c in g]
+        f, g = g, _divmod_q(f, g)[1]
+    return _integral(f)
 
 
 def squarefree_part_poly(f):
@@ -208,18 +198,7 @@ def squarefree_part_poly(f):
     g = _rational_gcd(f, derivative(f))
     if degree(g) <= 0:
         return f
-    # exact division over Q
-    num = [Fraction(c) for c in f]
-    den = [Fraction(c) for c in g]
-    out = [Fraction(0)] * (len(num) - len(den) + 1)
-    r = list(num)
-    for i in range(len(out) - 1, -1, -1):
-        c = r[len(den) - 1 + i] / den[-1]
-        out[i] = c
-        for j, q in enumerate(den):
-            r[i + j] -= c * q
-    d = lcm(*(c.denominator for c in out))
-    return primitive([int(c * d) for c in out])
+    return _integral(_divmod_q(f, g)[0])
 
 
 def rational_roots(coeffs):
@@ -257,9 +236,8 @@ def rational_roots(coeffs):
     big = [f[i] * lead ** (d - 1 - i) if i < d else 1 for i in range(d + 1)]
     bound = 2 * (1 + max(abs(c) for c in big))
     fp = derivative(big)
-    base_roots = [r for r in range(p) if evaluate_mod(big, r, p) == 0]
     modulus = p
-    lifted = list(base_roots)
+    lifted = roots_mod_p(big, p)
     while modulus < bound:
         modulus = modulus * modulus
         new = []

@@ -147,7 +147,7 @@ def _distinct_roots_gcd(f, p):
     if len(red) < 2:
         return None
     frob = polys.sub(polys.xpow_mod(p, red, p), [0, 1])
-    return len(polys._poly_gcd_mod(red, frob, p)) - 1
+    return len(polys.gcd_mod(red, frob, p)) - 1
 
 
 def roots_mod(f, p, square=False):
@@ -168,7 +168,7 @@ def roots_mod(f, p, square=False):
         if count is not None:
             if not square:
                 return count
-            if len(polys._poly_gcd_mod(f, fp, p)) == 1:
+            if len(polys.gcd_mod(f, fp, p)) == 1:
                 return count  # all roots simple: unique lifts
     if not square:
         return len(polys.roots_mod_p(f, p))
@@ -184,58 +184,28 @@ def roots_mod(f, p, square=False):
     return count
 
 
-def _divisors(n):
-    """Positive divisors of n != 0, ascending."""
-    out = [1]
-    for p, e in factor(n):
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return sorted(out)
-
-
-def _has_quadratic_factor(f):
+def _splits_by_resolvent(f):
     """Whether a primitive quartic with no rational root splits into two quadratics.
 
-    Writes f = (a2 x^2 + a1 x + a0)(b2 x^2 + b1 x + b0); a2 b2 = c4 and
-    a0 b0 = c0 leave a 2x2 linear system for (a1, b1) from the x^3 and x^1
-    coefficients, checked against the x^2 coefficient.  A singular system
-    reduces to a quadratic in a1.  Every candidate is verified by exact
-    polynomial multiplication.
+    g(y) = c4^3 f(y/c4) = y^4 + a y^3 + b y^2 + c y + d is monic over Z, so by
+    Gauss's lemma any splitting is (y^2 + p y + q)(y^2 + r y + s) over Z, and
+    theta = q + s is an integer root of Ferrari's resolvent cubic
+    theta^3 - b theta^2 + (ac - 4d) theta - (a^2 d - 4bd + c^2).  Each root
+    fixes {q, s} and {p, r} as the roots of two quadratics; both pairings are
+    checked by exact multiplication.  No coefficient is factored.
     """
     c0, c1, c2, c3, c4 = f
-
-    def is_factorization(a2, a1, a0, b2, b1, b0):
-        return polys.mul([a0, a1, a2], [b0, b1, b2]) == list(f)
-
-    for a2 in _divisors(c4):
-        b2 = c4 // a2
-        for a0_abs in _divisors(c0):
-            for a0 in (a0_abs, -a0_abs):
-                b0 = c0 // a0
-                # a2*b1 + b2*a1 = c3 ; a0*b1 + b0*a1 = c1
-                det = a2 * b0 - b2 * a0
-                if det != 0:
-                    b1_num = c3 * b0 - c1 * b2
-                    a1_num = c1 * a2 - c3 * a0
-                    if b1_num % det or a1_num % det:
-                        continue
-                    if is_factorization(a2, a1_num // det, a0, b2, b1_num // det, b0):
-                        return True
-                else:
-                    # dependent rows: a1 satisfies b2 a1^2 - c3 a1 + a2 (c2 - a2 b0 - a0 b2) = 0
-                    qa, qb, qc = b2, -c3, a2 * (c2 - a2 * b0 - a0 * b2)
-                    disc = qb * qb - 4 * qa * qc
-                    if disc < 0 or not is_square(disc):
-                        continue
-                    r = isqrt(disc)
-                    for num in (-qb + r, -qb - r):
-                        if num % (2 * qa):
-                            continue
-                        a1 = num // (2 * qa)
-                        if (c3 - a1 * b2) % a2:
-                            continue
-                        b1 = (c3 - a1 * b2) // a2
-                        if is_factorization(a2, a1, a0, b2, b1, b0):
-                            return True
+    a, b, c, d = c3, c2 * c4, c1 * c4**2, c0 * c4**3
+    g = [d, c, b, a, 1]
+    for theta in polys.rational_roots([4 * b * d - a * a * d - c * c, a * c - 4 * d, -b, 1]):
+        theta = int(theta)  # a rational root of a monic integer cubic
+        disc_qs, disc_pr = theta * theta - 4 * d, a * a - 4 * b + 4 * theta
+        if not (is_square(disc_qs) and is_square(disc_pr)):
+            continue
+        q, s = (theta + isqrt(disc_qs)) // 2, (theta - isqrt(disc_qs)) // 2
+        p, r = (a + isqrt(disc_pr)) // 2, (a - isqrt(disc_pr)) // 2
+        if g in (polys.mul([q, p, 1], [s, r, 1]), polys.mul([s, p, 1], [q, r, 1])):
+            return True
     return False
 
 
@@ -257,7 +227,7 @@ def is_irreducible(f):
     if d <= 3:
         return True
     if d == 4:
-        return not _has_quadratic_factor(f)
+        return not _splits_by_resolvent(f)
     for p in primes_up_to(1000):
         if f[-1] % p == 0:
             continue
@@ -274,7 +244,7 @@ def _irreducible_mod_p(f, p):
         return False
     for q, _ in factor(d):
         diff = polys.sub(polys.xpow_mod(p ** (d // q), f, p), [0, 1])
-        if len(polys._poly_gcd_mod(f, diff, p)) != 1:
+        if len(polys.gcd_mod(f, diff, p)) != 1:
             return False
     return True
 
@@ -319,7 +289,7 @@ def average_trace(A_coeffs, B_coeffs, p):
     sum, which lands on the conventions +1 (split multiplicative), -1
     (nonsplit), 0 (additive).
     """
-    chi = curves._legendre_table(p)
+    chi = curves.legendre_table(p)
     total = 0
     for r in range(p):
         A = polys.evaluate_mod(A_coeffs, r, p)

@@ -139,9 +139,9 @@ def test_iroot_exact():
     for k in (2, 3, 5, 7):
         for _ in range(20):
             r = rng.getrandbits(200) | (1 << 199)
-            assert arith._iroot(r**k, k) == r
-            assert arith._iroot(r**k - 1, k) == r - 1
-    assert [arith._iroot(n, 3) for n in range(10)] == [0, 1, 1, 1, 1, 1, 1, 1, 2, 2]
+            assert arith.iroot(r**k, k) == r
+            assert arith.iroot(r**k - 1, k) == r - 1
+    assert [arith.iroot(n, 3) for n in range(10)] == [0, 1, 1, 1, 1, 1, 1, 1, 2, 2]
 
 
 def test_factor_semiprime():

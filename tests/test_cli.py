@@ -268,6 +268,15 @@ def test_stats_roots_mod():
     assert all(int(r.split(",")[1]) <= 4 for r in rows[1:])
 
 
+def test_stats_roots_mod_square_needs_nonzero_resultant(capsys):
+    """Res(f, f') = 0 would skip every prime and report no violation."""
+    for poly in ("1,2,1", "5"):
+        code, out = run_cli(["stats", "roots-mod", "--poly", poly, "--pmax", "30", "--square"])
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err.startswith("error: --square needs f squarefree")
+
+
 def test_stats_avg_frobenius():
     code, out = run_cli(["stats", "avg-frobenius", "--family", "e5", "--pmax", "60"])
     assert code == 0

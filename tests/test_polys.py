@@ -85,3 +85,57 @@ def test_resultant_multiplicative_in_first_argument():
 def test_zero_polynomial_rejected():
     with pytest.raises(DomainError):
         polys.rational_roots([0, 0])
+
+
+def oracle_xpow_mod(e, f, p):
+    """x^e mod (f, p) by e multiplications by x, each reduced by one step."""
+    inv = pow(f[-1], -1, p)
+    monic = [c * inv % p for c in f]
+    d = len(f) - 1
+    out = [1]
+    for _ in range(e):
+        out = polys.mul(out, [0, 1])
+        if len(out) > d:
+            top = out[d]
+            out = [(out[i] - top * monic[i]) % p for i in range(d)]
+    return polys.normalize([c % p for c in out])
+
+
+def test_xpow_mod_matches_repeated_multiplication():
+    rng = random.Random(31)
+    for _ in range(200):
+        p = rng.choice((2, 3, 5, 7, 11, 13, 101))
+        f = [rng.randrange(-20, 21) for _ in range(rng.randrange(1, 6))]
+        f.append(rng.choice([c for c in range(1, 20) if c % p]))
+        e = rng.randrange(0, 300)
+        assert polys.xpow_mod(e, f, p) == oracle_xpow_mod(e, f, p), (e, f, p)
+
+
+def test_divmod_q_identity():
+    rng = random.Random(32)
+    for _ in range(200):
+        if rng.random() < 0.5:
+            coeff = lambda: rng.randrange(-50, 51)
+        else:
+            coeff = lambda: Fraction(rng.randrange(-50, 51), rng.randrange(1, 10))
+        f = polys.normalize([coeff() for _ in range(rng.randrange(0, 8))])
+        lead = rng.choice((-3, 1, 2, Fraction(5, 7)))
+        g = polys.normalize([coeff() for _ in range(rng.randrange(0, 5))] + [lead])
+        q, r = polys._divmod_q(f, g)
+        assert polys.add(polys.mul(q, g), r) == f, (f, g)
+        assert polys.degree(r) < polys.degree(g), (f, g)
+
+
+def test_gcd_mod_divides_both_arguments():
+    """f mod h is checked by integer long division: h is monic over Z."""
+    rng = random.Random(33)
+    for _ in range(200):
+        p = rng.choice((2, 3, 5, 7, 11, 13))
+        common = [rng.randrange(-9, 10) for _ in range(rng.randrange(0, 3))] + [1]
+        f = polys.mul(common, [rng.randrange(-9, 10) for _ in range(rng.randrange(0, 4))] + [1])
+        g = polys.mul(common, [rng.randrange(-9, 10) for _ in range(rng.randrange(0, 4))] + [p + 1])
+        h = polys.gcd_mod(f, g, p)
+        assert h[-1] == 1 and polys.degree(h) >= polys.degree(common), (f, g, p)
+        for u in (f, g):
+            _, r = polys._divmod_q(u, h)
+            assert all(c.denominator == 1 and c % p == 0 for c in r), (u, h, p)

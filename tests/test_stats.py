@@ -5,7 +5,8 @@ from math import gcd, isqrt
 
 import pytest
 
-from ecdescent import curves, descent2, families, polys, stats
+from ecdescent import arith, curves, descent2, families, polys, stats
+from ecdescent.arith import factor, is_square
 from ecdescent.curves import ShortWeierstrass
 from ecdescent.errors import DomainError, SingularCurve
 from ecdescent.families import E2Param
@@ -175,6 +176,94 @@ def test_is_irreducible():
     assert not stats.is_irreducible([-2, 0, -1, 2, 0, 1])  # (x^2 + 2)(x^3 - 1)
     with pytest.raises(DomainError):
         stats.is_irreducible([-2, 0, -2, 1, 0, 1])  # (x^2 + 1)(x^3 - 2)
+
+
+def _divisors(n):
+    """Positive divisors of n != 0, ascending."""
+    out = [1]
+    for p, e in factor(n):
+        out = [d * p**k for d in out for k in range(e + 1)]
+    return sorted(out)
+
+
+def _has_quadratic_factor(f):
+    """Reference for `stats._splits_by_resolvent`: the retired divisor search.
+
+    Writes f = (a2 x^2 + a1 x + a0)(b2 x^2 + b1 x + b0); a2 b2 = c4 and
+    a0 b0 = c0 leave a 2x2 linear system for (a1, b1) from the x^3 and x^1
+    coefficients, checked against the x^2 coefficient.  A singular system
+    reduces to a quadratic in a1.  Every candidate is verified by exact
+    polynomial multiplication.
+    """
+    c0, c1, c2, c3, c4 = f
+
+    def is_factorization(a2, a1, a0, b2, b1, b0):
+        return polys.mul([a0, a1, a2], [b0, b1, b2]) == list(f)
+
+    for a2 in _divisors(c4):
+        b2 = c4 // a2
+        for a0_abs in _divisors(c0):
+            for a0 in (a0_abs, -a0_abs):
+                b0 = c0 // a0
+                # a2*b1 + b2*a1 = c3 ; a0*b1 + b0*a1 = c1
+                det = a2 * b0 - b2 * a0
+                if det != 0:
+                    b1_num = c3 * b0 - c1 * b2
+                    a1_num = c1 * a2 - c3 * a0
+                    if b1_num % det or a1_num % det:
+                        continue
+                    if is_factorization(a2, a1_num // det, a0, b2, b1_num // det, b0):
+                        return True
+                else:
+                    # dependent rows: a1 satisfies b2 a1^2 - c3 a1 + a2 (c2 - a2 b0 - a0 b2) = 0
+                    qa, qb, qc = b2, -c3, a2 * (c2 - a2 * b0 - a0 * b2)
+                    disc = qb * qb - 4 * qa * qc
+                    if disc < 0 or not is_square(disc):
+                        continue
+                    r = isqrt(disc)
+                    for num in (-qb + r, -qb - r):
+                        if num % (2 * qa):
+                            continue
+                        a1 = num // (2 * qa)
+                        if (c3 - a1 * b2) % a2:
+                            continue
+                        b1 = (c3 - a1 * b2) // a2
+                        if is_factorization(a2, a1, a0, b2, b1, b0):
+                            return True
+    return False
+
+
+def test_resolvent_matches_divisor_search():
+    """Half the box is a product of two random quadratics, so both outcomes occur."""
+    rng = random.Random(15)
+    outcomes = {True: 0, False: 0}
+    for _ in range(3000):
+        if rng.random() < 0.5:
+            f = polys.mul([rng.randrange(-9, 10), rng.randrange(-9, 10), rng.randrange(1, 6)],
+                          [rng.randrange(-9, 10), rng.randrange(-9, 10), rng.randrange(1, 6)])
+        else:
+            f = [rng.randrange(-30, 31) for _ in range(4)] + [rng.randrange(1, 13)]
+        f = polys.primitive(f)
+        if f[0] == 0 or polys.rational_roots(f):
+            continue
+        expected = _has_quadratic_factor(f)
+        assert stats._splits_by_resolvent(f) == expected, f
+        assert stats.is_irreducible(f) == (not expected), f
+        outcomes[expected] += 1
+    assert outcomes[True] >= 800 and outcomes[False] >= 800, outcomes
+
+
+def test_is_irreducible_quartic_factors_no_coefficient(monkeypatch):
+    """Large, highly composite c0 and c4: the divisor search would factor both."""
+    f = polys.mul([2**10 * 3**2 * 5**3 * 7, 1, 2**6 * 3**3],
+                  [2**10 * 3**3 * 5**3 * 7**2, -1, 2**4 * 3**2 * 5**2 * 7])
+    assert f[0] == 2**20 * 3**5 * 5**6 * 7**3 and polys.content(f) == 1
+    assert not polys.rational_roots(f)
+    calls = []
+    factor_abs = arith._factor_abs
+    monkeypatch.setattr(arith, "_factor_abs", lambda n: calls.append(n) or factor_abs(n))
+    assert not stats.is_irreducible(f)
+    assert calls == []
 
 
 def test_is_irreducible_against_sympy():
