@@ -63,42 +63,26 @@ def invariants(model):
     return CurveInvariants(c4, c6, delta)
 
 
-def _reducible_prime(A, B):
-    """A prime p with p^4 | A and p^6 | B, or None.
+def minimize(E):
+    """The minimal short model (A/u^4, B/u^6), u the largest such integer.
 
-    A = 0 counts as divisible by every p^4 (and B = 0 by every p^6); both
-    zero is impossible for a nonsingular curve.
+    One factorization of gcd(A, B) serves every prime; gcd(0, B) = |B|.  A
+    zero coefficient bounds no exponent, so it stands in with e, which never
+    binds.  Only a prime with p^4 | gcd(A, B) can divide u.
     """
-    if A == 0:
-        for p, e in factor(B):
-            if e >= 6:
-                return p
-        return None
-    if B == 0:
-        for p, e in factor(A):
-            if e >= 4:
-                return p
-        return None
-    for p, e in factor(gcd(abs(A), abs(B))):
-        if e >= 4 and valuation(A, p) >= 4 and valuation(B, p) >= 6:
-            return p
-    return None
+    A, B = E.A, E.B
+    u = 1
+    for p, e in factor(gcd(A, B)):
+        if e >= 4:
+            u *= p ** min(valuation(A, p) // 4 if A else e, valuation(B, p) // 6 if B else e)
+    if u == 1:
+        return E
+    return ShortWeierstrass(A // u**4, B // u**6)
 
 
 def is_minimal(E):
     """True iff no prime p has p^4 | A and p^6 | B."""
-    return _reducible_prime(E.A, E.B) is None
-
-
-def minimize(E):
-    """Divide out (p^4, p^6) factors until the short model is minimal."""
-    A, B = E.A, E.B
-    while True:
-        p = _reducible_prime(A, B)
-        if p is None:
-            return ShortWeierstrass(A, B)
-        A //= p**4
-        B //= p**6
+    return minimize(E) == E
 
 
 def short_model(model):

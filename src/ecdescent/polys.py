@@ -8,7 +8,12 @@ families, root counting mod p and p^2, and exact rational root finding.
 from fractions import Fraction
 from math import gcd, lcm
 
+from .arith import next_prime
 from .errors import DomainError
+
+# The least prime above 2^61.  f squarefree mod a prime that keeps its degree
+# proves f squarefree over Q; one this large rarely divides lead(f) disc(f).
+_SQUAREFREE_TEST_PRIME = 2**61 + 15
 
 
 def normalize(coeffs):
@@ -143,25 +148,9 @@ def xpow_mod(e, f, p):
     return out
 
 
-def _squarefree_good_prime(f, max_failures=200):
-    """A prime p with lead(f) a unit and f squarefree mod p.
-
-    For squarefree f such a prime always exists (any p not dividing the
-    discriminant works); with max_failures=None the search is unbounded.
-    """
-    from .arith import next_prime
-
-    fp = derivative(f)
-    failures = 0
-    p = 3
-    while True:
-        if f[-1] % p != 0:
-            if len(gcd_mod(f, fp, p)) == 1:
-                return p
-            failures += 1
-            if max_failures is not None and failures >= max_failures:
-                return None
-        p = next_prime(p)
+def _squarefree_mod(f, p):
+    """Whether lead(f) is a unit mod p and f is squarefree mod p."""
+    return f[-1] % p != 0 and len(gcd_mod(f, derivative(f), p)) == 1
 
 
 def _divmod_q(f, g):
@@ -225,11 +214,13 @@ def rational_roots(coeffs):
     if len(f) == 2:
         roots.add(Fraction(-f[0], f[1]))
         return sorted(roots)
-    p = _squarefree_good_prime(f)
-    if p is None:
-        # f has a repeated factor; its squarefree part has the same root set
+    if not _squarefree_mod(f, _SQUAREFREE_TEST_PRIME):
+        # f may have a repeated factor; its squarefree part has the same roots
         f = squarefree_part_poly(f)
-        p = _squarefree_good_prime(f, max_failures=None)
+    # f is squarefree now, so every p not dividing lead(f) disc(f) will do
+    p = 3
+    while not _squarefree_mod(f, p):
+        p = next_prime(p)
     lead = f[-1]
     # integer roots of F(y) = lead^(deg-1) f(y/lead) are lead * (rational roots of f)
     d = len(f) - 1
@@ -260,44 +251,21 @@ def roots_mod_p(f, p):
 
 
 def resultant(f, g):
-    """Res(f, g) over Z, as the Sylvester determinant (exact)."""
-    f = normalize(f)
-    g = normalize(g)
+    """Res(f, g) over Z, exactly, by the Euclidean recurrence over Q.
+
+    With m = deg f, n = deg g and r = f mod g,
+    Res(f, g) = (-1)^(mn) lc(g)^(m - deg r) Res(g, r); a zero remainder
+    gives 0, and Res(f, c) = c^m for a constant c.
+    """
+    f, g = normalize(f), normalize(g)
     if not f or not g:
         return 0
-    m, n = len(f) - 1, len(g) - 1
-    if m == 0:
-        return f[0] ** n
-    if n == 0:
-        return g[0] ** m
-    size = m + n
-    rows = []
-    for i in range(n):
-        row = [0] * size
-        for j, c in enumerate(reversed(f)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(m):
-        row = [0] * size
-        for j, c in enumerate(reversed(g)):
-            row[i + j] = c
-        rows.append(row)
-    # fraction-free Bareiss elimination
-    mat = [list(map(int, r)) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if mat[k][k] == 0:
-            for i in range(k + 1, size):
-                if mat[i][k] != 0:
-                    mat[k], mat[i] = mat[i], mat[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
-            mat[i][k] = 0
-        prev = mat[k][k]
-    return sign * mat[size - 1][size - 1]
+    res = Fraction(1)
+    while len(g) > 1:
+        r = _divmod_q(f, g)[1]
+        if not r:
+            return 0
+        m, n = len(f) - 1, len(g) - 1
+        res *= (-1) ** (m * n) * Fraction(g[-1]) ** (m - len(r) + 1)
+        f, g = g, r
+    return int(res * Fraction(g[0]) ** (len(f) - 1))

@@ -22,18 +22,23 @@ VolumeConstant = namedtuple("VolumeConstant", "alpha_plus alpha_minus value")
 
 
 def count_r2(X):
-    """Exact number of integer pairs with |a| < X^2 and |b^3 + ab| < X^3."""
+    """Exact number of integer pairs with |a| < X^2 and |b^3 + ab| < X^3.
+
+    b and -b give the same |value|, and b = 0 always counts.  For b > 0,
+    b^3 + ab >= -(2/3^(3/2)) |a|^(3/2) > -X^3, so only b^3 + ab < X^3 binds.
+    That cubic is convex on b > 0 and 0 at b = 0, so each row is
+    b = 1..bmax(a), and bmax(a) does not increase with a: one b sweeps down
+    across every row.
+    """
     if X < 1:
         raise DomainError("X must be >= 1")
     cube = X**3
     total = 0
+    b = 2 * X + 2  # past bmax(1 - X^2)
     for a in range(-(X * X) + 1, X * X):
-        bmax = isqrt(abs(a)) + X + 2
-        row = 0
-        for b in range(1, bmax + 1):
-            if abs(b * (b * b + a)) < cube:
-                row += 1
-        total += 2 * row + 1  # b and -b give the same |value|; b = 0 always counts
+        while b * (b * b + a) >= cube:
+            b -= 1
+        total += 2 * b + 1
     return total
 
 

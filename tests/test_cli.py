@@ -541,6 +541,26 @@ def test_field_and_twist_stdout_pinned(command):
     assert hashlib.sha256(out.encode()).hexdigest() == FIELD_AND_TWIST_STDOUT_SHA256[command]
 
 
+# sha256 of the stdout of the implementation that counted each count-r2 row
+# by scanning b (about 30 s for these heights) and took Res(f, f') as a
+# Sylvester determinant.  Res = -7^4 and 229 here, so roots-mod skips 7 and 229.
+KERNEL_STDOUT_SHA256 = {
+    "stats count-r2 --heights 100,200,400":
+        "2afd4d435a78227123b83fefca5617a73e902ee3776b29058e26a1fc4536e5fc",
+    "stats roots-mod --square --pmax 2000 --poly 1,5,-8,1":
+        "351496234e4abccaf961852dc9800170be80f8af788957b0aeae82fbe536611f",
+    "stats roots-mod --square --pmax 2000 --poly 1,1,0,0,1":
+        "674684542e29b3e006b94cfbb2b0332e469357ee2546bd323727070628f91ba4",
+}
+
+
+@pytest.mark.parametrize("command", sorted(KERNEL_STDOUT_SHA256))
+def test_kernel_stdout_pinned(command):
+    code, out = run_cli(command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == KERNEL_STDOUT_SHA256[command]
+
+
 def test_watkins_twist_classifies_each_d_once(monkeypatch):
     calls = []
     twist_e0 = families.twist_e0

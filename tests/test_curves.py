@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from ecdescent import curves
+from ecdescent import arith, curves
+from ecdescent.arith import factor, valuation
 from ecdescent.curves import LongWeierstrass, ShortWeierstrass
 from ecdescent.errors import DomainError, SingularCurve
 
@@ -84,6 +86,55 @@ def test_minimize_idempotent_and_minimal():
         if m.A and m.B:
             ia, ib = curves.invariants(E), curves.invariants(m)
             assert ia.c4**3 * ib.c6**2 == ib.c4**3 * ia.c6**2
+
+
+def _reducible_prime(A, B):
+    """The retired `minimize` kernel: a prime p with p^4 | A and p^6 | B, or None."""
+    if A == 0:
+        return next((p for p, e in factor(B) if e >= 6), None)
+    if B == 0:
+        return next((p for p, e in factor(A) if e >= 4), None)
+    for p, e in factor(gcd(abs(A), abs(B))):
+        if e >= 4 and valuation(A, p) >= 4 and valuation(B, p) >= 6:
+            return p
+    return None
+
+
+def oracle_minimize(E):
+    """The retired loop: divide out one (p^4, p^6), then factor again."""
+    A, B = E.A, E.B
+    while (p := _reducible_prime(A, B)) is not None:
+        A //= p**4
+        B //= p**6
+    return ShortWeierstrass(A, B)
+
+
+def test_minimize_matches_retired_loop():
+    rng = random.Random(1931)
+    scales = (1, 2, 3, 5, 6, 10, 30, 4, 9, 7 * 11)
+    seen = {"A = 0": 0, "B = 0": 0, "two or more primes": 0}
+    for _ in range(3000):
+        u = rng.choice(scales) ** rng.randrange(1, 3)
+        A = rng.choice((0, rng.randrange(-50, 51))) * u**4 * rng.choice((1, 2, 3, 16))
+        B = rng.choice((0, rng.randrange(-50, 51))) * u**6 * rng.choice((1, 2, 3, 64))
+        try:
+            E = ShortWeierstrass(A, B)
+        except SingularCurve:
+            continue
+        assert curves.minimize(E) == oracle_minimize(E), E
+        seen["A = 0"] += A == 0
+        seen["B = 0"] += B == 0
+        seen["two or more primes"] += len(factor(u)) >= 2
+    assert min(seen.values()) > 100, seen
+
+
+def test_minimize_factors_once(monkeypatch):
+    calls = []
+    factor_abs = arith._factor_abs
+    monkeypatch.setattr(arith, "_factor_abs", lambda n: calls.append(n) or factor_abs(n))
+    E = ShortWeierstrass(2**4 * 3**4 * 5**4, 2**6 * 3**6 * 5**6)
+    assert curves.minimize(E) == ShortWeierstrass(1, 1)
+    assert calls == [2**4 * 3**4 * 5**4]
 
 
 def test_height_leq():

@@ -291,8 +291,8 @@ def test_padic_search_is_not_recursive(monkeypatch):
 
 def test_quartic_resultant_closed_form():
     """Res(g, g') = 16 c4^2 c0 (c2^2 - 4 c4 c0)^2, the bound behind the
-    search's depth invariant, against the Sylvester determinant, in both
-    charts (c4 and c0 swap)."""
+    search's depth invariant, against `polys.resultant`, in both charts (c4
+    and c0 swap)."""
     checked = 0
     for d1 in range(-6, 7):
         for F in range(-8, 9):

@@ -49,6 +49,20 @@ def test_rational_roots_exact_sets():
     assert polys.rational_roots(f) == [Fraction(-5, 2), 3]
 
 
+@pytest.mark.parametrize("f, roots", [
+    ([1, 0, 2, 0, 1], []),  # (x^2 + 1)^2: squarefree mod no prime
+    ([45, -12, -7, 2], [Fraction(-5, 2), 3]),  # (x - 3)^2 (2x + 5)
+])
+def test_rational_roots_repeated_factor_gcd_calls(monkeypatch, f, roots):
+    """One gcd mod a large prime finds the repeated factor, one more finds a
+    good prime for the squarefree part; the search never gives up early."""
+    calls = []
+    gcd_mod = polys.gcd_mod
+    monkeypatch.setattr(polys, "gcd_mod", lambda *args: calls.append(args[2]) or gcd_mod(*args))
+    assert polys.rational_roots(f) == roots
+    assert len(calls) <= 2, calls
+
+
 def test_rational_roots_huge_coefficients():
     big = 10**30
     f = polys.mul([-big, 1], [1, 7])
@@ -80,6 +94,31 @@ def test_resultant_multiplicative_in_first_argument():
         lhs = polys.resultant(polys.mul(f, h), g)
         rhs = polys.resultant(f, g) * polys.resultant(h, g)
         assert lhs == rhs
+
+
+def test_resultant_against_sympy_sylvester():
+    """The Sylvester determinant defines Res.  `sympy.resultant` is no
+    oracle: sympy 1.14 gets the sign of the last fixed pair below wrong."""
+    sympy = pytest.importorskip("sympy")
+    sylvester = pytest.importorskip("sympy.polys.subresultants_qq_zz").sylvester
+    x = sympy.Symbol("x")
+    rng = random.Random(2024)
+
+    def poly(deg):
+        return [rng.randrange(-9, 10) for _ in range(deg)] + [rng.choice((-3, -1, 1, 2, 5))]
+
+    assert polys.resultant([], [1, 2]) == polys.resultant([3], [0]) == 0
+    pairs = [([3], [-2]), ([5], [1, 0, 2]), ([1, 0, 2], [-2]),
+             ([0, 0, 1], [0, 1]), ([-4, 9, 0, -1], [4, -1, 8, -2, 6, 1])]
+    for _ in range(60):
+        f, g = poly(rng.randrange(0, 7)), poly(rng.randrange(0, 7))
+        pairs.append((f, g))
+        h = poly(rng.randrange(1, 3))
+        pairs.append((polys.mul(f, h), polys.mul(g, h)))  # common factor: 0
+    for f, g in pairs:
+        expected = sylvester(sympy.Poly(f[::-1], x).as_expr(),
+                             sympy.Poly(g[::-1], x).as_expr(), x).det()
+        assert polys.resultant(f, g) == expected, (f, g)
 
 
 def test_zero_polynomial_rejected():
