@@ -50,13 +50,16 @@ _SMALL_PRODUCT = prod(_SMALL_PRIMES)
 
 
 def is_prime(n):
-    """Miller-Rabin to the bases _MR_BASES, proven below _MR_BOUND; from there
-    on a strong Lucas test is added (Baillie-PSW, no known counterexample)."""
+    """Trial division by the bases _MR_BASES, which decides n < 37^2, then
+    Miller-Rabin to the same bases, proven below _MR_BOUND; from there on a
+    strong Lucas test is added (Baillie-PSW, no known counterexample)."""
     if n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    if n < _MR_BASES[-1] ** 2:  # a composite below 37^2 has a prime factor below 37
+        return True
     d = n - 1
     s = 0
     while d % 2 == 0:

@@ -80,11 +80,6 @@ def minimize(E):
     return ShortWeierstrass(A // u**4, B // u**6)
 
 
-def is_minimal(E):
-    """True iff no prime p has p^4 | A and p^6 | B."""
-    return minimize(E) == E
-
-
 def short_model(model):
     """Minimal integral short form of any model, via c4/c6 with denominator clearing."""
     if isinstance(model, ShortWeierstrass):

@@ -7,13 +7,15 @@ is that of the dual E_{-2a, a^2-4b} at the same primes.  The rank bound is
 dim_phi + dim_phihat - 2.
 
 p-adic solubility is decided exactly: (U, V) is scaled primitive and the
-residue classes x + p^k Z_p of P^1(Z_p) are searched depth first.  Each
-class is decided from lam = nu_p(g(x)) and mu = nu_p(g'(x)) by Lemmas 6
-(odd p) and 7 (p = 2) of Birch and Swinnerton-Dyer, Notes on elliptic
-curves I, J. reine angew. Math. 212 (1963); Cremona, Algorithms for Modular
-Elliptic Curves, 3.6, states them as lemma6/lemma7/zpsol.  A class is split
-only when k <= min(lam, mu) (or k = 1 at p = 2), and Res(g, g') lies in
-(g, g') Z[x], so the depth is bounded by nu_p(Res(g, g')) + 1 with
+residue classes x + p^k Z_p of P^1(Z_p) are searched depth first.  The
+quartic g(x) = d1 x^4 + F x^2 + d2 is even, so the classes of x and -x
+decide alike and only one of each pair is searched.  Each class is
+decided from lam = nu_p(g(x)) and mu = nu_p(g'(x)) by Lemmas 6 (odd p) and
+7 (p = 2) of Birch and Swinnerton-Dyer, Notes on elliptic curves I, J. reine
+angew. Math. 212 (1963); Cremona, Algorithms for Modular Elliptic Curves,
+3.6, states them as lemma6/lemma7/zpsol.  A class is split only when
+k <= min(lam, mu) (or k = 1 at p = 2), and Res(g, g') lies in (g, g') Z[x],
+so the depth is bounded by nu_p(Res(g, g')) + 1 with
 Res = 16 d1^2 d2 (F^2 - 4 d1 d2)^2 != 0 (d1 and d2 swap in the chart
 x = V/U).  The search has no cap of its own: a split at depth k >= 2 with
 p^k not dividing Res raises ArithmeticError.
@@ -21,6 +23,7 @@ p^k not dividing Res raises ArithmeticError.
 
 from collections import namedtuple
 from functools import lru_cache
+from itertools import chain
 from math import gcd
 
 from .arith import (
@@ -83,10 +86,10 @@ def _decide_zp(c4, c2, c0, p, first):
       split into its p children if mu >= k and lam >= 2k; at p = 2 also if
       mu >= k, lam = 2k - 2 and g(r) / 2^lam = 1 mod 4;
       insoluble otherwise.
-    A split at k >= 2 has min(lam, mu) >= k, so p^k | Res(g, g'); one that
-    breaks this bound raises ArithmeticError.
+    A split opens the children that `_children` keeps.  A split at k >= 2
+    has min(lam, mu) >= k, so p^k | Res(g, g'); one that breaks this bound
+    raises ArithmeticError.
     """
-    res = quartic_resultant(c4, c2, c0)
     stack = [iter(first)]
     while stack:
         if (r := next(stack[-1], None)) is None:
@@ -112,18 +115,30 @@ def _decide_zp(c4, c2, c0, p, first):
         if not (lam >= 2 * k or p == 2 and lam == 2 * k - 2 and u % 4 == 1):
             continue  # g(class) lies in g(r) + p^(2k) Z_p: no square
         step = p**k
-        if k >= 2 and res % step:
+        if k >= 2 and quartic_resultant(c4, c2, c0) % step:
             raise ArithmeticError(
                 f"class {r} mod {p}^{k} of ({c4},{c2},{c0}) splits past nu_{p}(Res(g, g'))")
-        stack.append(iter(range(r + (p - 1) * step, r - 1, -step)))
+        stack.append(iter(_children(r, step, p)))
     return False
+
+
+def _children(r, step, p):
+    """The digits r + j step, j = p - 1 down to 0, of the classes below r mod
+    step, less the second of each pair x, -x.  Only a class that is its own
+    negative holds such pairs: r = 0 at odd p (child 0 is its own pair and
+    comes last) and r = step / 2 at p = 2 (its two children pair up)."""
+    top = r + (p - 1) * step
+    if p > 2 and r == 0:
+        return chain(range(top, (p - 1) // 2 * step, -step), (0,))
+    if p == 2 and 2 * r == step:
+        return (top,)
+    return range(top, r - 1, -step)
 
 
 @lru_cache(maxsize=None)
 def _padic_soluble_cached(d1, F, d2, p):
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    return _decide_zp(d1, F, d2, p, range(p - 1, -1, -1)) or _decide_zp(d2, F, d1, p, (0,))
+    """`padic_soluble` for a prime p, without the primality check."""
+    return _decide_zp(d1, F, d2, p, _children(0, 1, p)) or _decide_zp(d2, F, d1, p, (0,))
 
 
 def padic_soluble(space, p):
@@ -132,6 +147,8 @@ def padic_soluble(space, p):
     Primitive (U, V) has V a unit (chart x = U/V in Z_p) or U a unit and V
     in pZ_p (chart x = V/U in pZ_p: class 0 mod p only).
     """
+    if not is_prime(p):
+        raise DomainError(f"{p} is not prime")
     # emptied when full like the factor memo: LRU links would cost ~50 bytes
     # an entry, 2.5 MB (+10% peak RSS) on a `watkins e2 --height 8` scan
     if _padic_soluble_cached.cache_info().currsize >= CACHE_BOUND:
@@ -175,13 +192,24 @@ def _local_primes(param):
 
 def _selmer(side, local, real_place):
     """Classes d | b of side = (a, b) whose space (d, a, b/d) is soluble over R
-    (tested when real_place) and over Q_p for every p in local."""
+    (tested when real_place) and over Q_p for every p in local, the primes
+    that `factor` proved.  Each (space, p) adds at most one cache entry; the
+    cache is emptied before the one that would pass CACHE_BOUND."""
+    a, b = side
+    room = CACHE_BOUND - _padic_soluble_cached.cache_info().currsize
     out = []
-    for d in squarefree_divisors(side.b):
-        space = HomogeneousSpace(d, side.a, side.b // d)
-        if real_place and not real_soluble(space):
+    for d in squarefree_divisors(b):
+        e = b // d
+        if real_place and not real_soluble(HomogeneousSpace(d, a, e)):
             continue
-        if all(padic_soluble(space, p) for p in local):
+        for p in local:
+            if room <= 0:
+                _padic_soluble_cached.cache_clear()
+                room = CACHE_BOUND
+            room -= 1
+            if not _padic_soluble_cached(d, a, e, p):
+                break
+        else:
             out.append(d)
     return out
 

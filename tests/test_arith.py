@@ -309,6 +309,12 @@ def test_factor_cache_is_bounded(monkeypatch):
         arith.set_factor_cache(True)
 
 
+def test_is_prime_against_sieve():
+    primes = set(arith.primes_up_to(10**5))
+    for n in range(-2, 10**5):
+        assert arith.is_prime(n) == (n in primes), n
+
+
 def test_primes_up_to_and_next_prime():
     assert arith.primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert arith.next_prime(3) == 5

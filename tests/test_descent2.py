@@ -251,6 +251,57 @@ def test_big_prime_is_decided_at_the_root(monkeypatch):
     assert sum(calls.values()) < 1000, calls
 
 
+def test_selmer_loop_does_not_recheck_primes(monkeypatch):
+    """The local primes come from `factor`, which proved them."""
+    def no_call(n):
+        raise AssertionError(f"is_prime({n}) called")
+
+    monkeypatch.setattr(descent2, "is_prime", no_call)
+    descent2._padic_soluble_cached.cache_clear()
+    est = descent2.rank_upper(E2Param(1, 3000009))
+    descent2._padic_soluble_cached.cache_clear()
+    assert 1 in est.phi_classes and 1 in est.phihat_classes
+
+
+def test_children_keep_one_of_each_pair():
+    """Of the p children of r mod p^k, all stay unless the class is its own
+    negative; then the kept ones and their negatives are all the children,
+    and no two kept ones are negatives of each other."""
+    for p in (2, 3, 5, 7):
+        for k in range(4):
+            step, top = p**k, p ** (k + 1)
+            for r in range(step):
+                kept = [c % top for c in descent2._children(r, step, p)]
+                every = {r + j * step for j in range(p)}
+                if 2 * r % step:
+                    assert sorted(kept) == sorted(every), (p, k, r)
+                    continue
+                assert set(kept) | {-c % top for c in kept} == every, (p, k, r)
+                assert len({frozenset((c, -c % top)) for c in kept}) == len(kept), (p, k, r)
+
+
+def test_insoluble_wide_search_visits_half_the_residues(monkeypatch):
+    """g = -(x^2 - 1)^2 + p with p = 3 mod 4: every unit value is a
+    non-square, and x = +-1 mod p gives nu_p(g) = 1, so the search visits
+    every residue class mod p up to sign, (p + 1) / 2 of them, and the class
+    0 mod p of the second chart."""
+    p = 21067
+    calls = 0
+
+    def counting(n, q):
+        nonlocal calls
+        calls += 1
+        return valuation(n, q)
+
+    monkeypatch.setattr(descent2, "valuation", counting)
+    descent2._padic_soluble_cached.cache_clear()
+    try:
+        assert not descent2._padic_soluble_cached(-1, 2, p - 1, p)
+    finally:
+        descent2._padic_soluble_cached.cache_clear()
+    assert calls <= (p + 1) // 2 + 2, calls
+
+
 def test_padic_search_memory_does_not_grow_with_p():
     descent2._padic_soluble_cached.cache_clear()
     tracemalloc.start()
@@ -270,9 +321,11 @@ def test_padic_soluble_rejects_composite_p_every_call():
 
 
 def test_padic_search_is_not_recursive(monkeypatch):
-    """g = 2 (x^2 - 1)^2 + 5^2400, and 2 is a non-residue mod 5, so every
-    class x = -1 mod 5^k with k < 1200 splits: the search goes deeper than
-    Python's recursion limit, reading the depth off the caller's `k`."""
+    """g = 2 (x^2 - 6)^2 + 5^2400, and 2 is a non-residue mod 5, so every
+    class x = sqrt(6) mod 5^k with k < 1200 splits: the search goes deeper
+    than Python's recursion limit, reading the depth off the caller's `k`.
+    sqrt(6) in Z_5 is no integer, so no residue digit is an exact root that
+    would end the search early, whatever order the digits come in."""
     depth = 0
 
     def spying(n, p):
@@ -283,7 +336,7 @@ def test_padic_search_is_not_recursive(monkeypatch):
     monkeypatch.setattr(descent2, "valuation", spying)
     descent2._padic_soluble_cached.cache_clear()
     try:
-        assert descent2.padic_soluble(HomogeneousSpace(2, -4, 2 + 5**2400), 5)
+        assert descent2.padic_soluble(HomogeneousSpace(2, -24, 72 + 5**2400), 5)
     finally:
         descent2._padic_soluble_cached.cache_clear()
     assert depth > sys.getrecursionlimit(), depth
@@ -329,6 +382,31 @@ def test_padic_cache_is_bounded(monkeypatch):
         assert descent2.padic_soluble(space, p) == soluble
         assert 1 <= descent2._padic_soluble_cached.cache_info().currsize <= 3
     descent2._padic_soluble_cached.cache_clear()
+
+
+def test_padic_cache_is_bounded_in_the_selmer_loop(monkeypatch):
+    """Filled through `rank_upper`, the cache never passes CACHE_BOUND, also
+    where one Selmer set alone tests more (space, p) pairs than that."""
+    params = [E2Param(1, 30), E2Param(-3, 210), E2Param(2, -7)]
+    want = [descent2.rank_upper(param) for param in params]
+    cached = descent2._padic_soluble_cached
+    sizes = []
+
+    def watched(*args):
+        sizes.append(cached.cache_info().currsize)
+        soluble = cached(*args)
+        sizes.append(cached.cache_info().currsize)
+        return soluble
+
+    watched.cache_info, watched.cache_clear = cached.cache_info, cached.cache_clear
+    monkeypatch.setattr(descent2, "_padic_soluble_cached", watched)
+    monkeypatch.setattr(descent2, "CACHE_BOUND", 5)
+    cached.cache_clear()
+    try:
+        assert [descent2.rank_upper(param) for param in params] == want
+    finally:
+        cached.cache_clear()
+    assert max(sizes) == 5 and len(sizes) > 4 * 5, sizes
 
 
 def test_fastpath_examples():
