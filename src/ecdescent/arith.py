@@ -27,7 +27,7 @@ _MR_BOUND = 318665857834031151167461
 _TRIAL_LIMIT = 1 << 20
 
 # Entry bound of every memo; the benchmark scans stay below it (at most
-# 50,877 p-adic, 15,722 factor and 3,734 class-group entries).
+# 15,722 factor and 3,734 class-group entries).
 CACHE_BOUND = 1 << 16
 
 
@@ -299,14 +299,18 @@ def is_square(n):
 
 
 def valuation(n, p):
-    """nu_p(n) for nonzero n."""
+    """nu_p(n) for nonzero n.  Factors p are stripped one at a time up to 8,
+    as many as the p-adic search mostly sees; past that, nu_p(n) =
+    2 nu_{p^2}(n) + (0 or 1), so nu_p(n) = v takes O(log v) divisions."""
     if n == 0:
         raise DomainError("valuation of zero is undefined")
     v = 0
-    n = abs(n)
     while n % p == 0:
         n //= p
         v += 1
+        if v == 8:
+            w = valuation(n, p * p)
+            return v + 2 * w + (n // p ** (2 * w) % p == 0)
     return v
 
 

@@ -19,6 +19,10 @@ so the depth is bounded by nu_p(Res(g, g')) + 1 with
 Res = 16 d1^2 d2 (F^2 - 4 d1 d2)^2 != 0 (d1 and d2 swap in the chart
 x = V/U).  The search has no cap of its own: a split at depth k >= 2 with
 p^k not dividing Res raises ArithmeticError.
+
+Solubility at p depends only on the class of d in Q_p*/Q_p*^2 (V -> s V,
+Z -> s Z carry d to d s^2), of which there are 4 at odd p and 8 at p = 2
+(Silverman, AEC X.4), so a Selmer set decides each (p, class) once.
 """
 
 from collections import namedtuple
@@ -135,10 +139,12 @@ def _children(r, step, p):
     return range(top, r - 1, -step)
 
 
-@lru_cache(maxsize=None)
-def _padic_soluble_cached(d1, F, d2, p):
-    """`padic_soluble` for a prime p, without the primality check."""
+def _qp_soluble(d1, F, d2, p):
+    """`padic_soluble` for a prime p, without the primality check or the cache."""
     return _decide_zp(d1, F, d2, p, _children(0, 1, p)) or _decide_zp(d2, F, d1, p, (0,))
+
+
+_padic_soluble_cached = lru_cache(maxsize=CACHE_BOUND)(_qp_soluble)
 
 
 def padic_soluble(space, p):
@@ -149,10 +155,6 @@ def padic_soluble(space, p):
     """
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    # emptied when full like the factor memo: LRU links would cost ~50 bytes
-    # an entry, 2.5 MB (+10% peak RSS) on a `watkins e2 --height 8` scan
-    if _padic_soluble_cached.cache_info().currsize >= CACHE_BOUND:
-        _padic_soluble_cached.cache_clear()
     return _padic_soluble_cached(space.d1, space.F, space.d2, p)
 
 
@@ -183,31 +185,28 @@ def nonresidues_insoluble(a, b, p):
 
 def _local_primes(param):
     """Sorted primes dividing 2 b (a^2 - 4b)."""
-    n = param.disc_quadratic
-    primes = {2}
-    primes.update(p for p, _ in factor(param.b))
-    primes.update(p for p, _ in factor(n))
-    return sorted(primes)
+    return sorted({2}.union(p for p, _ in factor(param.b) + factor(param.disc_quadratic)))
 
 
 def _selmer(side, local, real_place):
     """Classes d | b of side = (a, b) whose space (d, a, b/d) is soluble over R
     (tested when real_place) and over Q_p for every p in local, the primes
-    that `factor` proved.  Each (space, p) adds at most one cache entry; the
-    cache is emptied before the one that would pass CACHE_BOUND."""
+    that `factor` proved.  d is square-free, so its class at p is whether
+    p | d and its unit part's Euler symbol mod p, or residue mod 8 at p = 2."""
     a, b = side
-    room = CACHE_BOUND - _padic_soluble_cached.cache_info().currsize
+    decided = {}
     out = []
     for d in squarefree_divisors(b):
         e = b // d
         if real_place and not real_soluble(HomogeneousSpace(d, a, e)):
             continue
         for p in local:
-            if room <= 0:
-                _padic_soluble_cached.cache_clear()
-                room = CACHE_BOUND
-            room -= 1
-            if not _padic_soluble_cached(d, a, e, p):
+            q, r = divmod(d, p)
+            u = d if r else q
+            key = (p, r == 0, u % 8 if p == 2 else pow(u, (p - 1) // 2, p))
+            if key not in decided:
+                decided[key] = _qp_soluble(d, a, e, p)
+            if not decided[key]:
                 break
         else:
             out.append(d)
@@ -246,8 +245,9 @@ def rank_upper(param, real_place=True):
     image of its side's Kummer map, and |alpha(E(Q))| |alpha'(E'(Q))| =
     2^(rank + 2) (Silverman, AEC X.6), so a sum below 2 raises ArithmeticError.
     """
-    phi = sel_phi(param, real_place)
-    phihat = sel_phihat(param, real_place)
+    local = _local_primes(param)
+    phi = _selmer(param.dual, local, real_place)
+    phihat = _selmer(param, local, real_place)
     if 1 not in phi or 1 not in phihat:
         raise ArithmeticError(f"trivial class must survive, got {phi} and {phihat}")
     dim_phi = _dim_f2(phi)

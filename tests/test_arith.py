@@ -182,6 +182,31 @@ def test_squarefree_part_square_invariance():
         assert arith.squarefree_part(n * m * m) == arith.squarefree_part(n)
 
 
+def naive_valuation(n, p):
+    """nu_p(n) by stripping one factor p at a time."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def test_valuation_against_naive_loop():
+    """Signed n = m p^v, v up to 3,000: around v = 8, 24, 56 and 248, where
+    the search moves on from p to p^2, p^4 and p^32, and seeded at random."""
+    rng = random.Random(2024)
+    checked = 0
+    for p in (2, 3, 5, 7, 101, 65537, 1000003):
+        for v in [0, 1, 2, 7, 8, 9, 23, 24, 25, 55, 56, 57, 247, 248, 249, 3000] + [
+                rng.randrange(3001) for _ in range(10)]:
+            n = rng.randrange(1, 10**30) * rng.choice((1, -1)) * p**v
+            assert arith.valuation(n, p) == naive_valuation(n, p), (n, p)
+            checked += 1
+    assert checked == 7 * 26
+    with pytest.raises(DomainError):
+        arith.valuation(0, 3)
+
+
 def test_mobius():
     assert arith.mobius(1) == 1
     assert arith.mobius(12) == 0

@@ -103,28 +103,38 @@ def test_descent_resultant_invariant_exit1(capsys, monkeypatch):
     # a split at depth k >= 2 needs p^k | Res(g, g'); a resultant of 1 makes
     # the first such split (class 2 mod 4 of the space (3, 12, 52)) break it
     monkeypatch.setattr(descent2, "quartic_resultant", lambda *coeffs: 1)
-    descent2._padic_soluble_cached.cache_clear()
-    try:
-        code, out = run_cli(["descent", "--a", "-6", "--b", "-30"])
-    finally:
-        descent2._padic_soluble_cached.cache_clear()
+    code, out = run_cli(["descent", "--a", "-6", "--b", "-30"])
     assert code == 1
     assert out == ""
     assert capsys.readouterr().err.startswith("error: class 2 mod 2^2 of (3,12,52) splits past")
 
 
 def test_descent_lost_trivial_class_exit1(capsys, monkeypatch):
-    sel_phi = descent2.sel_phi
-    monkeypatch.setattr(descent2, "sel_phi", lambda *args: [d for d in sel_phi(*args) if d != 1])
+    selmer, dual = descent2._selmer, families.E2Param(0, -1).dual
+
+    def losing(side, *args):
+        found = selmer(side, *args)
+        return [d for d in found if d != 1] if side == dual else found
+
+    monkeypatch.setattr(descent2, "_selmer", losing)
     code, out = run_cli(["descent", "--a", "0", "--b", "-1"])
     assert code == 1
     assert out == ""
     assert capsys.readouterr().err.startswith("error: trivial class must survive")
 
 
+def test_many_prime_descent_stdout():
+    """b = -152125131763605 gives 15 local primes and 8,192 classes on the
+    phi-hat side.  The sha256 is that of the output of the implementation
+    that decided every class at every prime, not once per square class."""
+    code, out = run_cli(["descent", "--a", "1", "--b", "-152125131763605"])
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "75e357ac809d99106559189e301e8fa01f3118ff1b3d3f4bd0b28d100ec2f5ec")
+
+
 def test_descent_selmer_dimensions_below_two_exit1(capsys, monkeypatch):
-    monkeypatch.setattr(descent2, "sel_phi", lambda *args: [1])
-    monkeypatch.setattr(descent2, "sel_phihat", lambda *args: [1])
+    monkeypatch.setattr(descent2, "_selmer", lambda *args: [1])
     code, out = run_cli(["descent", "--a", "0", "--b", "-1"])
     assert code == 1
     assert out == ""

@@ -7,7 +7,7 @@ from math import gcd
 
 import pytest
 
-from ecdescent import descent2, polys
+from ecdescent import arith, descent2, polys
 from ecdescent.arith import (
     factor,
     legendre,
@@ -244,9 +244,7 @@ def test_big_prime_is_decided_at_the_root(monkeypatch):
         return valuation(n, p)
 
     monkeypatch.setattr(descent2, "valuation", counting)
-    descent2._padic_soluble_cached.cache_clear()
     est = descent2.rank_upper(E2Param(1, 3000009))
-    descent2._padic_soluble_cached.cache_clear()
     assert 1 in est.phi_classes and 1 in est.phihat_classes
     assert sum(calls.values()) < 1000, calls
 
@@ -257,9 +255,7 @@ def test_selmer_loop_does_not_recheck_primes(monkeypatch):
         raise AssertionError(f"is_prime({n}) called")
 
     monkeypatch.setattr(descent2, "is_prime", no_call)
-    descent2._padic_soluble_cached.cache_clear()
     est = descent2.rank_upper(E2Param(1, 3000009))
-    descent2._padic_soluble_cached.cache_clear()
     assert 1 in est.phi_classes and 1 in est.phihat_classes
 
 
@@ -371,42 +367,72 @@ def test_split_past_the_resultant_raises(monkeypatch):
         descent2._decide_zp(c4, c2, c0, 3, range(2, -1, -1))
 
 
-def test_padic_cache_is_bounded(monkeypatch):
-    assert descent2.CACHE_BOUND == 1 << 16
-    space = HomogeneousSpace(3, -2, -13)
-    primes = (2, 3, 5, 7, 11, 13, 17)
-    want = [descent2.padic_soluble(space, p) for p in primes]
-    monkeypatch.setattr(descent2, "CACHE_BOUND", 3)
+def test_padic_cache_is_bounded():
+    assert descent2._padic_soluble_cached.cache_info().maxsize == arith.CACHE_BOUND == 1 << 16
+
+
+def test_rank_upper_leaves_the_padic_cache_empty():
+    """The Selmer loop keeps its decisions in a dict of its own call; only
+    the public `padic_soluble` fills the process-wide cache."""
     descent2._padic_soluble_cached.cache_clear()
-    for p, soluble in zip(primes, want):
-        assert descent2.padic_soluble(space, p) == soluble
-        assert 1 <= descent2._padic_soluble_cached.cache_info().currsize <= 3
-    descent2._padic_soluble_cached.cache_clear()
+    for param in (E2Param(1, 30), E2Param(-3, 210), E2Param(2, -7)):
+        descent2.rank_upper(param)
+        assert descent2._padic_soluble_cached.cache_info().currsize == 0, param
 
 
-def test_padic_cache_is_bounded_in_the_selmer_loop(monkeypatch):
-    """Filled through `rank_upper`, the cache never passes CACHE_BOUND, also
-    where one Selmer set alone tests more (space, p) pairs than that."""
-    params = [E2Param(1, 30), E2Param(-3, 210), E2Param(2, -7)]
-    want = [descent2.rank_upper(param) for param in params]
-    cached = descent2._padic_soluble_cached
-    sizes = []
+def test_rank_upper_finds_the_local_primes_once(monkeypatch):
+    calls = []
+    local_primes = descent2._local_primes
+    monkeypatch.setattr(descent2, "_local_primes",
+                        lambda param: calls.append(param) or local_primes(param))
+    descent2.rank_upper(E2Param(-3, 210))
+    assert calls == [E2Param(-3, 210)]
 
-    def watched(*args):
-        sizes.append(cached.cache_info().currsize)
-        soluble = cached(*args)
-        sizes.append(cached.cache_info().currsize)
-        return soluble
 
-    watched.cache_info, watched.cache_clear = cached.cache_info, cached.cache_clear
-    monkeypatch.setattr(descent2, "_padic_soluble_cached", watched)
-    monkeypatch.setattr(descent2, "CACHE_BOUND", 5)
-    cached.cache_clear()
-    try:
-        assert [descent2.rank_upper(param) for param in params] == want
-    finally:
-        cached.cache_clear()
-    assert max(sizes) == 5 and len(sizes) > 4 * 5, sizes
+def test_many_prime_descent_decides_each_square_class_once(monkeypatch):
+    """b = -152125131763605 = -3 * 5 * ... * 41 has 12 primes and a^2 - 4b
+    two more: 15 local primes and 2^13 classes on the phi-hat side.  Each
+    side decides at most 8 square classes at p = 2 and 4 at each odd p."""
+    param = E2Param(1, -152125131763605)
+    local = descent2._local_primes(param)
+    assert len(local) == 15 and len(squarefree_divisors(param.b)) == 8192
+    calls = 0
+    qp_soluble = descent2._qp_soluble
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return qp_soluble(*args)
+
+    monkeypatch.setattr(descent2, "_qp_soluble", counting)
+    est = descent2.rank_upper(param)
+    assert (est.dim_phi, est.dim_phihat) == (1, 12)
+    assert calls <= 2 * (8 + 4 * 14), calls
+
+
+@pytest.mark.parametrize("side", ["phi", "phihat"])
+def test_solubility_depends_only_on_the_square_class(side):
+    """At every local p, classes d with the same nu_p(d) and the same unit
+    part mod squares (Legendre symbol at odd p, residue mod 8 at p = 2) get
+    the same `padic_soluble` answer: the lemma behind the Selmer loop's
+    per-class memo."""
+    spaces = 0
+    for a in range(-8, 9):
+        for b in range(-64, 65):
+            if b * (a * a - 4 * b) == 0:
+                continue
+            param = E2Param(a, b)
+            sa, sb = param.dual if side == "phi" else param
+            for p in descent2._local_primes(param):
+                answers = {}
+                for d in squarefree_divisors(sb):
+                    v = valuation(d, p)
+                    u = d // p**v
+                    key = (v, u % 8 if p == 2 else legendre(u, p))
+                    soluble = descent2.padic_soluble(HomogeneousSpace(d, sa, sb // d), p)
+                    assert answers.setdefault(key, soluble) == soluble, (param, side, p, d)
+                    spaces += 1
+    assert spaces > 20000, spaces
 
 
 def test_fastpath_examples():
@@ -520,8 +546,7 @@ def test_rank_upper_clamp():
 
 
 def test_rank_upper_below_torsion_images_raises(monkeypatch):
-    monkeypatch.setattr(descent2, "sel_phi", lambda *args: [1])
-    monkeypatch.setattr(descent2, "sel_phihat", lambda *args: [1])
+    monkeypatch.setattr(descent2, "_selmer", lambda *args: [1])
     with pytest.raises(ArithmeticError, match=r"^Selmer dimensions 0 \+ 0 are below"):
         descent2.rank_upper(E2Param(0, -1))
 
@@ -663,7 +688,12 @@ def test_selmer_invariants_raise():
 
 
 def test_rank_upper_lost_trivial_class_raises(monkeypatch):
-    sel_phihat = descent2.sel_phihat
-    monkeypatch.setattr(descent2, "sel_phihat", lambda *args: sel_phihat(*args)[1:])
+    selmer, param = descent2._selmer, E2Param(0, -1)
+
+    def losing(side, *args):
+        found = selmer(side, *args)
+        return found[1:] if side == param else found
+
+    monkeypatch.setattr(descent2, "_selmer", losing)
     with pytest.raises(ArithmeticError, match="trivial class must survive"):
         descent2.rank_upper(E2Param(0, -1))
