@@ -81,8 +81,8 @@ def _curve_row(tag, model, policy, *extra):
     return _row(tag, model.A, model.B, omega_n, *extra)
 
 
-def _e2_row(param, policy, rank_bounds, real_place):
-    extra = [descent2.rank_upper(param, real_place).rank_upper] if rank_bounds else []
+def _e2_row(param, policy, rank_bounds):
+    extra = [descent2.rank_upper(param).rank_upper] if rank_bounds else []
     return _curve_row(f"{param.a};{param.b}", families.e2_curve(param), policy, *extra)
 
 
@@ -103,8 +103,7 @@ def cmd_enumerate(args, cfg, out):
     if rank_bounds and family not in ("e2", "type1"):
         raise DomainError("--rank-bounds is supported for families e2 and type1")
     if family == "e2":
-        fn = partial(_e2_row, policy=policy, rank_bounds=rank_bounds,
-                     real_place=cfg.solubility_real_place)
+        fn = partial(_e2_row, policy=policy, rank_bounds=rank_bounds)
         rows = _chunk_map(fn, list(families.e2_window(X)), cfg.workers)
     elif family == "type1":
         fn = partial(_type1_row, policy=policy, rank_bounds=rank_bounds)
@@ -126,7 +125,7 @@ def cmd_enumerate(args, cfg, out):
 
 def cmd_descent(args, cfg, out):
     param = families.E2Param(args.a, args.b)
-    est = descent2.rank_upper(param, cfg.solubility_real_place)
+    est = descent2.rank_upper(param)
     _emit_json(
         {
             "a": args.a,
@@ -175,8 +174,8 @@ def cmd_descent3(args, cfg, out):
 # ------------------------------------------------------------------ watkins
 
 
-def _watkins_e2_row(param, M, policy, real_place):
-    rep = watkins.report(param, policy=policy, real_place=real_place)
+def _watkins_e2_row(param, M, policy):
+    rep = watkins.report(param, policy=policy)
     surrogate = "" if rep.surrogate_nu2_lower is None else rep.surrogate_nu2_lower
     verdict = rep.verdict(M)
     line = _row(param.a, param.b, rep.curve.A, rep.curve.B, rep.omega_N, rep.rank_upper, surrogate,
@@ -204,8 +203,7 @@ def cmd_watkins(args, cfg, out):
     if args.family == "e2":
         if args.height is None:
             raise DomainError("--height is required for family e2")
-        fn = partial(_watkins_e2_row, M=M, policy=cfg.policy,
-                     real_place=cfg.solubility_real_place)
+        fn = partial(_watkins_e2_row, M=M, policy=cfg.policy)
         rows = _chunk_map(fn, list(families.e2_window(args.height)), cfg.workers)
         header = "a,b,A,B,omega_N,rank_upper,surrogate_nu2_lower,verdict,note"
     elif args.family == "twist-e0":
@@ -366,7 +364,7 @@ def cmd_verify(args, cfg, out):
     results = []
     all_ok = True
     for rec in records:
-        res = watkins.verify_record(rec, args.M, cfg.policy, cfg.solubility_real_place)
+        res = watkins.verify_record(rec, args.M, cfg.policy)
         results.append(res)
         all_ok = all_ok and res["ok"]
     _emit_json(
@@ -394,10 +392,6 @@ def build_parser():
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--policy", choices=curves.POLICIES)
     parser.add_argument("--nu2-manin", type=int, dest="nu2_manin")
-    parser.add_argument("--real-place", action="store_true", dest="real_place",
-                        default=None, help="test the real place in local solubility")
-    parser.add_argument("--no-real-place", action="store_false", dest="real_place",
-                        default=None)
     parser.add_argument("--workers", type=int)
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -478,7 +472,6 @@ def main(argv=None, out=None):
             args.config,
             policy=args.policy,
             nu2_manin=args.nu2_manin,
-            solubility_real_place=args.real_place,
             workers=args.workers,
         )
         code = args.fn(args, cfg, out)

@@ -22,7 +22,10 @@ p^k not dividing Res raises ArithmeticError.
 
 Solubility at p depends only on the class of d in Q_p*/Q_p*^2 (V -> s V,
 Z -> s Z carry d to d s^2), of which there are 4 at odd p and 8 at p = 2
-(Silverman, AEC X.4), so a Selmer set decides each (p, class) once.
+(Silverman, AEC X.4), so a Selmer set decides each (p, class) once.  The
+real place, always a condition, has two classes, the signs, decided once per
+side: d > 0 is soluble over R (at V = 0), and every d < 0 decides as -1,
+since (d, a, b/d) has no real point iff b > 0 and (a <= 0 or a^2 < 4b).
 """
 
 from collections import namedtuple
@@ -188,18 +191,20 @@ def _local_primes(param):
     return sorted({2}.union(p for p, _ in factor(param.b) + factor(param.disc_quadratic)))
 
 
-def _selmer(side, local, real_place):
+def _selmer(side, local):
     """Classes d | b of side = (a, b) whose space (d, a, b/d) is soluble over R
-    (tested when real_place) and over Q_p for every p in local, the primes
-    that `factor` proved.  d is square-free, so its class at p is whether
-    p | d and its unit part's Euler symbol mod p, or residue mod 8 at p = 2."""
+    and over Q_p for every p in local, the primes that `factor` proved.
+    d is square-free, so its class at p is whether p | d and its unit part's
+    Euler symbol mod p, or residue mod 8 at p = 2.  R has two square classes,
+    the signs: every d > 0 is soluble there, and every d < 0 decides as -1."""
     a, b = side
+    negative_ok = real_soluble(HomogeneousSpace(-1, a, -b))
     decided = {}
     out = []
     for d in squarefree_divisors(b):
-        e = b // d
-        if real_place and not real_soluble(HomogeneousSpace(d, a, e)):
+        if d < 0 and not negative_ok:
             continue
+        e = b // d
         for p in local:
             q, r = divmod(d, p)
             u = d if r else q
@@ -213,21 +218,21 @@ def _selmer(side, local, real_place):
     return out
 
 
-def sel_phi(param, real_place=True):
+def sel_phi(param):
     """Surviving classes d in Q(T1), T1 = primes(a^2 - 4b) and infinity.
 
     These are the phi-hat classes of `param.dual`: the space for class d is
     Z^2 = d U^4 - 2a U^2 V^2 + ((a^2-4b)/d) V^4.
     """
-    return _selmer(param.dual, _local_primes(param), real_place)
+    return _selmer(param.dual, _local_primes(param))
 
 
-def sel_phihat(param, real_place=True):
+def sel_phihat(param):
     """Surviving classes d in Q(T2), T2 = primes(b) and infinity.
 
     The space for class d is Z^2 = d U^4 + a U^2 V^2 + (b/d) V^4.
     """
-    return _selmer(param, _local_primes(param), real_place)
+    return _selmer(param, _local_primes(param))
 
 
 def _dim_f2(classes):
@@ -238,7 +243,7 @@ def _dim_f2(classes):
     return dim
 
 
-def rank_upper(param, real_place=True):
+def rank_upper(param):
     """Selmer sets for both isogeny directions and the rank bound.
 
     rank(E_{a,b}(Q)) <= dim_phi + dim_phihat - 2.  Each Selmer set holds the
@@ -246,8 +251,8 @@ def rank_upper(param, real_place=True):
     2^(rank + 2) (Silverman, AEC X.6), so a sum below 2 raises ArithmeticError.
     """
     local = _local_primes(param)
-    phi = _selmer(param.dual, local, real_place)
-    phihat = _selmer(param, local, real_place)
+    phi = _selmer(param.dual, local)
+    phihat = _selmer(param, local)
     if 1 not in phi or 1 not in phihat:
         raise ArithmeticError(f"trivial class must survive, got {phi} and {phihat}")
     dim_phi = _dim_f2(phi)
@@ -259,11 +264,11 @@ def rank_upper(param, real_place=True):
                           dim_phi + dim_phihat - 2)
 
 
-def either_or_check(param, real_place=True):
+def either_or_check(param):
     """At least one of the two Selmer sets contains no negative class."""
-    if all(d > 0 for d in sel_phi(param, real_place)):
+    if all(d > 0 for d in sel_phi(param)):
         return True
-    return all(d > 0 for d in sel_phihat(param, real_place))
+    return all(d > 0 for d in sel_phihat(param))
 
 
 def construct_b_candidates(a, M, bound):

@@ -69,7 +69,7 @@ def twist_watkins(D, nu2_manin=0):
     return TWIST_VERDICT[cls]
 
 
-def report(target, policy="include-small", real_place=True):
+def report(target, policy="include-small"):
     """Bundle every applicable computation for a curve or parameter pair.
 
     target may be an E2Param (full descent applies) or a ShortWeierstrass
@@ -98,7 +98,7 @@ def report(target, policy="include-small", real_place=True):
     else:
         surrogate = None
         notes.append("full 2-torsion" if shape == Z2XZ2 else "trivial 2-torsion")
-    est = descent2.rank_upper(param, real_place) if param else None
+    est = descent2.rank_upper(param) if param else None
     rank_bound = est.rank_upper if est else None
     max_m = None
     if surrogate is not None and rank_bound is not None and surrogate >= rank_bound:
@@ -142,14 +142,14 @@ def load_dataset(path):
     return records
 
 
-def verify_record(rec, M=0, policy="include-small", real_place=True):
+def verify_record(rec, M=0, policy="include-small"):
     """All consistency checks for one dataset record.
 
     surrogate_ok: omega(N) - 2 <= nu_2(m) whenever the curve has shape Z2.
     rank_ok: the descent bound is >= the recorded rank whenever the curve
     has a rational 2-torsion point.  Both default to True when inapplicable.
     """
-    rep = report(ShortWeierstrass(rec.A, rec.B), policy, real_place)
+    rep = report(ShortWeierstrass(rec.A, rec.B), policy)
     nu2 = valuation(rec.modular_degree, 2)
     lower, bound = rep.surrogate_nu2_lower, rep.rank_upper
     out = {

@@ -412,21 +412,42 @@ def test_config_file_non_utf8_exit2(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {cfgfile}: not UTF-8 text at byte 3\n"
 
 
-def test_retired_options_are_gone_but_echoed(tmp_path):
-    for flag in ("--depth-cap-extra", "--seed"):
+def test_retired_options_are_gone_but_echoed(tmp_path, capsys):
+    # the real place is always a Selmer condition; no option drops it
+    for flags in (["--depth-cap-extra", "5"], ["--seed", "5"], ["--real-place"],
+                  ["--no-real-place"]):
+        out = io.StringIO()
         with pytest.raises(SystemExit) as err:
-            cli.main([flag, "5", "descent", "--a", "0", "--b", "-1"], out=io.StringIO())
+            cli.main(flags + ["descent", "--a", "0", "--b", "-1"], out=out)
         assert err.value.code == 2
+        assert out.getvalue() == capsys.readouterr().out == ""
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("seed=1\n")
-    code, _ = run_cli(["--config", str(cfgfile), "descent", "--a", "0", "--b", "-1"])
-    assert code == 2
-    # the JSON echo keeps both at their last values until the benchmark's
-    # reference hashes are re-recorded
+    for key, value in (("seed", "1"), ("solubility_real_place", "true")):
+        cfgfile.write_text(f"{key}={value}\n")
+        code, out = run_cli(["--config", str(cfgfile), "descent", "--a", "0", "--b", "-1"])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == f"error: {cfgfile}:1: unknown key {key!r}\n"
+    # the JSON echo keeps all three at their last values until the
+    # benchmark's reference hashes are re-recorded
     code, out = run_cli(["descent", "--a", "0", "--b", "-1"])
     assert json.loads(out)["config"] == {
         "policy": "include-small", "nu2_manin": 0, "solubility_real_place": True,
         "workers": 1, "depth_cap_extra": 5, "seed": 0}
+
+
+@pytest.mark.parametrize("argv, cfg_text, message", [
+    (["--workers", "0"], None, "workers must be >= 1, got 0"),
+    (["--nu2-manin", "-1"], None, "nu2_manin must be >= 0, got -1"),
+    ([], "workers=0\n", "workers must be >= 1, got 0"),
+], ids=["workers-flag", "nu2-manin-flag", "workers-file"])
+def test_config_range_error_names_the_field(tmp_path, capsys, argv, cfg_text, message):
+    if cfg_text is not None:
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(cfg_text)
+        argv = ["--config", str(cfgfile)] + argv
+    code, out = run_cli(argv + ["stats", "volume", "--precision", "12"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_entry_point_subprocess():

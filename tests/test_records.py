@@ -36,7 +36,7 @@ def one_of_each():
         stats.volume_constant(12),
         watkins.load_dataset(DATA)[0],
         watkins.report(E2Param(0, -1)),
-        Config(policy="exclude-23", nu2_manin=1, solubility_real_place=False, workers=2),
+        Config(policy="exclude-23", nu2_manin=1, workers=2),
     ]
 
 
@@ -66,8 +66,8 @@ def test_records_are_immutable():
 
 @pytest.mark.parametrize("kwargs, message", [
     ({"policy": "bogus"}, "unknown policy 'bogus'"),
-    ({"nu2_manin": -1}, "nu2_manin >= 0 and workers >= 1 required"),
-    ({"workers": 0}, "nu2_manin >= 0 and workers >= 1 required"),
+    ({"nu2_manin": -1}, "nu2_manin must be >= 0, got -1"),
+    ({"workers": 0}, "workers must be >= 1, got 0"),
 ], ids=["policy", "nu2_manin", "workers"])
 def test_config_validation(kwargs, message):
     with pytest.raises(DomainError) as err:
@@ -77,7 +77,7 @@ def test_config_validation(kwargs, message):
 
 def test_config_defaults_and_echo():
     cfg = Config()
-    assert Config._fields == ("policy", "nu2_manin", "solubility_real_place", "workers")
+    assert Config._fields == ("policy", "nu2_manin", "workers")
     assert cfg.as_dict() == {
         "policy": "include-small", "nu2_manin": 0, "solubility_real_place": True,
         "workers": 1, "depth_cap_extra": 5, "seed": 0}
