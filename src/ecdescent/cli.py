@@ -6,9 +6,10 @@ last); diagnostics go to stderr.  Exit codes: 0 success, 1 mathematical
 inconsistency, singular input or a stdout closed by its reader, 2 usage or
 parse errors.
 
-Enumerations can be partitioned across worker processes; merged rows are
-canonically sorted before emission, so output is byte-identical for any
-worker count.
+Every `enumerate` and `watkins` scan writes its rows in tag order as they
+are made (`_scan`), so output is byte-identical for any worker count.  A
+scan that fails partway keeps its header and the rows written so far on
+stdout, writes no JSON line, and exits 1 with `error:` on stderr.
 """
 
 import argparse
@@ -17,6 +18,7 @@ import os
 import sys
 from fractions import Fraction
 from functools import partial
+from operator import itemgetter
 
 from . import curves, descent2, descent3, families, polys, stats, watkins
 from .arith import primes_up_to
@@ -29,12 +31,7 @@ EXIT_USAGE = 2
 
 
 def _row(*fields):
-    """One CSV line from its fields.
-
-    Rows are kept as joined lines, not as tuples of fields: a tuple of strs
-    costs about 280 more bytes a row, about a tenth more peak memory for
-    `enumerate --family type1 --height 16`.
-    """
+    """One CSV line from its fields."""
     return ",".join(map(str, fields))
 
 
@@ -48,28 +45,28 @@ def _emit_json(doc, out):
     out.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
-def _chunk_map(fn, items, workers):
-    """Map fn over items, optionally across processes.  With a pool the
-    results come back chunk by chunk, not in item order; callers sort.
-    concurrent.futures is imported only then: it adds about 10 ms to the
-    CLI's import.  The pool starts all its processes at the first submit,
-    so it is capped at the CPU count."""
+def _scan(fn, tag, items, workers):
+    """Yield the row fn(tag(item), item) of each item, in string order.
+
+    A row is its tag, a comma and its other fields, and tags are unique, so
+    the key `f"{tag(item)},"` orders the rows as strings; it is the one place
+    where a scan's order is decided.  Items are held, rows are not.  A pool
+    (concurrent.futures adds about 10 ms to the CLI's import) starts all its
+    processes at once, so it is capped at the CPU count; closing or dropping
+    this generator cancels the chunks not yet started."""
+    items = sorted(items, key=lambda item: f"{tag(item)},")
     workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or len(items) < 2 * workers:
-        return [fn(it) for it in items]
+        for item in items:
+            yield fn(tag(item), item)
+        return
     import concurrent.futures
 
-    chunks = [items[i::workers] for i in range(workers)]
-    out = []
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
-        for part in ex.map(_map_list, [(fn, ch) for ch in chunks]):
-            out.extend(part)
-    return out
-
-
-def _map_list(job):
-    fn, items = job
-    return [fn(it) for it in items]
+    pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+    try:
+        yield from pool.map(fn, map(tag, items), items, chunksize=-(-len(items) // (16 * workers)))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # ---------------------------------------------------------------- enumerate
@@ -81,42 +78,41 @@ def _curve_row(tag, model, policy, *extra):
     return _row(tag, model.A, model.B, omega_n, *extra)
 
 
-def _e2_row(param, policy, rank_bounds):
+def _model_row(tag, item, policy):
+    return _curve_row(tag, item[1], policy)
+
+
+def _e2_row(tag, param, policy, rank_bounds):
     extra = [descent2.rank_upper(param).rank_upper] if rank_bounds else []
-    return _curve_row(f"{param.a};{param.b}", families.e2_curve(param), policy, *extra)
+    return _curve_row(tag, families.e2_curve(param), policy, *extra)
 
 
-def _type1_row(a, policy, rank_bounds):
+def _type1_row(tag, a, policy, rank_bounds):
     extra = [descent3.rank_upper_type1(a)[0]] if rank_bounds else []
-    return _curve_row(a, families.type1(a)[0], policy, *extra)
+    return _curve_row(tag, families.type1(a)[0], policy, *extra)
 
 
 def cmd_enumerate(args, cfg, out):
-    family, X, policy, rank_bounds = args.family, args.height, cfg.policy, args.rank_bounds
-    _check_window(args)
-    if family == "twist-e0":
-        X = args.range if args.range is not None else X
-        if X is None:
-            raise DomainError("--range (or --height) is required for twist-e0")
-    elif X is None:
-        raise DomainError(f"--height is required for family {family}")
+    family, policy, rank_bounds = args.family, cfg.policy, args.rank_bounds
+    X = _window(args, family)
     if rank_bounds and family not in ("e2", "type1"):
         raise DomainError("--rank-bounds is supported for families e2 and type1")
     if family == "e2":
         fn = partial(_e2_row, policy=policy, rank_bounds=rank_bounds)
-        rows = _chunk_map(fn, list(families.e2_window(X)), cfg.workers)
+        tag, items = lambda param: f"{param.a};{param.b}", families.e2_window(X)
     elif family == "type1":
         fn = partial(_type1_row, policy=policy, rank_bounds=rank_bounds)
-        rows = _chunk_map(fn, families.type1_window(X), cfg.workers)
-    elif family == "e3":
-        rows = [_curve_row(f"{a};{b}", model, policy) for a, b, model in families.e3_window(X)]
-    elif family == "twist-e0":
-        rows = [_curve_row(D, families.twist_e0(D)[0], policy) for D in families.twist_window(X)]
-    else:  # e5, e7; argparse restricts the choices
-        tate = families.tate_curves(int(family[1]), X)
-        rows = [_curve_row(tag, model, policy) for tag, model in tate.values()]
-    rows.sort()
-    _emit_csv("params,A,B,omega_N" + (",rank_upper" if rank_bounds else ""), rows, out)
+        tag, items = str, families.type1_window(X)
+    else:  # items (tag, model)
+        fn, tag = partial(_model_row, policy=policy), itemgetter(0)
+        if family == "e3":
+            items = ((f"{a};{b}", model) for a, b, model in families.e3_window(X))
+        elif family == "twist-e0":
+            items = ((D, families.twist_e0(D)[0]) for D in families.twist_window(X))
+        else:  # e5, e7; argparse restricts the choices
+            items = families.tate_curves(int(family[1]), X).values()
+    _emit_csv("params,A,B,omega_N" + (",rank_upper" if rank_bounds else ""),
+              _scan(fn, tag, items, cfg.workers), out)
     return EXIT_OK
 
 
@@ -174,62 +170,65 @@ def cmd_descent3(args, cfg, out):
 # ------------------------------------------------------------------ watkins
 
 
-def _watkins_e2_row(param, M, policy):
+def _watkins_e2_row(tag, param, M, policy):
     rep = watkins.report(param, policy=policy)
     surrogate = "" if rep.surrogate_nu2_lower is None else rep.surrogate_nu2_lower
     verdict = rep.verdict(M)
-    line = _row(param.a, param.b, rep.curve.A, rep.curve.B, rep.omega_N, rep.rank_upper, surrogate,
-                verdict, rep.method_notes)
-    return line, verdict
+    return _row(tag, rep.curve.A, rep.curve.B, rep.omega_N, rep.rank_upper, surrogate, verdict,
+                rep.method_notes), verdict
 
 
-def _check_M(M):
-    if M < 0:
-        raise DomainError(f"--M must be >= 0, got {M}")
+def _watkins_twist_row(tag, D, nu2_manin):
+    E, cls = families.twist_e0(D, nu2_manin)
+    verdict = watkins.TWIST_VERDICT[cls]
+    return _row(tag, E.A, E.B, cls, verdict), verdict
 
 
-def _check_window(args, flags=("--height", "--range")):
-    """The window bounds `flags` of a scan, where given, are >= 0."""
-    for flag in flags:
-        value = getattr(args, flag[2:])
-        if value is not None and value < 0:
-            raise DomainError(f"{flag} must be >= 0, got {value}")
+def _nonnegative(flag, value):
+    if value < 0:
+        raise DomainError(f"{flag} must be >= 0, got {value}")
+    return value
+
+
+def _window(args, family):
+    """The window of an `enumerate` or `watkins` scan, by one rule: twist-e0
+    reads --range, falling back to --height; the others read --height only."""
+    if family != "twist-e0" and args.range is not None:
+        raise DomainError(f"--range does not apply to family {family}; its window is --height")
+    flag = "--height" if args.range is None else "--range"
+    X = getattr(args, flag[2:])
+    if X is None:
+        raise DomainError("--range (or --height) is required for twist-e0" if family == "twist-e0"
+                          else f"--height is required for family {family}")
+    return _nonnegative(flag, X)
 
 
 def cmd_watkins(args, cfg, out):
-    M = args.M
-    _check_M(M)
-    _check_window(args)
+    M = _nonnegative("--M", args.M)
+    X = _window(args, args.family)
     if args.family == "e2":
-        if args.height is None:
-            raise DomainError("--height is required for family e2")
-        fn = partial(_watkins_e2_row, M=M, policy=cfg.policy)
-        rows = _chunk_map(fn, list(families.e2_window(args.height)), cfg.workers)
+        rows = _scan(partial(_watkins_e2_row, M=M, policy=cfg.policy),
+                     lambda param: f"{param.a},{param.b}", families.e2_window(X), cfg.workers)
         header = "a,b,A,B,omega_N,rank_upper,surrogate_nu2_lower,verdict,note"
-    elif args.family == "twist-e0":
-        if args.range is None:
-            raise DomainError("--range is required for family twist-e0")
+    else:  # twist-e0; argparse restricts the choices
         if M != 0:
             raise DomainError("--M does not apply to family twist-e0; its verdicts are for M = 0")
-        rows = []
-        for D in families.twist_window(args.range):
-            E, cls = families.twist_e0(D, cfg.nu2_manin)
-            verdict = watkins.TWIST_VERDICT[cls]
-            rows.append((_row(D, E.A, E.B, cls, verdict), verdict))
+        rows = _scan(partial(_watkins_twist_row, nu2_manin=cfg.nu2_manin), str,
+                     families.twist_window(X), cfg.workers)
         header = "D,A,B,class,verdict"
-    else:  # pragma: no cover
-        raise DomainError(f"unknown family {args.family}")
-    rows.sort()
-    proven = sum(1 for _, verdict in rows if verdict.startswith("Proven"))
-    inconclusive = len(rows) - proven
-    _emit_csv(header, [line for line, _ in rows], out)
+    out.write(header + "\n")
+    total = proven = 0
+    for line, verdict in rows:
+        out.write(line + "\n")
+        total += 1
+        proven += verdict.startswith("Proven")
     _emit_json(
         {
             "command": "watkins",
             "family": args.family,
             "M": M,
             "proven": proven,
-            "inconclusive": inconclusive,
+            "inconclusive": total - proven,
             "config": cfg.as_dict(),
         },
         out,
@@ -304,7 +303,7 @@ def cmd_stats(args, cfg, out):
         doc.update(poly=f, exclude=S, samples=samples)
         _emit_json(doc, out)
     elif exp == "roots-mod":
-        _check_window(args, ("--pmax",))
+        _nonnegative("--pmax", args.pmax)
         f = _parse_poly(args.poly)
         deg = polys.degree(f)
         rows = []
@@ -328,7 +327,7 @@ def cmd_stats(args, cfg, out):
                    bound=2 * deg, violations=violations)
         _emit_json(doc, out)
     elif exp == "avg-frobenius":
-        _check_window(args, ("--pmax",))
+        _nonnegative("--pmax", args.pmax)
         rows = []
         worst = Fraction(0)
         for p in primes_up_to(args.pmax):
@@ -359,7 +358,7 @@ def cmd_stats(args, cfg, out):
 
 
 def cmd_verify(args, cfg, out):
-    _check_M(args.M)
+    _nonnegative("--M", args.M)
     records = watkins.load_dataset(args.dataset)
     results = []
     all_ok = True
@@ -464,7 +463,8 @@ def _glue_option_values(argv, flags=("--poly", "--exclude", "--heights")):
 def main(argv=None, out=None):
     """Run one command; the one place where exceptions become exit codes:
     DomainError (bad options, config or dataset files) 2, the others 1."""
-    out = out or sys.stdout
+    # 64 kB writes, not 4-8 kB: each write to a pipe wakes its reader, which preempts the scan
+    out = out or open(sys.stdout.fileno(), "w", buffering=1 << 16, closefd=False)
     parser = build_parser()
     args = parser.parse_args(_glue_option_values(argv if argv is not None else sys.argv[1:]))
     try:
@@ -479,7 +479,7 @@ def main(argv=None, out=None):
         return code
     except BrokenPipeError:
         # The reader closed stdout (`| head`).  Point it at devnull so the
-        # flush at exit cannot raise again.
+        # flushes that follow cannot raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_INCONSISTENT
     except (DomainError, SingularCurve, ArithmeticError) as exc:

@@ -128,8 +128,7 @@ def type1(a):
 
 
 def type1_window(X):
-    """The nonzero a with |a| <= X^3, ascending, as a list: scans slice it
-    into worker chunks."""
+    """The nonzero a with |a| <= X^3, ascending."""
     amax = X**3
     return [*range(-amax, 0), *range(1, amax + 1)]
 

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from ecdescent import cli, descent2, descent3, families, stats
+from ecdescent import cli, curves, descent2, descent3, families, stats
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "ecdescent", "data",
                     "sample_dataset.csv")
@@ -73,11 +73,13 @@ def test_enumerate_missing_height_is_usage_error():
     (["enumerate", "--family", "e3", "--rank-bounds"], "--height is required for family e3"),
     (["enumerate", "--family", "twist-e0", "--rank-bounds"],
      "--range (or --height) is required for twist-e0"),
+    (["watkins", "--family", "e2"], "--height is required for family e2"),
+    (["watkins", "--family", "twist-e0"], "--range (or --height) is required for twist-e0"),
     (["stats", "normal-order", "--heights", "15"], "--poly is required"),
     (["stats", "roots-mod"], "--poly is required"),
     (["stats", "density-cor-main"], "--height is required for density-cor-main"),
-], ids=["e3", "e5", "e7", "type1", "e3-rank-bounds", "twist-e0-rank-bounds", "normal-order",
-        "roots-mod", "density-cor-main"])
+], ids=["e3", "e5", "e7", "type1", "e3-rank-bounds", "twist-e0-rank-bounds", "watkins-e2",
+        "watkins-twist-e0", "normal-order", "roots-mod", "density-cor-main"])
 def test_missing_option_is_usage_error(capsys, argv, message):
     code, out = run_cli(argv)
     assert code == 2
@@ -201,6 +203,78 @@ def test_negative_window_is_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert capsys.readouterr().err == f"error: {argv[-2]} must be >= 0, got {argv[-1]}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    *[["enumerate", "--family", family, "--height", "2", "--range", "9"]
+      for family in ("e2", "e3", "e5", "e7", "type1")],
+    ["enumerate", "--family", "e2", "--range", "9"],
+    ["watkins", "--family", "e2", "--height", "2", "--range", "9"],
+], ids=["e2", "e3", "e5", "e7", "type1", "e2-range-only", "watkins-e2"])
+def test_range_refused_where_height_is_the_window(capsys, argv):
+    """Only twist-e0 reads --range; every other family would ignore it."""
+    code, out = run_cli(argv)
+    assert (code, out) == (2, "")
+    family = argv[argv.index("--family") + 1]
+    assert capsys.readouterr().err == (
+        f"error: --range does not apply to family {family}; its window is --height\n")
+
+
+@pytest.mark.parametrize("command", ["enumerate", "watkins"])
+def test_twist_window_reads_range_then_height(command):
+    """One window rule for both commands: --range, falling back to --height."""
+    by_range = run_cli([command, "--family", "twist-e0", "--range", "40"])
+    assert by_range[0] == 0
+    assert run_cli([command, "--family", "twist-e0", "--height", "40"]) == by_range
+    assert run_cli([command, "--family", "twist-e0", "--height", "7", "--range", "40"]) == by_range
+
+
+def test_scan_failing_partway_keeps_the_rows_written(capsys, monkeypatch):
+    """Stdout keeps the header and the rows written before the failure, and
+    no JSON line; the failure exits 1 with `error:` on stderr."""
+    code, full = run_cli(["watkins", "--family", "e2", "--height", "3"])
+    assert code == 0
+    calls = []
+    rank_upper = descent2.rank_upper
+
+    def failing_fifth(param):
+        calls.append(param)
+        if len(calls) == 5:
+            raise ArithmeticError("fifth descent fails")
+        return rank_upper(param)
+
+    monkeypatch.setattr(descent2, "rank_upper", failing_fifth)
+    code, out = run_cli(["watkins", "--family", "e2", "--height", "3"])
+    assert code == 1
+    assert out.splitlines() == full.splitlines()[:5]  # the header and 4 rows
+    assert capsys.readouterr().err == "error: fifth descent fails\n"
+
+
+def test_scan_writes_each_row_as_it_is_made(monkeypatch):
+    """At --workers 1 a row reaches stdout before the next item's row is
+    made: no scan holds its rows."""
+    events = []
+    conductor_support = curves.conductor_support
+
+    def recording(model, policy):
+        events.append("made")
+        return conductor_support(model, policy)
+
+    class Out:
+        def write(self, text):
+            events.append("written")
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(curves, "conductor_support", recording)
+    for argv in (["enumerate", "--family", "e2", "--height", "2"],
+                 ["watkins", "--family", "e2", "--height", "2"]):
+        events.clear()
+        assert cli.main(argv, out=Out()) == 0
+        rows = events.count("made")
+        assert rows > 10
+        assert events[:2 * rows + 1] == ["written"] + ["made", "written"] * rows
 
 
 def test_watkins_twist_rejects_nonzero_m(capsys):
@@ -483,18 +557,58 @@ def test_cli_import_leaves_out_dataclasses_and_typing():
 
 def test_closed_stdout_exits_1_without_traceback():
     # About 128 kB of output, more than a pipe holds, so the writer is still
-    # writing when the reader closes the pipe.
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "ecdescent.cli", "enumerate", "--family", "twist-e0",
-         "--range", "5000"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-    )
-    assert proc.stdout.readline() == b"params,A,B,omega_N\n"
-    proc.stdout.close()
-    stderr = proc.stderr.read().decode()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 1
-    assert stderr == ""  # no traceback, no "Exception ignored" at exit
+    # writing when the reader closes the pipe.  At --workers 2 the pool's
+    # unstarted chunks are cancelled and its processes end quietly.
+    for workers in ("1", "2"):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ecdescent.cli", "--workers", workers, "enumerate",
+             "--family", "twist-e0", "--range", "5000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"params,A,B,omega_N\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert stderr == ""  # no traceback, no "Exception ignored" at exit
+
+
+# sha256 of the stdout of the implementation that sorted each scan's rows
+# after making them all.  At |a| >= 10 the "a;b" tags of `enumerate` and the
+# "a,b" tags of `watkins` order a differently ("10;" < "1;" but "1," < "10,").
+E2_SCAN_STDOUT_SHA256 = {
+    "enumerate --family e2 --height 11":
+        "37dc34c676ad0f38e7de5d911f6496e2310e7534c42ad24030b5af53b9cf2220",
+    "watkins --family e2 --height 10":
+        "44d20ee62563181382dccea9eade2bc5ba50f842fe80bbf43e17ad06cd359f60",
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("command", sorted(E2_SCAN_STDOUT_SHA256))
+def test_e2_scan_stdout_pinned(command, workers):
+    code, out = run_cli(["--workers", workers, *command.split()])
+    assert code == 0
+    out = out.replace(f'"workers": {workers}}}', '"workers": 1}')  # the JSON echo
+    assert hashlib.sha256(out.encode()).hexdigest() == E2_SCAN_STDOUT_SHA256[command]
+
+
+@pytest.mark.parametrize("command", [
+    "enumerate --family e2 --height 4 --rank-bounds",
+    "enumerate --family e3 --height 30",
+    "enumerate --family e5 --height 300",
+    "enumerate --family e7 --height 1000",
+    "enumerate --family type1 --height 3 --rank-bounds",
+    "enumerate --family twist-e0 --range 300",
+    "watkins --family e2 --height 4",
+    "watkins --family twist-e0 --range 300",
+])
+def test_every_scan_same_stdout_at_two_workers(command):
+    code, serial = run_cli(["--workers", "1", *command.split()])
+    assert code == 0 and serial.count("\n") > 4  # a pool starts only for 4 items or more
+    code, pooled = run_cli(["--workers", "2", *command.split()])
+    assert code == 0
+    assert pooled.replace('"workers": 2}', '"workers": 1}') == serial
 
 
 def test_enumerate_e3_against_brute_force():
@@ -627,14 +741,11 @@ def test_workers_capped_at_cpu_count(monkeypatch):
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
+        def map(self, fn, *iterables, chunksize):
+            return map(fn, *iterables)
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
+        def shutdown(self, cancel_futures):
+            pass
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
