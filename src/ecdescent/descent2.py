@@ -21,11 +21,16 @@ x = V/U).  The search has no cap of its own: a split at depth k >= 2 with
 p^k not dividing Res raises ArithmeticError.
 
 Solubility at p depends only on the class of d in Q_p*/Q_p*^2 (V -> s V,
-Z -> s Z carry d to d s^2), of which there are 4 at odd p and 8 at p = 2
-(Silverman, AEC X.4), so a Selmer set decides each (p, class) once.  The
-real place, always a condition, has two classes, the signs, decided once per
-side: d > 0 is soluble over R (at V = 0), and every d < 0 decides as -1,
-since (d, a, b/d) has no real point iff b > 0 and (a <= 0 or a^2 < 4b).
+Z -> s Z carry d to d s^2), of which there are 4 at odd p and 8 at p = 2.
+The soluble classes are W_p, the image of E(Q_p) under the connecting map
+(Silverman, AEC X.4; Cremona, Algorithms, 3.6): a subgroup that holds the
+classes of 1 and b, the images of O and T = (0, 0).  So a Selmer set starts
+each W_p from those two classes and searches a class only when it lies
+neither in the known part of W_p nor in a coset of it found insoluble; that
+one search then settles the class's whole coset.  The real place, always a
+condition, has two classes, the signs, decided once per side: d > 0 is
+soluble over R (at V = 0), and every d < 0 decides as -1, since (d, a, b/d)
+has no real point iff b > 0 and (a <= 0 or a^2 < 4b).
 """
 
 from collections import namedtuple
@@ -41,6 +46,7 @@ from .arith import (
     legendre,
     next_prime,
     squarefree_divisors,
+    squarefree_kernel,
     unitary_squarefree_divisors,
     valuation,
 )
@@ -191,27 +197,48 @@ def _local_primes(param):
     return sorted({2}.union(p for p, _ in factor(param.b) + factor(param.disc_quadratic)))
 
 
+def _square_class(d, p):
+    """The class of a square-free d in Q_p*/Q_p*^2 as an int whose XOR is the
+    group law: bit 0 is p | d, the higher bits the unit part u's Euler symbol
+    (0 for a residue) at odd p, or (u mod 8) >> 1 at p = 2."""
+    q, r = divmod(d, p)
+    u = d if r else q
+    return (r == 0) | ((u % 8) >> 1 if p == 2 else pow(u, (p - 1) // 2, p) != 1) << 1
+
+
 def _selmer(side, local):
     """Classes d | b of side = (a, b) whose space (d, a, b/d) is soluble over R
     and over Q_p for every p in local, the primes that `factor` proved.
-    d is square-free, so its class at p is whether p | d and its unit part's
-    Euler symbol mod p, or residue mod 8 at p = 2.  R has two square classes,
-    the signs: every d > 0 is soluble there, and every d < 0 decides as -1."""
+
+    The soluble classes at p are W_p, the image of E(Q_p) in Q_p*/Q_p*^2
+    (Silverman, AEC X.4; Cremona, Algorithms, 3.6).  It is a subgroup and
+    holds the classes of 1 and of b, the images of O and T = (0, 0), whose
+    spaces have the points V = 0 and U = 0; b's class is that of its
+    square-free kernel t.  So at each p `good`, the known part of W_p,
+    starts as {1, t} and `bad`, the classes known insoluble, is a union of
+    its cosets.  A class in neither is searched once, and the answer settles
+    its whole coset.  R has two square classes, the signs: every d > 0 is
+    soluble there, and every d < 0 decides as -1."""
     a, b = side
     negative_ok = real_soluble(HomogeneousSpace(-1, a, -b))
-    decided = {}
+    t = squarefree_kernel(b)
+    states = [(p, {0, _square_class(t, p)}, set()) for p in local]
     out = []
     for d in squarefree_divisors(b):
         if d < 0 and not negative_ok:
             continue
-        e = b // d
-        for p in local:
-            q, r = divmod(d, p)
-            u = d if r else q
-            key = (p, r == 0, u % 8 if p == 2 else pow(u, (p - 1) // 2, p))
-            if key not in decided:
-                decided[key] = _qp_soluble(d, a, e, p)
-            if not decided[key]:
+        for p, good, bad in states:
+            c = _square_class(d, p)
+            if c in good:
+                continue
+            if c in bad:
+                break
+            coset = {c ^ g for g in good}
+            if _qp_soluble(d, a, b // d, p):
+                good |= coset
+                bad |= {x ^ g for x in bad for g in coset}
+            else:
+                bad |= coset
                 break
         else:
             out.append(d)
@@ -249,6 +276,9 @@ def rank_upper(param):
     rank(E_{a,b}(Q)) <= dim_phi + dim_phihat - 2.  Each Selmer set holds the
     image of its side's Kummer map, and |alpha(E(Q))| |alpha'(E'(Q))| =
     2^(rank + 2) (Silverman, AEC X.6), so a sum below 2 raises ArithmeticError.
+    So does a set without the image of O (the class 1) or of T = (0, 0): the
+    d with b/d a square on the phi-hat side, with (a^2 - 4b)/d a square on
+    the phi side; for square-free d that is d times the numerator a square.
     """
     local = _local_primes(param)
     phi = _selmer(param.dual, local)
@@ -260,6 +290,9 @@ def rank_upper(param):
     if dim_phi + dim_phihat < 2:
         raise ArithmeticError(f"Selmer dimensions {dim_phi} + {dim_phihat} are below the 2 "
                               "that the torsion images give")
+    if not (any(is_square(param.disc_quadratic * d) for d in phi)
+            and any(is_square(param.b * d) for d in phihat)):
+        raise ArithmeticError(f"torsion class must survive, got {phi} and {phihat}")
     return SelmerEstimate(tuple(phi), tuple(phihat), dim_phi, dim_phihat,
                           dim_phi + dim_phihat - 2)
 

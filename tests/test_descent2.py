@@ -410,13 +410,23 @@ def test_many_prime_descent_decides_each_square_class_once(monkeypatch):
     assert calls <= 2 * (8 + 4 * 14), calls
 
 
+def _class_at(n, p):
+    """The class of nonzero n in Q_p*/Q_p*^2: (nu_p(n) mod 2, unit part's
+    residue mod 8 at p = 2 or Legendre symbol at odd p)."""
+    v = valuation(n, p)
+    u = n // p**v
+    return v % 2, u % 8 if p == 2 else legendre(u, p)
+
+
 @pytest.mark.parametrize("side", ["phi", "phihat"])
 def test_solubility_depends_only_on_the_square_class(side):
     """At every local p, classes d with the same nu_p(d) and the same unit
     part mod squares (Legendre symbol at odd p, residue mod 8 at p = 2) get
-    the same `padic_soluble` answer: the lemma behind the Selmer loop's
-    per-class memo."""
-    spaces = 0
+    the same `_qp_soluble` answer, and the soluble classes form a subgroup
+    W_p holding the classes of 1 and b (the images of O and T), so every
+    coset of W_p decides alike: the lemmas behind the Selmer loop's
+    good/bad sets."""
+    spaces = pairs = 0
     for a in range(-8, 9):
         for b in range(-64, 65):
             if b * (a * a - 4 * b) == 0:
@@ -424,15 +434,75 @@ def test_solubility_depends_only_on_the_square_class(side):
             param = E2Param(a, b)
             sa, sb = param.dual if side == "phi" else param
             for p in descent2._local_primes(param):
-                answers = {}
+                answers, reps = {}, {}
                 for d in squarefree_divisors(sb):
-                    v = valuation(d, p)
-                    u = d // p**v
-                    key = (v, u % 8 if p == 2 else legendre(u, p))
-                    soluble = descent2.padic_soluble(HomogeneousSpace(d, sa, sb // d), p)
+                    key = _class_at(d, p)
+                    soluble = descent2._qp_soluble(d, sa, sb // d, p)
                     assert answers.setdefault(key, soluble) == soluble, (param, side, p, d)
+                    reps.setdefault(key, d)
                     spaces += 1
-    assert spaces > 20000, spaces
+                good = [key for key, soluble in answers.items() if soluble]
+                assert _class_at(1, p) in good and _class_at(sb, p) in good, (param, side, p)
+                for g in good:
+                    for key, soluble in answers.items():
+                        product = _class_at(reps[g] * reps[key], p)
+                        assert answers.get(product, soluble) == soluble, (param, side, p, g, key)
+                pairs += 1
+    assert spaces > 20000 and pairs == 7012, (spaces, pairs)
+
+
+def _selmer_per_class_memo(side, local):
+    """The retired Selmer loop: one search per (p, square class), each answer
+    kept for that class alone.  The reference for the subgroup loop."""
+    a, b = side
+    negative_ok = descent2.real_soluble(HomogeneousSpace(-1, a, -b))
+    decided = {}
+    out = []
+    for d in squarefree_divisors(b):
+        if d < 0 and not negative_ok:
+            continue
+        e = b // d
+        for p in local:
+            q, r = divmod(d, p)
+            u = d if r else q
+            key = (p, r == 0, u % 8 if p == 2 else pow(u, (p - 1) // 2, p))
+            if key not in decided:
+                decided[key] = descent2._qp_soluble(d, a, e, p)
+            if not decided[key]:
+                break
+        else:
+            out.append(d)
+    return out
+
+
+def test_selmer_matches_the_per_class_memo():
+    curves = 0
+    for param in e2_window(12):
+        local = descent2._local_primes(param)
+        for side in (param.dual, param):
+            assert descent2._selmer(side, local) == _selmer_per_class_memo(side, local), (
+                param, side)
+        curves += 1
+    assert curves == 7188, curves
+
+
+def test_selmer_searches_only_unsettled_classes(monkeypatch):
+    """Over the height-8 window the subgroup loop makes at most 9,000 searches
+    (the per-class memo made 36,865), and none for a class of 1 or b, which
+    start out known soluble."""
+    calls = 0
+    qp_soluble = descent2._qp_soluble
+
+    def counting(d1, F, d2, p):
+        nonlocal calls
+        calls += 1
+        assert _class_at(d1, p) not in (_class_at(1, p), _class_at(d1 * d2, p)), (d1, F, d2, p)
+        return qp_soluble(d1, F, d2, p)
+
+    monkeypatch.setattr(descent2, "_qp_soluble", counting)
+    for param in e2_window(8):
+        descent2.rank_upper(param)
+    assert calls <= 9000, calls
 
 
 def test_real_solubility_depends_only_on_the_sign():
@@ -701,6 +771,22 @@ def test_selmer_invariants_raise():
     assert descent2._dim_f2([1, -1, 2, -2]) == 2
     with pytest.raises(ArithmeticError, match="not a power of 2"):
         descent2._dim_f2([1, 2, 3])
+
+
+@pytest.mark.parametrize("param, side", [(E2Param(0, -1), "phihat"), (E2Param(0, 1), "phi")])
+def test_rank_upper_lost_torsion_class_raises(monkeypatch, param, side):
+    """The torsion class -1 (b/d, or (a^2 - 4b)/d on the phi side, a square)
+    is swapped for 7, which keeps the sets' sizes and the trivial class."""
+    selmer = descent2._selmer
+    lose_on = param if side == "phihat" else param.dual
+
+    def losing(found_side, *args):
+        found = selmer(found_side, *args)
+        return [7 if d == -1 else d for d in found] if found_side == lose_on else found
+
+    monkeypatch.setattr(descent2, "_selmer", losing)
+    with pytest.raises(ArithmeticError, match="torsion class must survive"):
+        descent2.rank_upper(param)
 
 
 def test_rank_upper_lost_trivial_class_raises(monkeypatch):
