@@ -50,23 +50,19 @@ def _scan(fn, tag, items, workers):
 
     A row is its tag, a comma and its other fields, and tags are unique, so
     the key `f"{tag(item)},"` orders the rows as strings; it is the one place
-    where a scan's order is decided.  Items are held, rows are not.  A pool
-    (concurrent.futures adds about 10 ms to the CLI's import) starts all its
-    processes at once, so it is capped at the CPU count; closing or dropping
-    this generator cancels the chunks not yet started."""
+    where a scan's order is decided.  Items are held, rows are not.  At N > 1
+    workers, capped at the CPUs this process may run on, this process and
+    N - 1 forked workers make the rows (`pool.rows`, imported only then)."""
     items = sorted(items, key=lambda item: f"{tag(item)},")
-    workers = min(workers, os.cpu_count() or 1)
-    if workers <= 1 or len(items) < 2 * workers:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, cpus or 1)
+    if workers <= 1 or len(items) < 2 * workers or not hasattr(os, "fork"):
         for item in items:
             yield fn(tag(item), item)
         return
-    import concurrent.futures
+    from . import pool
 
-    pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
-    try:
-        yield from pool.map(fn, map(tag, items), items, chunksize=-(-len(items) // (16 * workers)))
-    finally:
-        pool.shutdown(cancel_futures=True)
+    yield from pool.rows(fn, tag, items, workers)
 
 
 # ---------------------------------------------------------------- enumerate
@@ -87,6 +83,10 @@ def _e2_row(tag, param, policy, rank_bounds):
     return _curve_row(tag, families.e2_curve(param), policy, *extra)
 
 
+def _twist_row(tag, D, policy):
+    return _curve_row(tag, families.twist_model(D), policy)
+
+
 def _type1_row(tag, a, policy, rank_bounds):
     extra = [descent3.rank_upper_type1(a)[0]] if rank_bounds else []
     return _curve_row(tag, families.type1(a)[0], policy, *extra)
@@ -103,12 +103,12 @@ def cmd_enumerate(args, cfg, out):
     elif family == "type1":
         fn = partial(_type1_row, policy=policy, rank_bounds=rank_bounds)
         tag, items = str, families.type1_window(X)
+    elif family == "twist-e0":
+        fn, tag, items = partial(_twist_row, policy=policy), str, families.twist_window(X)
     else:  # items (tag, model)
         fn, tag = partial(_model_row, policy=policy), itemgetter(0)
         if family == "e3":
             items = ((f"{a};{b}", model) for a, b, model in families.e3_window(X))
-        elif family == "twist-e0":
-            items = ((D, families.twist_e0(D)[0]) for D in families.twist_window(X))
         else:  # e5, e7; argparse restricts the choices
             items = families.tate_curves(int(family[1]), X).values()
     _emit_csv("params,A,B,omega_N" + (",rank_upper" if rank_bounds else ""),
@@ -482,7 +482,7 @@ def main(argv=None, out=None):
         # flushes that follow cannot raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_INCONSISTENT
-    except (DomainError, SingularCurve, ArithmeticError) as exc:
+    except (DomainError, SingularCurve, ArithmeticError, ChildProcessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, DomainError) else EXIT_INCONSISTENT
 

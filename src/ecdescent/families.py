@@ -244,6 +244,11 @@ def e3_polynomials():
     return f3, g3, delta3
 
 
+def twist_model(D):
+    """The quadratic twist y^2 = x^3 - D^3 of y^2 = x^3 - 1 by D."""
+    return ShortWeierstrass(0, -(D**3))
+
+
 def twist_e0(D, nu2_manin=0):
     """Quadratic twist y^2 = x^3 - D^3 of y^2 = x^3 - 1, with its rank class.
 
@@ -257,7 +262,7 @@ def twist_e0(D, nu2_manin=0):
     fac = factor(D)
     if any(e > 1 for _, e in fac):
         raise DomainError(f"{D} is not a nonzero square-free integer")
-    curve = ShortWeierstrass(0, -(D**3))
+    curve = twist_model(D)
     bad = [p for p, _ in fac if p % 12 != 5]
     if not bad:
         cls = COND_I

@@ -3,12 +3,14 @@ import hashlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 
 import pytest
 
 from ecdescent import cli, curves, descent2, descent3, families, stats
+from ecdescent.errors import DomainError
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "ecdescent", "data",
                     "sample_dataset.csv")
@@ -18,6 +20,33 @@ def run_cli(argv):
     out = io.StringIO()
     code = cli.main(argv, out=out)
     return code, out.getvalue()
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """`--workers 2` forks one worker, also on a one-CPU machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def capped_fork(monkeypatch, cap):
+    """Count the calls of os.fork, and refuse any call past `cap` before it
+    reaches the real fork, so a broken cap starts no process beyond it."""
+    forks = []
+    fork = os.fork
+
+    def capped():
+        if len(forks) >= cap:
+            raise AssertionError(f"fork past the cap of {cap}")
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", capped)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def split_csv_json(text):
@@ -534,10 +563,23 @@ def test_entry_point_subprocess():
 
 
 def test_cli_import_leaves_out_concurrent_futures():
-    code = "import sys, ecdescent.cli; print('concurrent.futures' in sys.modules)"
+    # Neither the import nor a forked --workers 2 scan imports a pool module.
+    # Stdout is a pipe, so "[]" waits in its buffer across the fork: printed
+    # once, it also shows that the worker flushed nothing it inherited.
+    code = """if True:
+        import io, os, sys, ecdescent.cli as cli
+        def pools():
+            return sorted(m for m in sys.modules if m.split(".")[0] in ("concurrent", "multiprocessing"))
+        print(pools())
+        forks, fork = [], os.fork
+        os.fork = lambda: forks.append(None) or fork()
+        os.sched_getaffinity = lambda pid: {0, 1}
+        code = cli.main(["--workers", "2", "watkins", "--family", "e2", "--height", "3"], io.StringIO())
+        print(code, len(forks), pools())
+        """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[]\n0 1 []\n"
 
 
 def test_cli_import_leaves_out_dataclasses_and_typing():
@@ -557,8 +599,8 @@ def test_cli_import_leaves_out_dataclasses_and_typing():
 
 def test_closed_stdout_exits_1_without_traceback():
     # About 128 kB of output, more than a pipe holds, so the writer is still
-    # writing when the reader closes the pipe.  At --workers 2 the pool's
-    # unstarted chunks are cancelled and its processes end quietly.
+    # writing when the reader closes the pipe.  At --workers 2 the forked
+    # worker is killed and reaped, and the process ends quietly.
     for workers in ("1", "2"):
         proc = subprocess.Popen(
             [sys.executable, "-m", "ecdescent.cli", "--workers", workers, "enumerate",
@@ -603,12 +645,76 @@ def test_e2_scan_stdout_pinned(command, workers):
     "watkins --family e2 --height 4",
     "watkins --family twist-e0 --range 300",
 ])
-def test_every_scan_same_stdout_at_two_workers(command):
+def test_every_scan_same_stdout_at_two_workers(command, two_cpus):
     code, serial = run_cli(["--workers", "1", *command.split()])
-    assert code == 0 and serial.count("\n") > 4  # a pool starts only for 4 items or more
+    assert code == 0 and serial.count("\n") > 4  # a worker starts only for 4 items or more
     code, pooled = run_cli(["--workers", "2", *command.split()])
     assert code == 0
     assert pooled.replace('"workers": 2}', '"workers": 1}') == serial
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("failure, code, error", [
+    (ArithmeticError("chunk 3 fails"), 1, "chunk 3 fails"),
+    (DomainError("chunk 3 is out of range"), 2, "chunk 3 is out of range"),
+    (None, 1, "scan worker 1 ended before sending chunk 3"),
+])
+def test_worker_failure_keeps_earlier_chunks(capsys, monkeypatch, two_cpus, failure, code, error):
+    """A chunk that fails in the forked worker fails the scan at that chunk's
+    place: the header and the rows of the chunks before it stay on stdout,
+    with no JSON line, and stderr has one `error:` line.  A worker that ends
+    without sending its chunk fails the scan too, rather than hang it."""
+    argv = ["--workers", "2", "watkins", "--family", "e2", "--height", "3"]
+    _, full = run_cli(["--workers", "1", *argv[2:]])
+    lines = full.splitlines()
+    # 124 rows in chunks of ceil(124 / 32) = 4; chunk 3, the worker's second,
+    # starts at row 12
+    rows, size = lines[1:-1], -(-(len(lines) - 2) // 32)
+    target = tuple(map(int, rows[3 * size].split(",")[:2]))
+    parent = os.getpid()
+    rank_upper = descent2.rank_upper
+
+    def failing(param):
+        if os.getpid() != parent and (param.a, param.b) == target:
+            if failure is None:
+                os._exit(0)  # end the worker without sending its chunk
+            raise failure
+        return rank_upper(param)
+
+    def hung(*_):
+        raise TimeoutError("the scan hung")
+
+    monkeypatch.setattr(descent2, "rank_upper", failing)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        assert run_cli(argv) == (code, "\n".join(lines[:1 + 3 * size]) + "\n")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert_no_child_left()
+
+
+def test_closed_stdout_leaves_no_child(monkeypatch, tmp_path, two_cpus):
+    """`| head` at --workers 2, in process: the reader goes after the header."""
+    class Closed:
+        writes = 0
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes > 1:
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    with open(tmp_path / "stdout", "w") as stdout:  # main points it at devnull
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = cli.main(["--workers", "2", "enumerate", "--family", "twist-e0", "--range", "300"],
+                        out=Closed())
+    assert code == 1
+    assert_no_child_left()
 
 
 def test_enumerate_e3_against_brute_force():
@@ -731,33 +837,43 @@ def test_rank_bounds_refused_outside_e2_and_type1(capsys, family):
 
 
 def test_workers_capped_at_cpu_count(monkeypatch):
-    # A stand-in pool: it records its size and maps in process, so no
-    # oversized pool of real processes is ever started.
-    import concurrent.futures
-
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def map(self, fn, *iterables, chunksize):
-            return map(fn, *iterables)
-
-        def shutdown(self, cancel_futures):
-            pass
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    forks = capped_fork(monkeypatch, 2)  # a pool of 3 forks 2 workers
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     for argv in (["enumerate", "--family", "type1", "--height", "3"],
                  ["watkins", "--family", "e2", "--height", "2"]):
         code, serial = run_cli(argv)
-        assert code == 0 and sizes == []
+        assert code == 0 and forks == []
         code, capped = run_cli(["--workers", "10000", *argv])
-        assert code == 0 and sizes == [3]
+        assert code == 0 and len(forks) == 2
         # the config echo keeps the requested count
         assert capped == serial.replace('"workers": 1}', '"workers": 10000}')
-        sizes.clear()
+        forks.clear()
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     code, _ = run_cli(["--workers", "10000", "enumerate", "--family", "type1", "--height", "3"])
-    assert code == 0 and sizes == []
+    assert code == 0 and forks == []
+    assert_no_child_left()
+
+
+def test_workers_capped_at_cpu_affinity(monkeypatch):
+    """The pool is sized by the CPUs this process may run on, not by the
+    CPUs of the machine."""
+    forks = capped_fork(monkeypatch, 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    argv = ["--workers", "4", "watkins", "--family", "e2", "--height", "2"]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    code, serial = run_cli(argv)
+    assert code == 0 and forks == []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+    assert run_cli(argv) == (0, serial)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_scan_without_fork_runs_inline(monkeypatch, two_cpus):
+    argv = ["watkins", "--family", "e2", "--height", "2"]
+    _, serial = run_cli(argv)
+    monkeypatch.delattr(os, "fork")
+    code, out = run_cli(["--workers", "2", *argv])
+    assert code == 0
+    assert out == serial.replace('"workers": 1}', '"workers": 2}')
