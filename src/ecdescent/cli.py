@@ -89,7 +89,7 @@ def _twist_row(tag, D, policy):
 
 def _type1_row(tag, a, policy, rank_bounds):
     extra = [descent3.rank_upper_type1(a)[0]] if rank_bounds else []
-    return _curve_row(tag, families.type1(a)[0], policy, *extra)
+    return _curve_row(tag, families.type1(a), policy, *extra)
 
 
 def cmd_enumerate(args, cfg, out):
@@ -480,7 +480,9 @@ def main(argv=None, out=None):
     except BrokenPipeError:
         # The reader closed stdout (`| head`).  Point it at devnull so the
         # flushes that follow cannot raise again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
         return EXIT_INCONSISTENT
     except (DomainError, SingularCurve, ArithmeticError, ChildProcessError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -36,7 +36,6 @@ has no real point iff b > 0 and (a <= 0 or a^2 < 4b).
 from collections import namedtuple
 from functools import lru_cache
 from itertools import chain
-from math import gcd
 
 from .arith import (
     CACHE_BOUND,
@@ -44,10 +43,8 @@ from .arith import (
     is_prime,
     is_square,
     legendre,
-    next_prime,
     squarefree_divisors,
     squarefree_kernel,
-    unitary_squarefree_divisors,
     valuation,
 )
 from .errors import DomainError
@@ -167,28 +164,11 @@ def padic_soluble(space, p):
     return _padic_soluble_cached(space.d1, space.F, space.d2, p)
 
 
-def fastpath_insoluble(a, b, d, p):
-    """Closed-form local insolubility test for the phi-space of class d at p.
-
-    Requires p > 3 prime, p | b, p coprime to a, and d a square-free unitary
-    divisor of a^2 - 4b (sign free).  The space C_{d, -2a, (a^2-4b)/d} has no
-    Q_p-point iff (d/p) = -1 and `nonresidues_insoluble(a, b, p)`.
-    """
-    if p <= 3 or not is_prime(p):
-        raise DomainError(f"p = {p} must be a prime > 3")
-    if b % p != 0 or a % p == 0:
-        raise DomainError("need p | b and p coprime to a")
-    n = a * a - 4 * b
-    if n == 0 or d == 0 or n % d != 0:
-        raise DomainError("d must divide a^2 - 4b")
-    if abs(d) not in unitary_squarefree_divisors(n):
-        raise DomainError("d must be a square-free unitary divisor of a^2 - 4b")
-    return legendre(d, p) == -1 and nonresidues_insoluble(a, b, p)
-
-
 def nonresidues_insoluble(a, b, p):
     """For a prime p > 3 with p | b and p coprime to a: are the phi-spaces of
-    all classes d with (d/p) = -1 insoluble at p?"""
+    all classes d with (d/p) = -1 insoluble at p?  For d a square-free
+    unitary divisor of a^2 - 4b, the space (d, -2a, (a^2 - 4b)/d) has no
+    Q_p-point iff (d/p) = -1 and this holds (acceptance criterion 05)."""
     return valuation(b, p) % 2 == 1 or legendre(a, p) == 1
 
 
@@ -296,48 +276,3 @@ def rank_upper(param):
     return SelmerEstimate(tuple(phi), tuple(phihat), dim_phi, dim_phihat,
                           dim_phi + dim_phihat - 2)
 
-
-def either_or_check(param):
-    """At least one of the two Selmer sets contains no negative class."""
-    if all(d > 0 for d in sel_phi(param)):
-        return True
-    return all(d > 0 for d in sel_phihat(param))
-
-
-def construct_b_candidates(a, M, bound):
-    """All |b| <= bound with gcd(a, b) = 1 and nu_{q_i}(a^2 - 4b) = 1, i <= M.
-
-    P(a) is the least prime > 3 with (a/P) = 1; q_1 < q_2 < ... are the
-    primes with (q_i/P(a)) = -1.  Requires a not a perfect square.
-    """
-    if a >= 0 and is_square(a):
-        raise DomainError(f"a = {a} must not be a perfect square")
-    P = least_split_prime(a)
-    qs = nonresidue_primes(P, M)
-    out = []
-    for b in range(-bound, bound + 1):
-        if b == 0 or gcd(a, b) != 1:
-            continue
-        n = a * a - 4 * b
-        if n != 0 and all(valuation(n, q) == 1 for q in qs):
-            out.append(b)
-    return out
-
-
-def least_split_prime(a):
-    """P(a): least prime > 3 with Legendre symbol (a/p) = 1."""
-    p = 5
-    while legendre(a, p) != 1:
-        p = next_prime(p)
-    return p
-
-
-def nonresidue_primes(P, M):
-    """The M least primes q with (q/P) = -1."""
-    out = []
-    q = 2
-    while len(out) < M:
-        if legendre(q, P) == -1:
-            out.append(q)
-        q = next_prime(q)
-    return out

@@ -12,12 +12,9 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from . import curves, polys
-from .arith import factor, iroot, is_square, is_squarefree
+from .arith import factor, is_square, is_squarefree
 from .curves import Z2, Z2XZ2, LongWeierstrass, ShortWeierstrass
 from .errors import DomainError, SingularCurve
-
-E2_TAG = "e2"
-E3_TAG = "e3"
 
 # Widens the asymptotic parameter window of `tate_fibers`, whose exponents
 # leave out constant factors, so small heights keep every fiber.
@@ -112,19 +109,10 @@ def e3_window(X):
 
 
 def type1(a):
-    """(y^2 = x^3 + a, its 3-isogenous partner y^2 = x^3 - 27a, memberships).
-
-    Membership: the curve has 2-torsion iff a is a perfect cube, and
-    3-torsion iff a is a perfect square.
-    """
+    """y^2 = x^3 + a, a nonzero."""
     if a == 0:
         raise DomainError("a must be nonzero")
-    member = set()
-    if iroot(abs(a), 3) ** 3 == abs(a):
-        member.add(E2_TAG)
-    if a > 0 and is_square(a):
-        member.add(E3_TAG)
-    return ShortWeierstrass(0, a), ShortWeierstrass(0, -27 * a), frozenset(member)
+    return ShortWeierstrass(0, a)
 
 
 def type1_window(X):

@@ -19,21 +19,25 @@ def rows(fn, tag, items, workers):
     workers; worker w makes chunks w, w + N, ... from the items it inherits,
     so nothing is pickled on the way in, and sends them back on its own pipe
     (`_worker`).  A full pipe blocks its worker, so none runs more than about
-    one chunk ahead.  Ending, closing or dropping this generator kills and
-    reaps every worker."""
+    one chunk ahead.  A worker that cannot be started (no pipe or no fork)
+    raises ChildProcessError.  Ending, failing, closing or dropping this
+    generator kills and reaps every worker already forked."""
     size = -(-len(items) // (16 * workers))
     chunks = -(-len(items) // size)
     pids, pipes = [], []
     try:
         for w in range(1, workers):
-            r, fd = os.pipe()
-            pipes.append(open(r, "rb"))
             try:
-                if (pid := os.fork()) == 0:
-                    _worker(fn, tag, (items[k * size:(k + 1) * size]
-                                      for k in range(w, chunks, workers)), fd, pipes)
-            finally:
-                os.close(fd)
+                r, fd = os.pipe()
+                pipes.append(open(r, "rb"))
+                try:
+                    if (pid := os.fork()) == 0:
+                        _worker(fn, tag, (items[k * size:(k + 1) * size]
+                                          for k in range(w, chunks, workers)), fd, pipes)
+                finally:
+                    os.close(fd)
+            except OSError as exc:
+                raise ChildProcessError(f"could not start scan worker {w}: {exc}") from exc
             pids.append(pid)
         for k in range(chunks):
             if k % workers:

@@ -80,14 +80,17 @@ def test_criterion_04_either_or_property():
         for b in range(-30, 31):
             if b * (a * a - 4 * b) == 0:
                 continue
-            if not descent2.either_or_check(E2Param(a, b)):
+            est = descent2.rank_upper(E2Param(a, b))
+            if min(est.phi_classes) < 0 and min(est.phihat_classes) < 0:
                 violations.append((a, b))
     assert violations == []
     _ok(4, "either-or sign collapse holds on every nonsingular |a|,|b| <= 30")
 
 
 def test_criterion_05_fastpath_equals_solver():
-    from ecdescent.arith import unitary_squarefree_divisors
+    """The closed-form rule of `stats.has_insolubility_certificate`, (d/p) = -1
+    and `nonresidues_insoluble`, against the p-adic solver."""
+    from ecdescent.arith import legendre, unitary_squarefree_divisors
     from ecdescent.descent2 import HomogeneousSpace
 
     disagreements = []
@@ -104,7 +107,7 @@ def test_criterion_05_fastpath_equals_solver():
                     continue
                 for d0 in unitary_squarefree_divisors(n):
                     for d in (d0, -d0):
-                        fast = descent2.fastpath_insoluble(a, b, d, p)
+                        fast = legendre(d, p) == -1 and descent2.nonresidues_insoluble(a, b, p)
                         space = HomogeneousSpace(d, -2 * a, n // d)
                         generic = descent2.padic_soluble(space, p)
                         checked += 1
@@ -112,7 +115,8 @@ def test_criterion_05_fastpath_equals_solver():
                             disagreements.append((a, b, d, p))
     assert disagreements == []
     assert checked > 10000
-    _ok(5, f"fastpath agrees with the generic p-adic solver on {checked} admissible tuples")
+    _ok(5, f"the fastpath rule ((d/p) = -1 and nonresidues_insoluble) agrees with the generic "
+           f"p-adic solver on {checked} admissible tuples")
 
 
 def test_criterion_06_volume_constant():
@@ -225,9 +229,11 @@ def test_criterion_13_twist_classification():
     assert families.twist_e0(5)[1] == families.COND_I
     assert families.twist_e0(55)[1] == families.COND_II
     assert families.twist_e0(2)[1] == families.UNCLASSIFIED
-    assert watkins.twist_watkins(5) == watkins.PROVEN_COND_I
-    assert watkins.twist_watkins(55) == watkins.PROVEN_COND_II
-    assert watkins.twist_watkins(2) == watkins.INCONCLUSIVE
+    # the lookup `watkins --family twist-e0` makes
+    verdict = lambda D: watkins.TWIST_VERDICT[families.twist_e0(D)[1]]
+    assert verdict(5) == watkins.PROVEN_COND_I
+    assert verdict(55) == watkins.PROVEN_COND_II
+    assert verdict(2) == watkins.INCONCLUSIVE
     _ok(13, "twist classes: 5 -> CondI, 55 -> CondII, 2 -> Unclassified, verdicts match")
 
 

@@ -717,6 +717,63 @@ def test_closed_stdout_leaves_no_child(monkeypatch, tmp_path, two_cpus):
     assert_no_child_left()
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_closed_stdout_leaks_no_descriptor(monkeypatch, tmp_path):
+    """Each in-process call whose stdout is closed points stdout at devnull
+    and closes the descriptor it opened for that."""
+    class Closed:
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    with open(tmp_path / "stdout", "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(5):
+            assert cli.main(["descent3", "--a", "2"], out=Closed()) == 1
+        assert len(os.listdir("/proc/self/fd")) == before
+
+
+def test_failed_fork_exits_1(capsys, monkeypatch, two_cpus):
+    """A worker that cannot be forked fails the scan with exit 1 and an
+    `error:` line, after the header; no process is started."""
+    def refused():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    argv = ["watkins", "--family", "e2", "--height", "3"]
+    _, serial = run_cli(argv)
+    monkeypatch.setattr(os, "fork", refused)
+    code, out = run_cli(["--workers", "2", *argv])
+    assert code == 1
+    assert out == serial.splitlines(keepends=True)[0]
+    assert capsys.readouterr().err == (
+        "error: could not start scan worker 1: [Errno 11] Resource temporarily unavailable\n")
+
+
+def test_failed_fork_reaps_the_workers_already_forked(capsys, monkeypatch):
+    """At --workers 3 the second fork fails: the first worker is still
+    killed and reaped.  Its fork is simulated, with a pid no process can
+    have, and kill and waitpid only record their calls."""
+    fake_pid, calls = 1 << 30, []
+    forks = iter([fake_pid])
+
+    def fork():
+        if (pid := next(forks, None)) is None:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "kill", lambda pid, sig: calls.append(("kill", pid, sig)))
+    monkeypatch.setattr(os, "waitpid", lambda pid, options: calls.append(("waitpid", pid)))
+    code, _ = run_cli(["--workers", "3", "watkins", "--family", "e2", "--height", "3"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: could not start scan worker 2: ")
+    assert calls == [("kill", fake_pid, 9), ("waitpid", fake_pid)]
+
+
 def test_enumerate_e3_against_brute_force():
     """The a-window must include large-|a| rows where 6ab cancels 27a^4."""
     from math import isqrt

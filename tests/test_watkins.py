@@ -1,9 +1,12 @@
 import io
 import os
+from collections import Counter
+from math import gcd
 
 import pytest
 
 from ecdescent import cli, curves, polys, watkins
+from ecdescent.arith import is_square, legendre, next_prime, valuation
 from ecdescent.curves import ShortWeierstrass
 from ecdescent.errors import DatasetFormatError, DomainError, SingularCurve
 from ecdescent.families import E2Param
@@ -200,3 +203,85 @@ def test_verify_flags_inconsistent_record():
     assert not out["rank_ok"]
     assert not out["ok"]
     assert not out["m_watkins"]
+
+
+def construct_b_candidates(a, M, bound):
+    """All |b| <= bound with gcd(a, b) = 1 and nu_{q_i}(a^2 - 4b) = 1, i <= M.
+
+    The paper's b-construction for the M-Watkins families: P(a) is the
+    least prime > 3 with (a/P) = 1; q_1 < q_2 < ... are the primes with
+    (q_i/P(a)) = -1.  Requires a not a perfect square.
+    """
+    if a >= 0 and is_square(a):
+        raise DomainError(f"a = {a} must not be a perfect square")
+    qs = nonresidue_primes(least_split_prime(a), M)
+    out = []
+    for b in range(-bound, bound + 1):
+        if b == 0 or gcd(a, b) != 1:
+            continue
+        n = a * a - 4 * b
+        if n != 0 and all(valuation(n, q) == 1 for q in qs):
+            out.append(b)
+    return out
+
+
+def least_split_prime(a):
+    """P(a): least prime > 3 with Legendre symbol (a/p) = 1."""
+    p = 5
+    while legendre(a, p) != 1:
+        p = next_prime(p)
+    return p
+
+
+def nonresidue_primes(P, M):
+    """The M least primes q with (q/P) = -1."""
+    out = []
+    q = 2
+    while len(out) < M:
+        if legendre(q, P) == -1:
+            out.append(q)
+        q = next_prime(q)
+    return out
+
+
+def test_construct_b_candidates():
+    assert least_split_prime(2) == 7
+    assert nonresidue_primes(5, 2) == [2, 3]
+    with pytest.raises(DomainError):
+        construct_b_candidates(4, 1, 10)
+    bs = construct_b_candidates(2, 1, 30)
+    # q_1 = 3 for P(2) = 7: each b must have nu_3(4 - 4b) = 1 and be odd
+    assert bs
+    for b in bs:
+        assert gcd(2, b) == 1
+        assert valuation(4 - 4 * b, 3) == 1
+    # brute check none missing
+    expect = [b for b in range(-30, 31)
+              if b % 2 and 4 - 4 * b != 0 and valuation(4 - 4 * b, 3) == 1]
+    assert bs == expect
+
+
+def test_least_split_prime_matches_definition():
+    for a in (2, 3, 5, 6, 7, 10, -2, -5):
+        P = least_split_prime(a)
+        assert legendre(a, P) == 1
+        p = 5
+        while p < P:
+            assert legendre(a, p) != 1
+            p = next_prime(p)
+
+
+def test_b_construction_yields_m_watkins_candidates():
+    """What the b-construction is for: its M-th set of b gives curves E_{2,b}
+    on which to try the M-Watkins inequality rank + M <= nu_2(m_E).  At
+    |b| <= 3000 the sets shrink with M, and the rank bound against the
+    omega(N) - 2 surrogate proves the inequality on about three quarters of
+    the first, half of the second and one curve of the third."""
+    found, proven = [], []
+    for M in (1, 2, 3):
+        bs = construct_b_candidates(2, M, 3000)
+        verdicts = Counter(watkins.report(E2Param(2, b)).verdict(M) for b in bs)
+        found.append(len(bs))
+        proven.append(verdicts[watkins.PROVEN])
+    assert found == [667, 106, 8]
+    assert proven == [512, 49, 1]
