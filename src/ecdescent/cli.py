@@ -464,7 +464,8 @@ def main(argv=None, out=None):
     """Run one command; the one place where exceptions become exit codes:
     DomainError (bad options, config or dataset files) 2, the others 1."""
     # 64 kB writes, not 4-8 kB: each write to a pipe wakes its reader, which preempts the scan
-    out = out or open(sys.stdout.fileno(), "w", buffering=1 << 16, closefd=False)
+    if own := out is None:
+        out = open(sys.stdout.fileno(), "w", buffering=1 << 16, closefd=False)
     parser = build_parser()
     args = parser.parse_args(_glue_option_values(argv if argv is not None else sys.argv[1:]))
     try:
@@ -479,10 +480,11 @@ def main(argv=None, out=None):
         return code
     except BrokenPipeError:
         # The reader closed stdout (`| head`).  Point it at devnull so the
-        # flushes that follow cannot raise again.
-        null = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(null, sys.stdout.fileno())
-        os.close(null)
+        # flushes that follow cannot raise again; a caller's `out` is its own.
+        if own:
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, out.fileno())
+            os.close(null)
         return EXIT_INCONSISTENT
     except (DomainError, SingularCurve, ArithmeticError, ChildProcessError) as exc:
         print(f"error: {exc}", file=sys.stderr)

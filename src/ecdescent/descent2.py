@@ -24,18 +24,16 @@ Solubility at p depends only on the class of d in Q_p*/Q_p*^2 (V -> s V,
 Z -> s Z carry d to d s^2), of which there are 4 at odd p and 8 at p = 2.
 The soluble classes are W_p, the image of E(Q_p) under the connecting map
 (Silverman, AEC X.4; Cremona, Algorithms, 3.6): a subgroup that holds the
-classes of 1 and b, the images of O and T = (0, 0).  So a Selmer set starts
-each W_p from those two classes and searches a class only when it lies
-neither in the known part of W_p nor in a coset of it found insoluble; that
-one search then settles the class's whole coset.  The real place, always a
-condition, has two classes, the signs, decided once per side: d > 0 is
-soluble over R (at V = 0), and every d < 0 decides as -1, since (d, a, b/d)
-has no real point iff b > 0 and (a <= 0 or a^2 < 4b).
-"""
+classes of 1 and b, the images of O and T = (0, 0).  So a Selmer set is a
+group, cut from a basis by F_2 linear algebra place by place, and one search
+settles a whole coset of W_p.  Over R the classes are the signs: d > 0 is
+soluble (at V = 0), and every d < 0 decides as -1: (d, a, b/d) has no real
+point iff b > 0 and (a <= 0 or a^2 < 4b)."""
 
 from collections import namedtuple
 from functools import lru_cache
 from itertools import chain
+from math import gcd
 
 from .arith import (
     CACHE_BOUND,
@@ -43,7 +41,6 @@ from .arith import (
     is_prime,
     is_square,
     legendre,
-    squarefree_divisors,
     squarefree_kernel,
     valuation,
 )
@@ -186,43 +183,50 @@ def _square_class(d, p):
     return (r == 0) | ((u % 8) >> 1 if p == 2 else pow(u, (p - 1) // 2, p) != 1) << 1
 
 
+def _times(d, e):
+    """The group law on square-free classes: d e with their common primes cancelled."""
+    return d * e // gcd(d, e) ** 2
+
+
 def _selmer(side, local):
     """Classes d | b of side = (a, b) whose space (d, a, b/d) is soluble over R
     and over Q_p for every p in local, the primes that `factor` proved.
 
-    The soluble classes at p are W_p, the image of E(Q_p) in Q_p*/Q_p*^2
-    (Silverman, AEC X.4; Cremona, Algorithms, 3.6).  It is a subgroup and
-    holds the classes of 1 and of b, the images of O and T = (0, 0), whose
-    spaces have the points V = 0 and U = 0; b's class is that of its
-    square-free kernel t.  So at each p `good`, the known part of W_p,
-    starts as {1, t} and `bad`, the classes known insoluble, is a union of
-    its cosets.  A class in neither is searched once, and the answer settles
-    its whole coset.  R has two square classes, the signs: every d > 0 is
-    soluble there, and every d < 0 decides as -1."""
+    They form a group, cut place by place from a `basis`: the primes of b, and
+    -1 if soluble over R.  At p, `good`, the known part of W_p, starts as the
+    classes of 1 and t = b's square-free kernel; `span` maps the class of each
+    product of rejected elements to it, and its classes but 0 lie outside W_p:
+    no insoluble set is kept.  Elements in `good` are kept first; any other s
+    is kept times a span member carrying it into `good`, or else searched times
+    each member: one soluble is kept and widens `good`, or s joins the span."""
     a, b = side
-    negative_ok = real_soluble(HomogeneousSpace(-1, a, -b))
     t = squarefree_kernel(b)
-    states = [(p, {0, _square_class(t, p)}, set()) for p in local]
-    out = []
-    for d in squarefree_divisors(b):
-        if d < 0 and not negative_ok:
-            continue
-        for p, good, bad in states:
-            c = _square_class(d, p)
-            if c in good:
-                continue
-            if c in bad:
-                break
-            coset = {c ^ g for g in good}
-            if _qp_soluble(d, a, b // d, p):
-                good |= coset
-                bad |= {x ^ g for x in bad for g in coset}
+    basis = [p for p, _ in factor(b)]
+    if real_soluble(HomogeneousSpace(-1, a, -b)):
+        basis.append(-1)
+    for p in local:
+        good, span, rest, kept = {0, _square_class(t, p)}, {0: 1}, [], []
+        for s in basis:
+            if (c := _square_class(s, p)) in good:
+                kept.append(s)
             else:
-                bad |= coset
-                break
-        else:
-            out.append(d)
-    return out
+                rest.append((s, c))
+        for s, c in rest:
+            y = next((y for y in span if c ^ y in good), None)
+            if y is None:
+                for y, e in span.items():
+                    if _qp_soluble(d := _times(s, e), a, b // d, p):
+                        good |= {c ^ y ^ g for g in good}
+                        break
+                else:
+                    span.update({c ^ x: _times(s, e) for x, e in span.items()})
+                    continue
+            kept.append(_times(s, span[y]))
+        basis = kept
+    out = [1]
+    for s in basis:
+        out += [_times(d, s) for d in out]
+    return sorted(out, key=lambda d: (abs(d), d < 0))
 
 
 def sel_phi(param):

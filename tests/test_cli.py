@@ -696,7 +696,7 @@ def test_worker_failure_keeps_earlier_chunks(capsys, monkeypatch, two_cpus, fail
     assert_no_child_left()
 
 
-def test_closed_stdout_leaves_no_child(monkeypatch, tmp_path, two_cpus):
+def test_closed_stdout_leaves_no_child(two_cpus):
     """`| head` at --workers 2, in process: the reader goes after the header."""
     class Closed:
         writes = 0
@@ -709,18 +709,31 @@ def test_closed_stdout_leaves_no_child(monkeypatch, tmp_path, two_cpus):
         def flush(self):
             pass
 
-    with open(tmp_path / "stdout", "w") as stdout:  # main points it at devnull
-        monkeypatch.setattr(sys, "stdout", stdout)
-        code = cli.main(["--workers", "2", "enumerate", "--family", "twist-e0", "--range", "300"],
-                        out=Closed())
+    code = cli.main(["--workers", "2", "enumerate", "--family", "twist-e0", "--range", "300"],
+                    out=Closed())
     assert code == 1
     assert_no_child_left()
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
-def test_closed_stdout_leaks_no_descriptor(monkeypatch, tmp_path):
-    """Each in-process call whose stdout is closed points stdout at devnull
-    and closes the descriptor it opened for that."""
+def test_closed_stdout_leaks_no_descriptor(monkeypatch):
+    """Each in-process call whose stdout is a pipe with no reader points
+    stdout at devnull and closes the descriptor it opened for that."""
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(5):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert cli.main(["descent3", "--a", "2"]) == 1
+            print("after", file=stdout, flush=True)  # devnull takes it
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
+def test_closed_caller_writer_leaves_stdout_alone(capsys):
+    """A broken `out` of the caller's own is no reason to touch stdout: under
+    capsys, whose stdout has no descriptor, the call returns 1 and a later
+    print still reaches stdout."""
     class Closed:
         def write(self, text):
             raise BrokenPipeError(errno.EPIPE, "Broken pipe")
@@ -728,12 +741,9 @@ def test_closed_stdout_leaks_no_descriptor(monkeypatch, tmp_path):
         def flush(self):
             pass
 
-    with open(tmp_path / "stdout", "w") as stdout:
-        monkeypatch.setattr(sys, "stdout", stdout)
-        before = len(os.listdir("/proc/self/fd"))
-        for _ in range(5):
-            assert cli.main(["descent3", "--a", "2"], out=Closed()) == 1
-        assert len(os.listdir("/proc/self/fd")) == before
+    assert cli.main(["descent3", "--a", "2"], out=Closed()) == 1
+    print("still here")
+    assert capsys.readouterr().out == "still here\n"
 
 
 def test_failed_fork_exits_1(capsys, monkeypatch, two_cpus):

@@ -1,13 +1,15 @@
+import hashlib
+import io
 import random
 import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
-from ecdescent import arith, descent2, polys
+from ecdescent import arith, cli, descent2, polys
 from ecdescent.arith import (
     factor,
     legendre,
@@ -424,8 +426,8 @@ def test_solubility_depends_only_on_the_square_class(side):
     part mod squares (Legendre symbol at odd p, residue mod 8 at p = 2) get
     the same `_qp_soluble` answer, and the soluble classes form a subgroup
     W_p holding the classes of 1 and b (the images of O and T), so every
-    coset of W_p decides alike: the lemmas behind the Selmer loop's
-    good/bad sets."""
+    coset of W_p decides alike: the lemmas behind the Selmer loop's `good`
+    set and its `span` of insoluble classes."""
     spaces = pairs = 0
     for a in range(-8, 9):
         for b in range(-64, 65):
@@ -453,7 +455,7 @@ def test_solubility_depends_only_on_the_square_class(side):
 
 def _selmer_per_class_memo(side, local):
     """The retired Selmer loop: one search per (p, square class), each answer
-    kept for that class alone.  The reference for the subgroup loop."""
+    kept for that class alone.  The reference for the basis loop."""
     a, b = side
     negative_ok = descent2.real_soluble(HomogeneousSpace(-1, a, -b))
     decided = {}
@@ -475,6 +477,77 @@ def _selmer_per_class_memo(side, local):
     return out
 
 
+def _selmer_coset_loop(side, local):
+    """The retired Selmer loop over all 2^(k+1) signed divisors of b: at each
+    p, `good` (the known part of W_p) starts as the classes of 1 and b, `bad`
+    is the union of its cosets found insoluble, and a class in neither is
+    searched once.  The reference for the basis loop."""
+    a, b = side
+    negative_ok = descent2.real_soluble(HomogeneousSpace(-1, a, -b))
+    t = squarefree_kernel(b)
+    states = [(p, {0, descent2._square_class(t, p)}, set()) for p in local]
+    out = []
+    for d in squarefree_divisors(b):
+        if d < 0 and not negative_ok:
+            continue
+        for p, good, bad in states:
+            c = descent2._square_class(d, p)
+            if c in good:
+                continue
+            if c in bad:
+                break
+            coset = {c ^ g for g in good}
+            if descent2._qp_soluble(d, a, b // d, p):
+                good |= coset
+                bad |= {x ^ g for x in bad for g in coset}
+            else:
+                bad |= coset
+                break
+        else:
+            out.append(d)
+    return out
+
+
+def _odd_prime_product(k):
+    return prod(primes_up_to(100)[1:k + 1])
+
+
+def test_selmer_matches_the_coset_loop():
+    """On both sides of a box and of y^2 = x^3 + x^2 - n x for n the product
+    of the first k odd primes, k = 12 ... 16 (up to 2^17 classes).  At k = 17
+    the coset loop takes 7 s; the sha256 pinned below is that of its output."""
+    params = [E2Param(a, b) for a in range(-12, 13) for b in range(-150, 151)
+              if b * (a * a - 4 * b) != 0]
+    params += [E2Param(1, -_odd_prime_product(k)) for k in range(12, 17)]
+    for param in params:
+        local = descent2._local_primes(param)
+        for side in (param.dual, param):
+            assert descent2._selmer(side, local) == _selmer_coset_loop(side, local), (param, side)
+    assert len(params) == 7493, len(params)
+
+
+def test_seventeen_prime_descent_reads_few_square_classes(monkeypatch):
+    """b = -3 * 5 * ... * 61, the product of the first 17 odd primes, has
+    2^18 signed divisors.  The basis loop reads the square classes of its
+    basis elements at each local prime, under 1,000 of them (the divisor
+    loop read 2,621,516), and the output keeps the sha256 of that loop."""
+    calls = 0
+    square_class = descent2._square_class
+
+    def counting(d, p):
+        nonlocal calls
+        calls += 1
+        return square_class(d, p)
+
+    monkeypatch.setattr(descent2, "_square_class", counting)
+    out = io.StringIO()
+    assert _odd_prime_product(17) == 58644190679703485491635
+    assert cli.main(["descent", "--a", "1", "--b", "-58644190679703485491635"], out=out) == 0
+    assert (hashlib.sha256(out.getvalue().encode()).hexdigest()
+            == "d482d11686a71aa789b10940d2ffef04d113935c3dcc03b413bc214630815425")
+    assert calls < 1000, calls
+
+
 def test_selmer_matches_the_per_class_memo():
     curves = 0
     for param in e2_window(12):
@@ -487,9 +560,9 @@ def test_selmer_matches_the_per_class_memo():
 
 
 def test_selmer_searches_only_unsettled_classes(monkeypatch):
-    """Over the height-8 window the subgroup loop makes at most 9,000 searches
-    (the per-class memo made 36,865), and none for a class of 1 or b, which
-    start out known soluble."""
+    """Over the height-8 window the basis loop makes at most 8,000 searches
+    (the coset loop made 8,056, the per-class memo 36,865), and none for a
+    class of 1 or b, which start out known soluble."""
     calls = 0
     qp_soluble = descent2._qp_soluble
 
@@ -502,7 +575,7 @@ def test_selmer_searches_only_unsettled_classes(monkeypatch):
     monkeypatch.setattr(descent2, "_qp_soluble", counting)
     for param in e2_window(8):
         descent2.rank_upper(param)
-    assert calls <= 9000, calls
+    assert calls <= 8000, calls
 
 
 def test_real_solubility_depends_only_on_the_sign():
