@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Subcommands: enumerate, descent, descent3, watkins, stats, verify.  Output
-is CSV and/or a single JSON summary document on stdout (the JSON line is
-last); diagnostics go to stderr.  Exit codes: 0 success, 1 mathematical
-inconsistency, singular input or a stdout closed by its reader, 2 usage or
-parse errors.
+Subcommands: enumerate, descent, descent3, watkins, stats, verify.  Each
+`cmd_*(args, cfg)` returns (CSV header or None, CSV rows, JSON summary or
+None), and `main` alone writes them to stdout, the summary last with the
+config echoed; diagnostics go to stderr.  Exit codes: 0 success, 1
+mathematical inconsistency (`all_ok` false), singular input or a stdout
+closed by its reader, 2 usage or parse errors.
 
 Every `enumerate` and `watkins` scan writes its rows in tag order as they
 are made (`_scan`), so output is byte-identical for any worker count.  A
@@ -33,16 +34,6 @@ EXIT_USAGE = 2
 def _row(*fields):
     """One CSV line from its fields."""
     return ",".join(map(str, fields))
-
-
-def _emit_csv(header, rows, out):
-    out.write(header + "\n")
-    for row in rows:
-        out.write(row + "\n")
-
-
-def _emit_json(doc, out):
-    out.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def _scan(fn, tag, items, workers):
@@ -92,7 +83,7 @@ def _type1_row(tag, a, policy, rank_bounds):
     return _curve_row(tag, families.type1(a), policy, *extra)
 
 
-def cmd_enumerate(args, cfg, out):
+def cmd_enumerate(args, cfg):
     family, policy, rank_bounds = args.family, cfg.policy, args.rank_bounds
     X = _window(args, family)
     if rank_bounds and family not in ("e2", "type1"):
@@ -111,60 +102,49 @@ def cmd_enumerate(args, cfg, out):
             items = ((f"{a};{b}", model) for a, b, model in families.e3_window(X))
         else:  # e5, e7; argparse restricts the choices
             items = families.tate_curves(int(family[1]), X).values()
-    _emit_csv("params,A,B,omega_N" + (",rank_upper" if rank_bounds else ""),
-              _scan(fn, tag, items, cfg.workers), out)
-    return EXIT_OK
+    return ("params,A,B,omega_N" + (",rank_upper" if rank_bounds else ""),
+            _scan(fn, tag, items, cfg.workers), None)
 
 
 # ------------------------------------------------------------------ descent
 
 
-def cmd_descent(args, cfg, out):
+def cmd_descent(args, cfg):
     param = families.E2Param(args.a, args.b)
     est = descent2.rank_upper(param)
-    _emit_json(
-        {
-            "a": args.a,
-            "b": args.b,
-            "phi_classes": list(est.phi_classes),
-            "phihat_classes": list(est.phihat_classes),
-            "dim_phi": est.dim_phi,
-            "dim_phihat": est.dim_phihat,
-            "rank_upper": est.rank_upper,
-            # fixed: rank_upper raises rather than clamp a negative bound
-            "clamped": False,
-            "config": cfg.as_dict(),
-        },
-        out,
-    )
-    return EXIT_OK
+    return None, (), {
+        "a": args.a,
+        "b": args.b,
+        "phi_classes": list(est.phi_classes),
+        "phihat_classes": list(est.phihat_classes),
+        "dim_phi": est.dim_phi,
+        "dim_phihat": est.dim_phihat,
+        "rank_upper": est.rank_upper,
+        # fixed: rank_upper raises rather than clamp a negative bound
+        "clamped": False,
+    }
 
 
-def cmd_descent3(args, cfg, out):
+def cmd_descent3(args, cfg):
     if args.a == 0:
         raise SingularCurve("a must be nonzero")
     bound, comp = descent3.rank_upper_type1(args.a)
-    _emit_json(
-        {
-            "a": args.a,
-            "bound": bound,
-            "components": {
-                "class_field_a": comp.class_a.field_kernel,
-                "r3_a": comp.class_a.r3,
-                "method_a": comp.class_a.method,
-                "unit_a": comp.class_a.unit,
-                "class_field_m27a": comp.class_m27a.field_kernel,
-                "r3_m27a": comp.class_m27a.r3,
-                "method_m27a": comp.class_m27a.method,
-                "unit_m27a": comp.class_m27a.unit,
-                "s_a": comp.s_a,
-                "s_m27a": comp.s_a,  # S_{-27a} = S_a
-            },
-            "config": cfg.as_dict(),
+    return None, (), {
+        "a": args.a,
+        "bound": bound,
+        "components": {
+            "class_field_a": comp.class_a.field_kernel,
+            "r3_a": comp.class_a.r3,
+            "method_a": comp.class_a.method,
+            "unit_a": comp.class_a.unit,
+            "class_field_m27a": comp.class_m27a.field_kernel,
+            "r3_m27a": comp.class_m27a.r3,
+            "method_m27a": comp.class_m27a.method,
+            "unit_m27a": comp.class_m27a.unit,
+            "s_a": comp.s_a,
+            "s_m27a": comp.s_a,  # S_{-27a} = S_a
         },
-        out,
-    )
-    return EXIT_OK
+    }
 
 
 # ------------------------------------------------------------------ watkins
@@ -203,7 +183,14 @@ def _window(args, family):
     return _nonnegative(flag, X)
 
 
-def cmd_watkins(args, cfg, out):
+def _counted(rows, doc):
+    """The lines of (line, verdict) rows, counting each verdict into doc."""
+    for line, verdict in rows:
+        doc["proven" if verdict.startswith("Proven") else "inconclusive"] += 1
+        yield line
+
+
+def cmd_watkins(args, cfg):
     M = _nonnegative("--M", args.M)
     X = _window(args, args.family)
     if args.family == "e2":
@@ -216,24 +203,8 @@ def cmd_watkins(args, cfg, out):
         rows = _scan(partial(_watkins_twist_row, nu2_manin=cfg.nu2_manin), str,
                      families.twist_window(X), cfg.workers)
         header = "D,A,B,class,verdict"
-    out.write(header + "\n")
-    total = proven = 0
-    for line, verdict in rows:
-        out.write(line + "\n")
-        total += 1
-        proven += verdict.startswith("Proven")
-    _emit_json(
-        {
-            "command": "watkins",
-            "family": args.family,
-            "M": M,
-            "proven": proven,
-            "inconclusive": total - proven,
-            "config": cfg.as_dict(),
-        },
-        out,
-    )
-    return EXIT_OK
+    doc = {"command": "watkins", "family": args.family, "M": M, "proven": 0, "inconclusive": 0}
+    return header, _counted(rows, doc), doc
 
 
 # -------------------------------------------------------------------- stats
@@ -263,9 +234,10 @@ def _parse_heights(text):
     return hs
 
 
-def cmd_stats(args, cfg, out):
+def cmd_stats(args, cfg):
     exp = args.experiment
-    doc = {"command": f"stats.{exp}", "config": cfg.as_dict()}
+    doc = {"command": f"stats.{exp}"}
+    header, rows = None, ()
     if exp == "volume":
         vc = stats.volume_constant(args.precision)
         doc.update(
@@ -274,18 +246,16 @@ def cmd_stats(args, cfg, out):
             value=str(vc.value),
             precision=args.precision,
         )
-        _emit_json(doc, out)
     elif exp in ("count-r2", "count-r3", "count-family"):
         heights = _parse_heights(args.heights)
         if exp == "count-family":
             doc["ell"] = args.ell
         ell = {"count-r2": 2, "count-r3": 3}.get(exp, args.ell)
         pts = stats.family_series(ell, heights)
-        _emit_csv("X,count", [_row(*pt) for pt in pts], out)
+        header, rows = "X,count", [_row(*pt) for pt in pts]
         doc["counts"] = pts
         if len(pts) >= 3 and all(c > 0 for _, c in pts):
             doc["slope"] = stats.slope(pts)
-        _emit_json(doc, out)
     elif exp == "normal-order":
         f = _parse_poly(args.poly)
         S = _parse_ints(args.exclude, "exclude") if args.exclude else []
@@ -299,9 +269,8 @@ def cmd_stats(args, cfg, out):
                 {"X": ns.X, "mean": str(ns.mean), "variance": str(ns.variance),
                  "n": ns.sample_count}
             )
-        _emit_csv("X,mean,variance,n", rows, out)
+        header = "X,mean,variance,n"
         doc.update(poly=f, exclude=S, samples=samples)
-        _emit_json(doc, out)
     elif exp == "roots-mod":
         _nonnegative("--pmax", args.pmax)
         f = _parse_poly(args.poly)
@@ -322,10 +291,9 @@ def cmd_stats(args, cfg, out):
             worst = max(worst, c)
             if args.square and c > 2 * deg:
                 violations += 1
-        _emit_csv("p,count", rows, out)
+        header = "p,count"
         doc.update(poly=f, square=args.square, max_count=worst,
                    bound=2 * deg, violations=violations)
-        _emit_json(doc, out)
     elif exp == "avg-frobenius":
         _nonnegative("--pmax", args.pmax)
         rows = []
@@ -337,47 +305,35 @@ def cmd_stats(args, cfg, out):
             rows.append(_row(p, v))
             worst = max(worst, abs(v))
         bound = stats.family_trace_bound(args.family)
-        _emit_csv("p,avg_trace", rows, out)
+        header = "p,avg_trace"
         doc.update(family=args.family, bound=bound, max_abs=str(worst),
                    within_bound=worst <= bound)
-        _emit_json(doc, out)
     elif exp == "density-cor-main":
         if args.height is None:
             raise DomainError("--height is required for density-cor-main")
         certified, total = stats.certificate_density(args.height)
-        _emit_csv("X,certified,total", [_row(args.height, certified, total)], out)
+        header, rows = "X,certified,total", [_row(args.height, certified, total)]
         doc.update(X=args.height, certified=certified, total=total,
                    fraction=certified / total if total else None)
-        _emit_json(doc, out)
     else:  # pragma: no cover
         raise DomainError(f"unknown experiment {exp}")
-    return EXIT_OK
+    return header, rows, doc
 
 
 # ------------------------------------------------------------------- verify
 
 
-def cmd_verify(args, cfg, out):
+def cmd_verify(args, cfg):
     _nonnegative("--M", args.M)
     records = watkins.load_dataset(args.dataset)
-    results = []
-    all_ok = True
-    for rec in records:
-        res = watkins.verify_record(rec, args.M, cfg.policy)
-        results.append(res)
-        all_ok = all_ok and res["ok"]
-    _emit_json(
-        {
-            "command": "verify",
-            "dataset": args.dataset,
-            "M": args.M,
-            "records": results,
-            "all_ok": all_ok,
-            "config": cfg.as_dict(),
-        },
-        out,
-    )
-    return EXIT_OK if all_ok else EXIT_INCONSISTENT
+    results = [watkins.verify_record(rec, args.M, cfg.policy) for rec in records]
+    return None, (), {
+        "command": "verify",
+        "dataset": args.dataset,
+        "M": args.M,
+        "records": results,
+        "all_ok": all(res["ok"] for res in results),
+    }
 
 
 # -------------------------------------------------------------------- main
@@ -461,8 +417,9 @@ def _glue_option_values(argv, flags=("--poly", "--exclude", "--heights")):
 
 
 def main(argv=None, out=None):
-    """Run one command; the one place where exceptions become exit codes:
-    DomainError (bad options, config or dataset files) 2, the others 1."""
+    """Run one command and write its output; the one writer of stdout and the
+    one place where exceptions become exit codes: DomainError (bad options,
+    config or dataset files) 2, the others 1."""
     # 64 kB writes, not 4-8 kB: each write to a pipe wakes its reader, which preempts the scan
     if own := out is None:
         out = open(sys.stdout.fileno(), "w", buffering=1 << 16, closefd=False)
@@ -475,9 +432,15 @@ def main(argv=None, out=None):
             nu2_manin=args.nu2_manin,
             workers=args.workers,
         )
-        code = args.fn(args, cfg, out)
+        header, rows, doc = args.fn(args, cfg)
+        if header is not None:
+            out.write(header + "\n")
+        for row in rows:
+            out.write(row + "\n")
+        if doc is not None:
+            out.write(json.dumps({**doc, "config": cfg.as_dict()}, sort_keys=True) + "\n")
         out.flush()
-        return code
+        return EXIT_OK if doc is None or doc.get("all_ok", True) else EXIT_INCONSISTENT
     except BrokenPipeError:
         # The reader closed stdout (`| head`).  Point it at devnull so the
         # flushes that follow cannot raise again; a caller's `out` is its own.

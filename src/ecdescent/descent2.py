@@ -196,8 +196,8 @@ def _selmer(side, local):
     -1 if soluble over R.  At p, `good`, the known part of W_p, starts as the
     classes of 1 and t = b's square-free kernel; `span` maps the class of each
     product of rejected elements to it, and its classes but 0 lie outside W_p:
-    no insoluble set is kept.  Elements in `good` are kept first; any other s
-    is kept times a span member carrying it into `good`, or else searched times
+    no insoluble set is kept.  One pass keeps each s in `good`, and any other
+    s times a span member carrying it into `good`, or else searches s times
     each member: one soluble is kept and widens `good`, or s joins the span."""
     a, b = side
     t = squarefree_kernel(b)
@@ -205,13 +205,11 @@ def _selmer(side, local):
     if real_soluble(HomogeneousSpace(-1, a, -b)):
         basis.append(-1)
     for p in local:
-        good, span, rest, kept = {0, _square_class(t, p)}, {0: 1}, [], []
+        good, span, kept = {0, _square_class(t, p)}, {0: 1}, []
         for s in basis:
             if (c := _square_class(s, p)) in good:
                 kept.append(s)
-            else:
-                rest.append((s, c))
-        for s, c in rest:
+                continue
             y = next((y for y in span if c ^ y in good), None)
             if y is None:
                 for y, e in span.items():

@@ -77,10 +77,6 @@ def compose(f1, f2, D):
     """Gauss composition of primitive positive definite forms of discriminant D."""
     a1, b1, c1 = f1
     a2, b2, c2 = f2
-    if a1 == 1:
-        return reduce_form(a2, b2, c2)
-    if a2 == 1:
-        return reduce_form(a1, b1, c1)
     s = (b1 + b2) // 2
     d1, u1, v1 = _xgcd(a1, a2)
     d, u2, v2 = _xgcd(d1, s)

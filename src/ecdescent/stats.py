@@ -159,22 +159,18 @@ def roots_mod(f, p, square=False):
     """rho_f(p), or rho_f(p^2) with square=True.
 
     Mod p^2 counts lifts of mod-p roots through the exact expansion
-    f(r1 + p r2) = f(r1) + p r2 f'(r1) (mod p^2).  Root counts mod p use
-    exhaustive evaluation for small p and the degree of gcd(x^p - x, f)
-    beyond that; when f is squarefree mod p every root is simple, so the
-    distinct-root count already equals rho_f(p^2).
+    f(r1 + p r2) = f(r1) + p r2 f'(r1) (mod p^2).  Root counts mod p are the
+    degree of gcd(x^p - x, f), and exhaustive evaluation only where the
+    reduction degenerates; when f is squarefree mod p every root is simple,
+    so the distinct-root count already equals rho_f(p^2).
     """
     f = polys.normalize(f)
     if not f:
         raise DomainError("zero polynomial")
     fp = polys.derivative(f)
-    if p > 500:
-        count = _distinct_roots_gcd(f, p)
-        if count is not None:
-            if not square:
-                return count
-            if len(polys.gcd_mod(f, fp, p)) == 1:
-                return count  # all roots simple: unique lifts
+    count = _distinct_roots_gcd(f, p)
+    if count is not None and (not square or len(polys.gcd_mod(f, fp, p)) == 1):
+        return count  # with square, all roots simple: unique lifts
     if not square:
         return len(polys.roots_mod_p(f, p))
     p2 = p * p

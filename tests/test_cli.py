@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from ecdescent import cli, curves, descent2, descent3, families, stats
+from ecdescent.config import load_config
 from ecdescent.errors import DomainError
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "ecdescent", "data",
@@ -412,6 +413,45 @@ def test_stats_normal_order():
     rows, doc = split_csv_json(out)
     assert rows[0] == "X,mean,variance,n"
     assert doc["samples"][0]["n"] > 100
+
+
+@pytest.mark.parametrize("argv", [
+    *[["enumerate", "--family", family, *window] for family, window in (
+        ("e2", ["--height", "2"]), ("e3", ["--height", "5"]), ("e5", ["--height", "50"]),
+        ("e7", ["--height", "200"]), ("type1", ["--height", "2"]),
+        ("twist-e0", ["--range", "30"]))],
+    ["descent", "--a", "0", "--b", "-1"],
+    ["descent3", "--a", "2"],
+    ["watkins", "--family", "e2", "--height", "2"],
+    ["watkins", "--family", "twist-e0", "--range", "30"],
+    ["stats", "count-r2", "--heights", "3,5,8"],
+    ["stats", "count-r3", "--heights", "3,5,8"],
+    ["stats", "count-family", "--heights", "50,100"],
+    ["stats", "volume", "--precision", "20"],
+    ["stats", "normal-order", "--poly", "-1,-11,1", "--heights", "15"],
+    ["stats", "roots-mod", "--poly", "-1,-11,1", "--pmax", "30"],
+    ["stats", "avg-frobenius", "--pmax", "30"],
+    ["stats", "density-cor-main", "--height", "3"],
+    ["verify", "--dataset", DATA],
+], ids=lambda argv: " ".join(map(os.path.basename, argv)))
+def test_output_protocol(argv):
+    """Every command writes an optional CSV block, then at most one JSON line,
+    which echoes the effective config; `enumerate` writes no JSON line."""
+    code, out = run_cli(["--nu2-manin", "1", *argv])
+    assert code == 0
+    lines = out.splitlines()
+    docs = [i for i, line in enumerate(lines) if line.startswith("{")]
+    assert len(docs) == (argv[0] != "enumerate")
+    if docs:
+        assert docs == [len(lines) - 1]
+        config = json.loads(lines[-1])["config"]
+        assert config == load_config(nu2_manin=1).as_dict()
+        assert config["nu2_manin"] == 1
+        lines.pop()
+    if lines:  # a header, then rows of as many fields
+        assert lines[0][0].isalpha()
+        assert len(lines) > 1
+        assert {line.count(",") for line in lines} == {lines[0].count(",")}
 
 
 def test_verify_ok():

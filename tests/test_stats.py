@@ -128,7 +128,7 @@ def test_roots_mod_square_oracle():
             continue
         for p in (2, 3, 5, 7, 11):
             assert stats.roots_mod(f, p, square=True) == oracle_roots_mod_square(f, p), (f, p)
-        for p in (503, 1009):  # beyond 500: the gcd(x^p - x, f) path
+        for p in (2, 3, 5, 7, 11, 503, 1009):  # the gcd(x^p - x, f) count, small p included
             assert stats.roots_mod(f, p) == len(polys.roots_mod_p(f, p)), (f, p)
 
 
