@@ -20,6 +20,13 @@ EXACT_IMAGINARY = "exact-imaginary"
 SCHOLZ_BOUND = "scholz-bound"
 RATIONAL_TRIVIAL = "rational-trivial"
 
+# `reduced_forms` reads b from `_ROOTS` while sqrt(|D|/3) <= ROOTS_BOUND.
+# `_ROOTS[a]` maps each square residue mod 4a to the b in [0, a] with that
+# square; it is empty at import and grown on first use up to the largest a
+# asked for, so it never holds more than ROOTS_BOUND entries.
+ROOTS_BOUND = 1 << 8
+_ROOTS = {}
+
 
 # field_kernel: square-free d with K = Q(sqrt(d)); 1 means K = Q.
 # unit: dim_F3 of the units of K modulo cubes.
@@ -97,19 +104,43 @@ def _xgcd(a, b):
 
 
 def reduced_forms(D):
-    """All primitive reduced forms of discriminant D < 0 (the form class group)."""
+    """All primitive reduced forms of discriminant D < 0 (the form class group).
+
+    A reduced form has a <= sqrt(|D|/3) and 0 <= |b| <= a with b^2 = D mod 4a.
+    While isqrt(|D|/3) <= ROOTS_BOUND (|D| < 3 (ROOTS_BOUND + 1)^2 = 198147)
+    the loop runs over a and reads each b in [0, a] from `_ROOTS[a]`, the
+    square roots of D mod 4a, so a form costs one step and a discriminant
+    about sqrt(|D|/3) lookups.  For larger |D| the table would grow with |D|,
+    so the loop runs over b and tries every a up to sqrt((b^2 - D)/4) as a
+    divisor, in constant memory.
+    """
     if D >= 0 or D % 4 not in (0, 1):
         raise DomainError(f"{D} is not a negative discriminant")
+    amax = isqrt(-D // 3)
     out = []
-    for b in range(D & 1, isqrt(-D // 3) + 1, 2):  # b = D mod 2, so 4 | b^2 - D
-        ac = (b * b - D) // 4
-        for a in range(max(b, 1), isqrt(ac) + 1):
-            if ac % a == 0:
-                c = ac // a
-                if gcd(a, b, c) == 1:
-                    out.append((a, b, c))
-                    if b and b != a and a != c:
-                        out.append((a, -b, c))
+    if amax > ROOTS_BOUND:
+        for b in range(D & 1, amax + 1, 2):  # b = D mod 2, so 4 | b^2 - D
+            ac = (b * b - D) // 4
+            for a in range(max(b, 1), isqrt(ac) + 1):
+                if ac % a == 0:
+                    c = ac // a
+                    if gcd(a, b, c) == 1:
+                        out.append((a, b, c))
+                        if b and b != a and a != c:
+                            out.append((a, -b, c))
+        return sorted(out)
+    for a in range(len(_ROOTS) + 1, amax + 1):
+        roots = {}
+        for b in range(a + 1):
+            roots.setdefault(b * b % (4 * a), []).append(b)
+        _ROOTS[a] = {r: tuple(bs) for r, bs in roots.items()}
+    for a in range(1, amax + 1):
+        for b in _ROOTS[a].get(D % (4 * a), ()):
+            c = (b * b - D) // (4 * a)
+            if c >= a and gcd(a, b, c) == 1:
+                out.append((a, b, c))
+                if b and b != a and a != c:
+                    out.append((a, -b, c))
     return sorted(out)
 
 

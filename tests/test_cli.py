@@ -863,6 +863,11 @@ WINDOW_STDOUT_SHA256 = {
         "1c5e65e382f98c3b225439927450282fa2006f5fbbe748415fb449238da7ff55",
     "watkins --family twist-e0 --range 300":
         "ed254ffefd72395858446cc3420754821cfb224048da8547ed05e92f479a5b6e",
+    # recorded with `descent3.reduced_forms` looping over b; reaches a = 63
+    "--workers 1 enumerate --family type1 --height 10 --rank-bounds":
+        "17f29fd8b080c336c30c4465109684fff4186650f9ac4158de64f02698bd31fb",
+    "--workers 2 enumerate --family type1 --height 10 --rank-bounds":
+        "17f29fd8b080c336c30c4465109684fff4186650f9ac4158de64f02698bd31fb",
 }
 
 

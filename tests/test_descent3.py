@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from math import gcd, isqrt
 
 import pytest
@@ -95,11 +98,35 @@ def test_r3_imaginary():
 
 
 def test_reduced_forms_and_r3_against_reference():
-    for D in (*range(-3, -10001, -1), -3321607):
+    # -3..-10000 and -49128 (the largest |D| of `enumerate --family type1
+    # --height 16`) read b from the table; the two edges have
+    # isqrt(|D|/3) = ROOTS_BOUND, the last table side, and ROOTS_BOUND + 1,
+    # the first per-b side, as does -3321607.
+    bound = descent3.ROOTS_BOUND
+    edges = (-3 * bound * bound, -3 * (bound + 1) ** 2)
+    assert [isqrt(-D // 3) for D in edges] == [bound, bound + 1]
+    assert all(D % 4 in (0, 1) for D in edges)
+    for D in (*range(-3, -10001, -1), -49128, *edges, -3321607):
         if D % 4 not in (0, 1):
             continue
         assert descent3.reduced_forms(D) == reference_reduced_forms(D), D
         assert descent3.r3_imaginary.__wrapped__(D) == reference_r3_imaginary(D), D
+
+
+def test_roots_table_is_lazy_and_bounded():
+    # the CLI import builds no table; past ROOTS_BOUND the per-b loop runs
+    # and the table stops growing
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    code = (f"import sys; sys.path.insert(0, {src!r}); import ecdescent.cli; "
+            "from ecdescent import descent3; print(len(descent3._ROOTS))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
+    bound = descent3.ROOTS_BOUND
+    descent3.reduced_forms(-3 * bound * bound)
+    descent3.reduced_forms(-3 * (bound + 1) ** 2)
+    descent3.reduced_forms(-3321607)
+    assert sorted(descent3._ROOTS) == list(range(1, bound + 1))
 
 
 def test_r3_imaginary_skips_composition_when_3_does_not_divide_h(monkeypatch):
