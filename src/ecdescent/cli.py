@@ -399,13 +399,16 @@ def build_parser():
     return parser
 
 
-def _glue_option_values(argv, flags=("--poly", "--exclude", "--heights")):
+GLUED_OPTIONS = ("--poly", "--exclude", "--heights")  # values may start with "-"
+
+
+def _glue_option_values(argv):
     """Rewrite `--poly -1,-11,1` to `--poly=-1,-11,1` so argparse does not
     mistake a leading-minus value for an option string."""
     out = []
     it = iter(argv)
     for tok in it:
-        if tok in flags:
+        if tok in GLUED_OPTIONS:
             val = next(it, None)
             if val is None:
                 out.append(tok)

@@ -65,7 +65,7 @@ def parse_config_file(path):
     return values
 
 
-def load_config(path=None, **overrides):
+def load_config(path, **overrides):
     """Config from optional file plus keyword overrides (None values ignored)."""
     values = parse_config_file(path) if path else {}
     values.update({k: v for k, v in overrides.items() if v is not None})

@@ -97,7 +97,7 @@ def height_leq(E, X):
     return abs(E.A) <= X * X and abs(E.B) <= X**3
 
 
-def conductor_support(E, policy="include-small"):
+def conductor_support(E, policy):
     """(omega_N, support): distinct primes of the minimal discriminant.
 
     The conductor exponents are never needed here; the prime support of the
@@ -182,14 +182,13 @@ def legendre_table(p):
     return chi
 
 
-def trace_from_coefficients(A, B, p, chi=None):
-    """-sum_x chi(x^3 + Ax + B) over F_p; equals a_p on good reduction.
+def trace_from_coefficients(A, B, p, chi):
+    """-sum_x chi(x^3 + Ax + B) over F_p, chi = legendre_table(p); equals a_p
+    on good reduction.
 
     On singular reductions the same sum lands on the standard conventions:
     +1 split multiplicative, -1 nonsplit, 0 additive.
     """
-    if chi is None:
-        chi = legendre_table(p)
     A %= p
     B %= p
     total = 0
@@ -205,7 +204,7 @@ def frobenius_trace(E, p):
     Em = minimize(E)
     if invariants(Em).delta % p == 0:
         raise DomainError(f"bad reduction at {p}")
-    ap = trace_from_coefficients(Em.A, Em.B, p)
+    ap = trace_from_coefficients(Em.A, Em.B, p, legendre_table(p))
     if ap * ap > 4 * p:
         raise ArithmeticError(f"Hasse bound violated: a_{p} = {ap}")
     return ap

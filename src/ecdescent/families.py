@@ -237,7 +237,7 @@ def twist_model(D):
     return ShortWeierstrass(0, -(D**3))
 
 
-def twist_e0(D, nu2_manin=0):
+def twist_e0(D, nu2_manin):
     """Quadratic twist y^2 = x^3 - D^3 of y^2 = x^3 - 1, with its rank class.
 
     CondI: every prime of D is 5 mod 12.  CondII: exactly one prime is not

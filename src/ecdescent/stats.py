@@ -96,7 +96,7 @@ def _decimal_root(c1, precision):
     return x
 
 
-def volume_constant(precision=30):
+def volume_constant(precision):
     """Vol of the ambient 2-torsion region at X = 1.
 
     2 log(alpha_minus / alpha_plus) + (4/3)(alpha_plus + alpha_minus), where
@@ -155,7 +155,7 @@ def _distinct_roots_gcd(f, p):
     return len(polys.gcd_mod(red, frob, p)) - 1
 
 
-def roots_mod(f, p, square=False):
+def roots_mod(f, p, square):
     """rho_f(p), or rho_f(p^2) with square=True.
 
     Mod p^2 counts lifts of mod-p roots through the exact expansion
@@ -250,7 +250,7 @@ def _irreducible_mod_p(f, p):
     return True
 
 
-def normal_order_experiment(f, X, S=()):
+def normal_order_experiment(f, X, S):
     """Mean and variance of omega_S(s(f(r))) over reduced rationals of height <= X.
 
     f(a/b) is cleared to the integer b^deg(f) f(a/b); omega_S counts the

@@ -12,7 +12,7 @@ from collections import namedtuple
 
 from . import curves, descent2, families
 from .arith import valuation
-from .curves import TRIVIAL, Z2, Z2XZ2, ShortWeierstrass
+from .curves import TRIVIAL, Z2, ShortWeierstrass
 from .errors import DatasetFormatError, DomainError
 from .families import COND_I, COND_II, LARGE_OMEGA, UNCLASSIFIED, E2Param
 
@@ -35,7 +35,8 @@ DatasetRecord = namedtuple("DatasetRecord", "label A B rank modular_degree")
 
 class WatkinsReport(namedtuple("WatkinsReport", "curve shape rank_upper omega_N "
                                "surrogate_nu2_lower max_M_proven method_notes")):
-    """The four int fields after `shape` are None where inapplicable."""
+    """The Watkins computations for one E_{a,b}.  rank_upper and omega_N are
+    ints; surrogate_nu2_lower is None unless the shape is Z2."""
 
     __slots__ = ()
 
@@ -58,7 +59,7 @@ def m_watkins_exact(rec, M):
     return rec.rank + M <= valuation(rec.modular_degree, 2)
 
 
-def twist_watkins(D, nu2_manin=0):
+def twist_watkins(D, nu2_manin):
     """Verdict for the twist y^2 = x^3 - D^3 of y^2 = x^3 - 1.
 
     CondI / CondII twists have rank at most 1 and the conjecture holds for
@@ -69,41 +70,19 @@ def twist_watkins(D, nu2_manin=0):
     return TWIST_VERDICT[cls]
 
 
-def report(target, policy="include-small"):
-    """Bundle every applicable computation for a curve or parameter pair.
-
-    target may be an E2Param (full descent applies) or a ShortWeierstrass
-    (descent applies when a rational 2-torsion point lets it be written as
-    y^2 = x^3 + ax^2 + bx), whose `two_torsion` is the shape.  The surrogate
-    omega(N) - 2 for nu_2(m_E) needs E(Q)[2] = Z/2Z; omega_N is computed for
-    E2Param targets, whose scan rows print it, and otherwise only for that
-    shape, since it factors the discriminant.
-    """
-    notes = []
-    if isinstance(target, E2Param):
-        param = target
-        model = families.e2_curve(param)
-    else:
-        model = curves.minimize(target)
-        ab = curves.e2_param_of(model)
-        param = E2Param(*ab) if ab is not None else None
-        if param is None:
-            notes.append("no rational 2-torsion: descent via 2-isogeny inapplicable")
-    shape = param.two_torsion if param else TRIVIAL
-    omega_n = None
-    if shape == Z2 or isinstance(target, E2Param):
-        omega_n, _ = curves.conductor_support(model, policy)
-    if shape == Z2:
-        surrogate = omega_n - 2
-    else:
-        surrogate = None
-        notes.append("full 2-torsion" if shape == Z2XZ2 else "trivial 2-torsion")
-    est = descent2.rank_upper(param) if param else None
-    rank_bound = est.rank_upper if est else None
+def report(param, policy):
+    """The WatkinsReport of E2Param param, whose `two_torsion` is the shape.
+    The surrogate omega(N) - 2 for nu_2(m_E) needs E(Q)[2] = Z/2Z."""
+    model = families.e2_curve(param)
+    shape = param.two_torsion
+    omega_n, _ = curves.conductor_support(model, policy)
+    surrogate = omega_n - 2 if shape == Z2 else None
+    rank_bound = descent2.rank_upper(param).rank_upper
     max_m = None
-    if surrogate is not None and rank_bound is not None and surrogate >= rank_bound:
+    if surrogate is not None and surrogate >= rank_bound:
         max_m = surrogate - rank_bound
-    return WatkinsReport(model, shape, rank_bound, omega_n, surrogate, max_m, "; ".join(notes))
+    return WatkinsReport(model, shape, rank_bound, omega_n, surrogate, max_m,
+                         "" if shape == Z2 else "full 2-torsion")
 
 
 def load_dataset(path):
@@ -142,19 +121,27 @@ def load_dataset(path):
     return records
 
 
-def verify_record(rec, M=0, policy="include-small"):
+def verify_record(rec, M, policy):
     """All consistency checks for one dataset record.
+
+    The one translation of a short model to E_{a,b}: a rational 2-torsion
+    point writes the minimal model as one, whose `report` gives the shape
+    and bounds.  Without one the shape is Trivial and no descent runs.
 
     surrogate_ok: omega(N) - 2 <= nu_2(m) whenever the curve has shape Z2.
     rank_ok: the descent bound is >= the recorded rank whenever the curve
     has a rational 2-torsion point.  Both default to True when inapplicable.
     """
-    rep = report(ShortWeierstrass(rec.A, rec.B), policy)
+    ab = curves.e2_param_of(curves.minimize(ShortWeierstrass(rec.A, rec.B)))
+    if ab is None:
+        shape, lower, bound = TRIVIAL, None, None
+    else:
+        rep = report(E2Param(*ab), policy)
+        shape, lower, bound = rep.shape, rep.surrogate_nu2_lower, rep.rank_upper
     nu2 = valuation(rec.modular_degree, 2)
-    lower, bound = rep.surrogate_nu2_lower, rep.rank_upper
     out = {
         "label": rec.label,
-        "shape": rep.shape,
+        "shape": shape,
         "nu2_modular_degree": nu2,
         "surrogate_nu2_lower": lower,
         "surrogate_ok": lower is None or lower <= nu2,

@@ -10,7 +10,6 @@ from math import gcd
 
 from ecdescent import curves, descent2, descent3, families, polys, stats, watkins
 from ecdescent.arith import is_square, is_squarefree, primes_up_to, valuation
-from ecdescent.curves import ShortWeierstrass
 from ecdescent.errors import SingularCurve
 from ecdescent.families import E2Param
 
@@ -214,23 +213,22 @@ def test_criterion_12_dataset_verification():
     records = watkins.load_dataset(watkins.__file__.replace("watkins.py", "data/sample_dataset.csv"))
     e0 = next(r for r in records if r.label == "e0")
     assert (e0.A, e0.B, e0.rank, e0.modular_degree) == (0, -1, 0, 64)
-    E = ShortWeierstrass(e0.A, e0.B)
-    lower = watkins.report(E).surrogate_nu2_lower
+    out = watkins.verify_record(e0, 0, "include-small")
+    lower = out["surrogate_nu2_lower"]
     nu2 = valuation(e0.modular_degree, 2)
     assert lower == 0 and nu2 == 6 and lower <= nu2
     for M in range(7):
         assert watkins.m_watkins_exact(e0, M), M
-    out = watkins.verify_record(e0)
     assert out["ok"]
     _ok(12, "bundled curve record passes surrogate consistency and 0- through 6-Watkins")
 
 
 def test_criterion_13_twist_classification():
-    assert families.twist_e0(5)[1] == families.COND_I
-    assert families.twist_e0(55)[1] == families.COND_II
-    assert families.twist_e0(2)[1] == families.UNCLASSIFIED
+    assert families.twist_e0(5, 0)[1] == families.COND_I
+    assert families.twist_e0(55, 0)[1] == families.COND_II
+    assert families.twist_e0(2, 0)[1] == families.UNCLASSIFIED
     # the lookup `watkins --family twist-e0` makes
-    verdict = lambda D: watkins.TWIST_VERDICT[families.twist_e0(D)[1]]
+    verdict = lambda D: watkins.TWIST_VERDICT[families.twist_e0(D, 0)[1]]
     assert verdict(5) == watkins.PROVEN_COND_I
     assert verdict(55) == watkins.PROVEN_COND_II
     assert verdict(2) == watkins.INCONCLUSIVE
@@ -254,7 +252,7 @@ def test_criterion_14_density_experiment():
             param = E2Param(a, b)
             est = descent2.rank_upper(param)
             model = families.e2_curve(param)
-            omega_n, _ = curves.conductor_support(model)
+            omega_n, _ = curves.conductor_support(model, "include-small")
             if est.rank_upper > omega_n - 2:
                 failures.append((a, b))
     assert failures == []

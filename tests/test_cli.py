@@ -445,7 +445,7 @@ def test_output_protocol(argv):
     if docs:
         assert docs == [len(lines) - 1]
         config = json.loads(lines[-1])["config"]
-        assert config == load_config(nu2_manin=1).as_dict()
+        assert config == load_config(None, nu2_manin=1).as_dict()
         assert config["nu2_manin"] == 1
         lines.pop()
     if lines:  # a header, then rows of as many fields

@@ -152,9 +152,9 @@ def test_height_leq():
 
 
 def test_conductor_support():
-    assert curves.conductor_support(ShortWeierstrass(0, -1)) == (2, [2, 3])
-    assert curves.conductor_support(ShortWeierstrass(0, 1)) == (2, [2, 3])
-    assert curves.conductor_support(ShortWeierstrass(-1, 0)) == (1, [2])
+    assert curves.conductor_support(ShortWeierstrass(0, -1), "include-small") == (2, [2, 3])
+    assert curves.conductor_support(ShortWeierstrass(0, 1), "include-small") == (2, [2, 3])
+    assert curves.conductor_support(ShortWeierstrass(-1, 0), "include-small") == (1, [2])
     omega_n, support = curves.conductor_support(ShortWeierstrass(0, -1), "exclude-23")
     assert omega_n == 0 and support == []
 
@@ -216,7 +216,7 @@ def test_frobenius_trace_examples():
 
 
 def test_frobenius_trace_hasse_bound_raises(monkeypatch):
-    monkeypatch.setattr(curves, "trace_from_coefficients", lambda A, B, p: 2 * p)
+    monkeypatch.setattr(curves, "trace_from_coefficients", lambda A, B, p, chi: 2 * p)
     with pytest.raises(ArithmeticError, match="Hasse bound"):
         curves.frobenius_trace(ShortWeierstrass(0, 1), 5)
 

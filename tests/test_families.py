@@ -201,17 +201,17 @@ def test_e3_polynomials_exact():
 
 
 def test_twist_e0():
-    E, cls = families.twist_e0(5)
+    E, cls = families.twist_e0(5, 0)
     assert E == ShortWeierstrass(0, -125)
     assert cls == families.COND_I
-    assert families.twist_e0(55)[1] == families.COND_II
-    assert families.twist_e0(2)[1] == families.UNCLASSIFIED
-    assert families.twist_e0(1)[1] == families.COND_I  # vacuous
-    assert families.twist_e0(11)[1] == families.COND_II  # single 3 mod 4 prime
+    assert families.twist_e0(55, 0)[1] == families.COND_II
+    assert families.twist_e0(2, 0)[1] == families.UNCLASSIFIED
+    assert families.twist_e0(1, 0)[1] == families.COND_I  # vacuous
+    assert families.twist_e0(11, 0)[1] == families.COND_II  # single 3 mod 4 prime
     with pytest.raises(DomainError):
-        families.twist_e0(12)
+        families.twist_e0(12, 0)
     with pytest.raises(DomainError):
-        families.twist_e0(0)
+        families.twist_e0(0, 0)
 
 
 def test_twist_e0_factors_d_once(monkeypatch):
@@ -228,7 +228,7 @@ def test_twist_e0_factors_d_once(monkeypatch):
     try:
         for D in (42, 5, 55):
             calls.clear()
-            families.twist_e0(D)
+            families.twist_e0(D, 0)
             assert calls == [D]
     finally:
         arith.set_factor_cache(True)
@@ -239,13 +239,13 @@ def test_twist_e0_large_omega():
     D = 1
     for p in primes_1mod12:
         D *= p
-    assert families.twist_e0(D)[1] == families.LARGE_OMEGA
-    assert families.twist_e0(D, nu2_manin=1)[1] == families.UNCLASSIFIED
+    assert families.twist_e0(D, 0)[1] == families.LARGE_OMEGA
+    assert families.twist_e0(D, 1)[1] == families.UNCLASSIFIED
 
 
 def test_twist_two_torsion_shape():
     for D in (2, 3, 5, 7, 11, 13, -2, -5, 15, 21):
-        E, _ = families.twist_e0(D)
+        E, _ = families.twist_e0(D, 0)
         assert curves.two_torsion_shape(E) == curves.Z2
 
 

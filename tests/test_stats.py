@@ -111,9 +111,9 @@ def test_count_family_contains_integer_parameters():
 
 
 def test_roots_mod_examples():
-    assert stats.roots_mod([-1, -11, 1], 3) == 0
+    assert stats.roots_mod([-1, -11, 1], 3, False) == 0
     assert stats.roots_mod([0, 1], 5, square=True) == 1
-    assert stats.roots_mod([-1, -11, 1], 5) == 1  # t = 3 mod 5 (double root)
+    assert stats.roots_mod([-1, -11, 1], 5, False) == 1  # t = 3 mod 5 (double root)
 
 
 def oracle_roots_mod_square(f, p):
@@ -129,7 +129,7 @@ def test_roots_mod_square_oracle():
         for p in (2, 3, 5, 7, 11):
             assert stats.roots_mod(f, p, square=True) == oracle_roots_mod_square(f, p), (f, p)
         for p in (2, 3, 5, 7, 11, 503, 1009):  # the gcd(x^p - x, f) count, small p included
-            assert stats.roots_mod(f, p) == len(polys.roots_mod_p(f, p)), (f, p)
+            assert stats.roots_mod(f, p, False) == len(polys.roots_mod_p(f, p)), (f, p)
 
 
 def test_roots_mod_bound_fails_only_at_resultant_primes():
@@ -284,7 +284,7 @@ def test_is_irreducible_against_sympy():
 
 
 def test_normal_order_experiment():
-    ns = stats.normal_order_experiment([0, 1], 30)
+    ns = stats.normal_order_experiment([0, 1], 30, ())
     # reduced pairs b in [1, 30], |a| <= 30, minus a = 0 (f vanishes)
     count = sum(1 for b in range(1, 31) for a in range(-30, 31)
                 if gcd(a, b) == 1 and a != 0)
@@ -293,20 +293,20 @@ def test_normal_order_experiment():
     assert 0 < ns.mean < 4
 
     with pytest.raises(DomainError):
-        stats.normal_order_experiment([-1, 0, 1], 50)  # reducible
+        stats.normal_order_experiment([-1, 0, 1], 50, ())  # reducible
     with pytest.raises(DomainError):
-        stats.normal_order_experiment([0, 1], 5)  # X too small
+        stats.normal_order_experiment([0, 1], 5, ())  # X too small
 
 
 def test_normal_order_excluded_primes():
-    full = stats.normal_order_experiment([-1, -11, 1], 20)
-    reduced = stats.normal_order_experiment([-1, -11, 1], 20, S=(2, 3, 5))
+    full = stats.normal_order_experiment([-1, -11, 1], 20, ())
+    reduced = stats.normal_order_experiment([-1, -11, 1], 20, (2, 3, 5))
     assert reduced.mean <= full.mean
     assert reduced.sample_count == full.sample_count
 
 
 def test_normal_order_mean_growth():
-    means = [float(stats.normal_order_experiment([0, 1], X).mean)
+    means = [float(stats.normal_order_experiment([0, 1], X, ()).mean)
              for X in (100, 200, 400)]
     assert means[1] >= means[0] - 0.3
     assert means[2] >= means[1] - 0.3
@@ -394,7 +394,7 @@ def test_certificate_soundness_exhaustive_small():
             param = E2Param(a, b)
             est = descent2.rank_upper(param)
             model = families.e2_curve(param)
-            omega_n, _ = curves.conductor_support(model)
+            omega_n, _ = curves.conductor_support(model, "include-small")
             assert est.rank_upper <= omega_n - 2, (a, b)
 
 

@@ -1,11 +1,12 @@
 import io
+import json
 import os
 from collections import Counter
 from math import gcd
 
 import pytest
 
-from ecdescent import cli, curves, polys, watkins
+from ecdescent import cli, curves, descent2, polys, watkins
 from ecdescent.arith import is_square, legendre, next_prime, valuation
 from ecdescent.curves import ShortWeierstrass
 from ecdescent.errors import DatasetFormatError, DomainError, SingularCurve
@@ -15,31 +16,34 @@ DATA = os.path.join(os.path.dirname(__file__), "..", "src", "ecdescent", "data",
                     "sample_dataset.csv")
 
 
+def _verify(A, B, rank=0, degree=1, policy="include-small"):
+    """verify_record of the short model y^2 = x^3 + Ax + B at M = 0."""
+    return watkins.verify_record(watkins.DatasetRecord("x", A, B, rank, degree), 0, policy)
+
+
 def test_surrogate_examples():
-    for E in (ShortWeierstrass(0, -1), ShortWeierstrass(1, 2)):
-        rep = watkins.report(E)
-        assert rep.shape == curves.Z2
-        assert rep.surrogate_nu2_lower == 0
+    for A, B in ((0, -1), (1, 2)):
+        out = _verify(A, B)
+        assert out["shape"] == curves.Z2
+        assert out["surrogate_nu2_lower"] == 0
     # the bound needs shape Z2: full or trivial 2-torsion gives no surrogate
-    for E, shape in ((ShortWeierstrass(-1, 0), curves.Z2XZ2),
-                     (ShortWeierstrass(0, 2), curves.TRIVIAL)):
-        rep = watkins.report(E)
-        assert rep.shape == shape
-        assert rep.surrogate_nu2_lower is None
+    for (A, B), shape in (((-1, 0), curves.Z2XZ2), ((0, 2), curves.TRIVIAL)):
+        out = _verify(A, B)
+        assert out["shape"] == shape
+        assert out["surrogate_nu2_lower"] is None
 
 
 def test_report_verdict():
-    rep = watkins.report(E2Param(3, 3))
+    rep = watkins.report(E2Param(3, 3), "include-small")
     assert rep.verdict(0) == watkins.PROVEN
     assert rep.verdict(1) == watkins.INCONCLUSIVE
-    # no rank bound or no surrogate: nothing is proven
-    assert watkins.report(ShortWeierstrass(-16, 16)).verdict(0) == watkins.INCONCLUSIVE
-    assert watkins.report(ShortWeierstrass(-1, 0)).verdict(0) == watkins.INCONCLUSIVE
+    # no surrogate (y^2 = x^3 - x has full 2-torsion): nothing is proven
+    assert watkins.report(E2Param(0, -1), "include-small").verdict(0) == watkins.INCONCLUSIVE
     with pytest.raises(DomainError):
         rep.verdict(-1)
     # monotone: proven at M implies proven at all smaller M
     for a, b in ((1, 3), (2, -5), (5, 3)):
-        rep = watkins.report(E2Param(a, b))
+        rep = watkins.report(E2Param(a, b), "include-small")
         verdicts = [rep.verdict(M) for M in range(4)]
         seen_inconclusive = False
         for v in verdicts:
@@ -62,17 +66,17 @@ def test_m_watkins_exact():
 
 
 def test_twist_watkins():
-    assert watkins.twist_watkins(5) == watkins.PROVEN_COND_I
-    assert watkins.twist_watkins(55) == watkins.PROVEN_COND_II
-    assert watkins.twist_watkins(2) == watkins.INCONCLUSIVE
+    assert watkins.twist_watkins(5, 0) == watkins.PROVEN_COND_I
+    assert watkins.twist_watkins(55, 0) == watkins.PROVEN_COND_II
+    assert watkins.twist_watkins(2, 0) == watkins.INCONCLUSIVE
     big = 1
     for p in (13, 37, 61, 73, 97, 109, 157, 181, 193, 229, 241):
         big *= p
-    assert watkins.twist_watkins(big) == watkins.PROVEN_LARGE_OMEGA
+    assert watkins.twist_watkins(big, 0) == watkins.PROVEN_LARGE_OMEGA
 
 
 def test_report_param():
-    rep = watkins.report(E2Param(3, 3))
+    rep = watkins.report(E2Param(3, 3), "include-small")
     assert rep.curve == ShortWeierstrass(0, -1)
     assert rep.shape == curves.Z2
     assert rep.rank_upper == 0
@@ -82,8 +86,8 @@ def test_report_param():
 
 
 def test_report_finds_rational_roots_at_most_once(monkeypatch):
-    """E(Q)[2] of an E2Param comes from a^2 - 4b; a short model's cubic is
-    solved once, by the translation to y^2 = x^3 + ax^2 + bx."""
+    """E(Q)[2] of an E2Param comes from a^2 - 4b; a dataset record's cubic
+    is solved once, by the translation to y^2 = x^3 + ax^2 + bx."""
     calls = []
     real = polys.rational_roots
 
@@ -93,10 +97,12 @@ def test_report_finds_rational_roots_at_most_once(monkeypatch):
 
     monkeypatch.setattr(polys, "rational_roots", counting)
     assert cli.main(["watkins", "--family", "e2", "--height", "3"], out=io.StringIO()) == 0
-    watkins.report(E2Param(0, -1))
+    watkins.report(E2Param(0, -1), "include-small")
     assert calls == []
-    watkins.report(ShortWeierstrass(0, -1))
-    assert len(calls) == 1
+    records = [*watkins.load_dataset(DATA), watkins.DatasetRecord("x", -16, 16, 0, 1)]
+    for n, rec in enumerate(records, start=1):
+        watkins.verify_record(rec, 0, "include-small")
+        assert len(calls) == n, rec.label
 
 
 def _nonsingular(make, xs, ys):
@@ -109,29 +115,41 @@ def _nonsingular(make, xs, ys):
 
 
 def test_report_shape_matches_two_torsion_shape():
-    """The reference: the rational roots of the minimal model's cubic."""
-    targets = [*_nonsingular(E2Param, range(-10, 11), range(-100, 101)),
-               *_nonsingular(ShortWeierstrass, range(-30, 31), range(-60, 61))]
+    """The reference: the rational roots of the minimal model's cubic, for
+    the report of an E2Param and the verify record of a short model."""
     shapes = set()
-    for target in targets:
-        rep = watkins.report(target)
-        assert rep.shape == curves.two_torsion_shape(rep.curve), target
+    for param in _nonsingular(E2Param, range(-10, 11), range(-100, 101)):
+        rep = watkins.report(param, "include-small")
+        assert rep.shape == curves.two_torsion_shape(rep.curve), param
         shapes.add(rep.shape)
+    assert shapes == {curves.Z2, curves.Z2XZ2}
+    for E in _nonsingular(ShortWeierstrass, range(-30, 31), range(-60, 61)):
+        shape = _verify(E.A, E.B)["shape"]
+        assert shape == curves.two_torsion_shape(E), E
+        shapes.add(shape)
     assert shapes == {curves.TRIVIAL, curves.Z2, curves.Z2XZ2}
 
 
 def test_report_full_two_torsion():
-    rep = watkins.report(ShortWeierstrass(-1, 0))
+    rep = watkins.report(E2Param(0, -1), "include-small")  # y^2 = x^3 - x
+    assert rep.shape == curves.Z2XZ2
     assert rep.surrogate_nu2_lower is None
     assert rep.max_M_proven is None
-    assert "full 2-torsion" in rep.method_notes
-    assert rep.rank_upper is not None  # descent still applies
+    assert rep.method_notes == "full 2-torsion"
+    assert rep.rank_upper == 0  # descent still applies
+    assert rep.omega_N == 1
 
 
-def test_report_no_two_torsion():
-    rep = watkins.report(ShortWeierstrass(-16, 16))
-    assert rep.rank_upper is None
-    assert "2-isogeny" in rep.method_notes
+def test_verify_no_two_torsion_runs_no_descent(monkeypatch):
+    def no_descent(param):
+        raise AssertionError(f"descent on {param}")
+
+    monkeypatch.setattr(descent2, "rank_upper", no_descent)
+    out = _verify(-16, 16)
+    assert out["shape"] == curves.TRIVIAL
+    assert out["rank_upper"] is None
+    assert out["surrogate_nu2_lower"] is None
+    assert out["ok"]
 
 
 def test_load_dataset():
@@ -163,43 +181,70 @@ def test_load_dataset_errors(tmp_path):
 
 def test_verify_bundled_dataset():
     for rec in watkins.load_dataset(DATA):
-        out = watkins.verify_record(rec)
+        out = watkins.verify_record(rec, 0, "include-small")
         assert out["ok"], rec.label
         assert out["m_watkins"], rec.label
 
 
 def test_verify_surrogate_against_all_records():
     """omega(N) - 2 <= nu_2(m) on every record whose shape is Z2."""
-    from ecdescent.arith import valuation
-
     for rec in watkins.load_dataset(DATA):
-        rep = watkins.report(ShortWeierstrass(rec.A, rec.B))
-        if rep.shape == curves.Z2:
-            assert rep.surrogate_nu2_lower <= valuation(rec.modular_degree, 2)
+        out = watkins.verify_record(rec, 0, "include-small")
+        if out["shape"] == curves.Z2:
+            assert out["surrogate_nu2_lower"] <= valuation(rec.modular_degree, 2)
 
 
-def test_verify_factors_discriminant_only_for_z2(monkeypatch):
-    """omega(N) is needed only by the Z2 surrogate; other shapes skip the
-    factorization of the discriminant."""
+def test_verify_factors_discriminant_only_with_two_torsion(monkeypatch):
+    """omega(N) comes with the report of an E_{a,b}, so a record without a
+    rational 2-torsion point skips the factorization of the discriminant."""
     calls = []
     real = curves.conductor_support
 
-    def counting(E, policy="include-small"):
+    def counting(E, policy):
         calls.append(E)
         return real(E, policy)
 
     monkeypatch.setattr(curves, "conductor_support", counting)
-    for A, B in ((-16, 16), (-1, 0)):  # trivial and full 2-torsion
-        out = watkins.verify_record(watkins.DatasetRecord("x", A, B, 0, 1))
-        assert out["surrogate_nu2_lower"] is None
+    out = _verify(-16, 16)  # trivial 2-torsion
+    assert out["surrogate_nu2_lower"] is None
     assert calls == []
-    watkins.verify_record(watkins.DatasetRecord("e0", 0, -1, 0, 64))
+    out = _verify(-1, 0)  # full 2-torsion
+    assert out["surrogate_nu2_lower"] is None
     assert len(calls) == 1
+    _verify(0, -1, degree=64)  # Z2
+    assert len(calls) == 2
+
+
+# label, A, B: one record per shape, a non-minimal model (0, -64) = 2^6 (0, -1)
+# and a scaled one (-16, 0) = 2^4 (-1, 0)
+SHAPES_DATASET = ("label,A,B,rank,modular_degree\nfull,-1,0,0,1\ntrivial,0,2,0,1\n"
+                  "nonminimal,0,-64,0,64\nscaled,-16,0,0,1\nz2,1,2,0,2\n")
+
+
+@pytest.mark.parametrize("policy,surrogates", [("include-small", [None, None, 0, None, 0]),
+                                               ("exclude-23", [None, None, -2, None, -1])])
+def test_verify_every_shape(tmp_path, policy, surrogates):
+    path = tmp_path / "shapes.csv"
+    path.write_text(SHAPES_DATASET)
+    buf = io.StringIO()
+    assert cli.main(["--policy", policy, "verify", "--dataset", str(path)], out=buf) == 0
+    doc = json.loads(buf.getvalue())
+    expected = []
+    for label, shape, nu2, rank_upper, lower in zip(
+            ["full", "trivial", "nonminimal", "scaled", "z2"],
+            [curves.Z2XZ2, curves.TRIVIAL, curves.Z2, curves.Z2XZ2, curves.Z2],
+            [0, 0, 6, 0, 1], [0, None, 0, 0, 0], surrogates):
+        expected.append({"label": label, "shape": shape, "nu2_modular_degree": nu2,
+                         "surrogate_nu2_lower": lower, "surrogate_ok": True,
+                         "rank_upper": rank_upper, "rank_ok": True, "m_watkins": True,
+                         "ok": True})
+    assert doc["records"] == expected
+    assert doc["all_ok"]
 
 
 def test_verify_flags_inconsistent_record():
     bad = watkins.DatasetRecord("bogus", 0, -1, 5, 1)
-    out = watkins.verify_record(bad)
+    out = watkins.verify_record(bad, 0, "include-small")
     assert not out["rank_ok"]
     assert not out["ok"]
     assert not out["m_watkins"]
@@ -280,7 +325,8 @@ def test_b_construction_yields_m_watkins_candidates():
     found, proven = [], []
     for M in (1, 2, 3):
         bs = construct_b_candidates(2, M, 3000)
-        verdicts = Counter(watkins.report(E2Param(2, b)).verdict(M) for b in bs)
+        verdicts = Counter(watkins.report(E2Param(2, b), "include-small").verdict(M)
+                           for b in bs)
         found.append(len(bs))
         proven.append(verdicts[watkins.PROVEN])
     assert found == [667, 106, 8]
