@@ -22,7 +22,7 @@ from functools import partial
 from operator import itemgetter
 
 from . import curves, descent2, descent3, families, polys, stats, watkins
-from .arith import primes_up_to
+from .arith import prime_divisors, primes_up_to
 from .config import load_config
 from .errors import DomainError, SingularCurve
 
@@ -59,28 +59,33 @@ def _scan(fn, tag, items, workers):
 # ---------------------------------------------------------------- enumerate
 
 
-def _curve_row(tag, model, policy, *extra):
-    """One enumerate row: tag, the model's A and B, omega(N), then `extra`."""
-    omega_n, _ = curves.conductor_support(model, policy)
+def _curve_row(tag, model, policy, primes, *extra):
+    """One enumerate row: tag, the model's own A and B, omega(N) from the
+    primes of its discriminant, then `extra`."""
+    omega_n, _ = curves.conductor_support(model, policy, primes)
     return _row(tag, model.A, model.B, omega_n, *extra)
 
 
 def _model_row(tag, item, policy):
-    return _curve_row(tag, item[1], policy)
+    model = item[1]
+    return _curve_row(tag, model, policy, prime_divisors(curves.invariants(model).delta))
 
 
 def _e2_row(tag, param, policy, rank_bounds):
     extra = [descent2.rank_upper(param).rank_upper] if rank_bounds else []
-    return _curve_row(tag, families.e2_curve(param), policy, *extra)
+    primes = families.e2_primes(param)
+    return _curve_row(tag, families.e2_curve(param, primes), policy, primes, *extra)
 
 
 def _twist_row(tag, D, policy):
-    return _curve_row(tag, families.twist_model(D), policy)
+    # y^2 = x^3 + c has discriminant -432 c^2, so its primes are 2, 3 and those
+    # of c: here of D, whose factorization `twist_window` made; of a below
+    return _curve_row(tag, families.twist_model(D), policy, {2, 3, *prime_divisors(D)})
 
 
 def _type1_row(tag, a, policy, rank_bounds):
     extra = [descent3.rank_upper_type1(a)[0]] if rank_bounds else []
-    return _curve_row(tag, families.type1(a), policy, *extra)
+    return _curve_row(tag, families.type1(a), policy, {2, 3, *prime_divisors(a)}, *extra)
 
 
 def cmd_enumerate(args, cfg):

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import polys
-from .arith import factor, is_prime, is_square, valuation
+from .arith import is_prime, is_square, prime_divisors, valuation
 from .errors import DomainError, SingularCurve
 
 TRIVIAL = "Trivial"
@@ -63,17 +63,20 @@ def invariants(model):
     return CurveInvariants(c4, c6, delta)
 
 
-def minimize(E):
+def minimize(E, primes):
     """The minimal short model (A/u^4, B/u^6), u the largest such integer.
 
-    One factorization of gcd(A, B) serves every prime; gcd(0, B) = |B|.  A
-    zero coefficient bounds no exponent, so it stands in with e, which never
-    binds.  Only a prime with p^4 | gcd(A, B) can divide u.
+    Only a prime with p^4 | gcd(A, B) can divide u, and `primes`, distinct
+    primes, must hold every such prime: no other is looked at, and nothing
+    is factored.  gcd(0, B) = |B|; a zero coefficient bounds no exponent, so
+    it stands in with e = nu_p(gcd(A, B)), which never binds.
     """
     A, B = E.A, E.B
+    g = gcd(A, B)
     u = 1
-    for p, e in factor(gcd(A, B)):
-        if e >= 4:
+    for p in primes:
+        if g % p**4 == 0:
+            e = valuation(g, p)
             u *= p ** min(valuation(A, p) // 4 if A else e, valuation(B, p) // 6 if B else e)
     if u == 1:
         return E
@@ -82,14 +85,12 @@ def minimize(E):
 
 def short_model(model):
     """Minimal integral short form of any model, via c4/c6 with denominator clearing."""
-    if isinstance(model, ShortWeierstrass):
-        return minimize(model)
-    inv = invariants(model)
-    c4, c6 = Fraction(inv.c4), Fraction(inv.c6)
-    u = lcm(c4.denominator, c6.denominator)
-    A = -27 * c4 * u**4
-    B = -54 * c6 * u**6
-    return minimize(ShortWeierstrass(int(A), int(B)))
+    if not isinstance(model, ShortWeierstrass):
+        inv = invariants(model)
+        c4, c6 = Fraction(inv.c4), Fraction(inv.c6)
+        u = lcm(c4.denominator, c6.denominator)
+        model = ShortWeierstrass(int(-27 * c4 * u**4), int(-54 * c6 * u**6))
+    return minimize(model, prime_divisors(gcd(model.A, model.B)))
 
 
 def height_leq(E, X):
@@ -97,19 +98,29 @@ def height_leq(E, X):
     return abs(E.A) <= X * X and abs(E.B) <= X**3
 
 
-def conductor_support(E, policy):
+def conductor_support(E, policy, primes):
     """(omega_N, support): distinct primes of the minimal discriminant.
 
     The conductor exponents are never needed here; the prime support of the
     minimal discriminant equals that of N.  Minimality follows the p^4|A,
     p^6|B criterion even at 2 and 3, where the true global minimal model can
     differ; the `exclude-23` policy drops 2 and 3 for sensitivity analysis.
+
+    Nothing is factored: `primes`, distinct primes, must hold every prime of
+    E's discriminant, and the support is read from them.  Each one found is
+    divided out, and a prime outside them that is left over raises
+    ArithmeticError, so an incomplete set never miscounts.
     """
     if policy not in POLICIES:
         raise DomainError(f"unknown policy {policy!r}")
-    Em = minimize(E)
-    delta = invariants(Em).delta
-    support = [p for p, _ in factor(delta)]
+    delta = rest = invariants(minimize(E, primes)).delta
+    support = []
+    for p in sorted(primes):
+        if rest % p == 0:
+            support.append(p)
+            rest //= p ** valuation(rest, p)
+    if abs(rest) != 1:
+        raise ArithmeticError(f"discriminant {delta} has a prime outside {sorted(primes)}")
     if policy == "exclude-23":
         support = [p for p in support if p not in (2, 3)]
     return len(support), support
@@ -201,7 +212,7 @@ def frobenius_trace(E, p):
     """a_p = p + 1 - #E(F_p) for a prime p > 3 of good reduction."""
     if p <= 3 or not is_prime(p):
         raise DomainError(f"{p} is not a prime > 3")
-    Em = minimize(E)
+    Em = minimize(E, prime_divisors(gcd(E.A, E.B)))
     if invariants(Em).delta % p == 0:
         raise DomainError(f"bad reduction at {p}")
     ap = trace_from_coefficients(Em.A, Em.B, p, legendre_table(p))

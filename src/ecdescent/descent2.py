@@ -33,7 +33,7 @@ point iff b > 0 and (a <= 0 or a^2 < 4b)."""
 from collections import namedtuple
 from functools import lru_cache
 from itertools import chain
-from math import gcd
+from math import gcd, prod
 
 from .arith import (
     CACHE_BOUND,
@@ -41,7 +41,7 @@ from .arith import (
     is_prime,
     is_square,
     legendre,
-    squarefree_kernel,
+    prime_divisors,
     valuation,
 )
 from .errors import DomainError
@@ -171,7 +171,7 @@ def nonresidues_insoluble(a, b, p):
 
 def _local_primes(param):
     """Sorted primes dividing 2 b (a^2 - 4b)."""
-    return sorted({2}.union(p for p, _ in factor(param.b) + factor(param.disc_quadratic)))
+    return sorted({2, *prime_divisors(param.b), *prime_divisors(param.disc_quadratic)})
 
 
 def _square_class(d, p):
@@ -194,14 +194,16 @@ def _selmer(side, local):
 
     They form a group, cut place by place from a `basis`: the primes of b, and
     -1 if soluble over R.  At p, `good`, the known part of W_p, starts as the
-    classes of 1 and t = b's square-free kernel; `span` maps the class of each
-    product of rejected elements to it, and its classes but 0 lie outside W_p:
-    no insoluble set is kept.  One pass keeps each s in `good`, and any other
-    s times a span member carrying it into `good`, or else searches s times
-    each member: one soluble is kept and widens `good`, or s joins the span."""
+    classes of 1 and t = b's square-free kernel, read with the basis from the
+    one factorization of b; `span` maps the class of each product of rejected
+    elements to it, and its classes but 0 lie outside W_p: no insoluble set is
+    kept.  One pass keeps each s in `good`, and any other s times a span member
+    carrying it into `good`, or else searches s times each member: one
+    soluble is kept and widens `good`, or s joins the span."""
     a, b = side
-    t = squarefree_kernel(b)
-    basis = [p for p, _ in factor(b)]
+    fac = factor(b)
+    t = (1 if b > 0 else -1) * prod(p for p, e in fac if e % 2)
+    basis = [p for p, _ in fac]
     if real_soluble(HomogeneousSpace(-1, a, -b)):
         basis.append(-1)
     for p in local:

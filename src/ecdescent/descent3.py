@@ -177,26 +177,29 @@ def fundamental_discriminant(d):
     return d if d % 4 == 1 else 4 * d
 
 
-def class_bound(d):
-    """3-rank and unit data for Q(sqrt(d)); the 3-rank is exact when
-    imaginary, a bound when real.
+def _times_minus3(k):
+    """The square-free kernel of -3k for a square-free k: -3k, or -k/3 when 3 | k."""
+    return -3 * k // gcd(3, k) ** 2
 
-    d is reduced to its square-free kernel; kernel 1 means the rationals
-    (r3 = 0, unit = 0).  Real fields use Scholz reflection: r3(Q(sqrt(d))) is
-    at most r3(Q(sqrt(-3d))), computed exactly on the imaginary partner.  The
-    units modulo cubes have dimension 1 for real fields (the fundamental
-    unit) and for Q(sqrt(-3)) (the sixth roots of unity), else 0.
+
+def class_bound(k):
+    """3-rank and unit data for Q(sqrt(k)), k a square-free kernel; the
+    3-rank is exact when imaginary, a bound when real.  Nothing is factored.
+
+    Kernel 1 means the rationals (r3 = 0, unit = 0).  Real fields use Scholz
+    reflection: r3(Q(sqrt(k))) is at most r3(Q(sqrt(-3k))), computed exactly
+    on the imaginary partner.  The units modulo cubes have dimension 1 for
+    real fields (the fundamental unit) and for Q(sqrt(-3)) (the sixth roots
+    of unity), else 0.
     """
-    if d == 0:
+    if k == 0:
         raise DomainError("square class of zero is undefined")
-    k = squarefree_kernel(d)
     if k == 1:
         return ClassGroup3(RATIONAL, 0, RATIONAL_TRIVIAL, 0)
     if k < 0:
         r3 = r3_imaginary(fundamental_discriminant(k))
         return ClassGroup3(k, r3, EXACT_IMAGINARY, 1 if k == -3 else 0)
-    partner = squarefree_kernel(-3 * k)
-    r3 = r3_imaginary(fundamental_discriminant(partner))
+    r3 = r3_imaginary(fundamental_discriminant(_times_minus3(k)))
     return ClassGroup3(k, r3, SCHOLZ_BOUND, 1)
 
 
@@ -207,9 +210,11 @@ def rank_upper_type1(a):
           + #S_a + #S_{-27a},
     with K_a = Q(sqrt(-3a)), K_{-27a} = Q(sqrt(a)) and #S_{-27a} = #S_a.
     Class-group terms may be Scholz upper bounds; the sum stays a valid upper
-    bound.
+    bound.  a's factorization is the only one: the signed kernel k of a is
+    read from it, and that of -3a is `_times_minus3(k)`.
     """
     if a == 0:
         raise DomainError("a must be nonzero")
-    comp = Type1Bound(class_bound(-3 * a), class_bound(a), len(s_set(a)))
+    k = squarefree_kernel(a)
+    comp = Type1Bound(class_bound(_times_minus3(k)), class_bound(k), len(s_set(a)))
     return comp.class_unit_total + 2 * comp.s_a, comp

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from . import curves, polys
-from .arith import factor, is_square, is_squarefree
+from .arith import factor, is_square, is_squarefree, prime_divisors
 from .curves import Z2, Z2XZ2, LongWeierstrass, ShortWeierstrass
 from .errors import DomainError, SingularCurve
 
@@ -64,11 +64,18 @@ def e2_window(X):
             yield param
 
 
-def e2_curve(p):
-    """Minimal short model of y^2 = x^3 + ax^2 + bx."""
+def e2_primes(p):
+    """2, 3 and the primes of b and a^2 - 4b: every prime of the discriminant
+    3^12 16 b^2 (a^2 - 4b) of `e2_curve`'s unreduced model."""
+    return {2, 3, *prime_divisors(p.b), *prime_divisors(p.disc_quadratic)}
+
+
+def e2_curve(p, primes):
+    """Minimal short model of y^2 = x^3 + ax^2 + bx; `primes` holds
+    `e2_primes(p)`."""
     a, b = p.a, p.b
     # x -> x - a/3, then (A, B) scaled by 3^4, 3^6
-    return curves.minimize(ShortWeierstrass(81 * b - 27 * a * a, 54 * a**3 - 243 * a * b))
+    return curves.minimize(ShortWeierstrass(81 * b - 27 * a * a, 54 * a**3 - 243 * a * b), primes)
 
 
 def e2_from_torsion(a, b):
@@ -105,7 +112,7 @@ def e3_window(X):
             except SingularCurve:
                 continue
             if curves.height_leq(raw, X):
-                yield a, b, curves.minimize(raw)
+                yield a, b, curves.minimize(raw, prime_divisors(gcd(raw.A, raw.B)))
 
 
 def type1(a):
@@ -189,7 +196,7 @@ def tate_fibers(ell, X):
             A = polys.homogeneous_value(A_poly, num, den)
             B = polys.homogeneous_value(B_poly, num, den)
             try:
-                model = curves.minimize(ShortWeierstrass(A, B))
+                model = curves.minimize(ShortWeierstrass(A, B), prime_divisors(gcd(A, B)))
             except SingularCurve:
                 continue
             if curves.height_leq(model, X):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd, isqrt, log
 
 from . import curves, descent2, families, polys
-from .arith import factor, is_square, legendre, primes_up_to
+from .arith import factor, is_square, legendre, prime_divisors, primes_up_to
 from .errors import DomainError
 
 
@@ -364,7 +364,7 @@ def has_insolubility_certificate(a, b):
 
 def _phi_certificate(a, b, m):
     """Some p | b with `nonresidues_insoluble(a, b, p)` and q | m, (q/p) = -1."""
-    qs = [q for q, _ in factor(m)]
+    qs = prime_divisors(m)
     return any(
         descent2.nonresidues_insoluble(a, b, p) and any(legendre(q, p) == -1 for q in qs)
         for p, _ in factor(b) if p > 3 and a % p

@@ -72,10 +72,12 @@ def twist_watkins(D, nu2_manin):
 
 def report(param, policy):
     """The WatkinsReport of E2Param param, whose `two_torsion` is the shape.
-    The surrogate omega(N) - 2 for nu_2(m_E) needs E(Q)[2] = Z/2Z."""
-    model = families.e2_curve(param)
+    The surrogate omega(N) - 2 for nu_2(m_E) needs E(Q)[2] = Z/2Z.  The
+    model and omega(N) read the primes `families.e2_primes(param)`."""
+    primes = families.e2_primes(param)
+    model = families.e2_curve(param, primes)
     shape = param.two_torsion
-    omega_n, _ = curves.conductor_support(model, policy)
+    omega_n, _ = curves.conductor_support(model, policy, primes)
     surrogate = omega_n - 2 if shape == Z2 else None
     rank_bound = descent2.rank_upper(param).rank_upper
     max_m = None
@@ -125,14 +127,17 @@ def verify_record(rec, M, policy):
     """All consistency checks for one dataset record.
 
     The one translation of a short model to E_{a,b}: a rational 2-torsion
-    point writes the minimal model as one, whose `report` gives the shape
-    and bounds.  Without one the shape is Trivial and no descent runs.
+    point writes the record's model as one, whose `report` gives the shape
+    and bounds.  Without one the shape is Trivial and no descent runs.  The
+    record is not minimized first: `report`'s `e2_curve` reaches the minimal
+    model, and the 2-isogeny Selmer groups of a rescaled E_{u^2 a, u^4 b} are
+    those of E_{a,b}, so the bound is the same.
 
     surrogate_ok: omega(N) - 2 <= nu_2(m) whenever the curve has shape Z2.
     rank_ok: the descent bound is >= the recorded rank whenever the curve
     has a rational 2-torsion point.  Both default to True when inapplicable.
     """
-    ab = curves.e2_param_of(curves.minimize(ShortWeierstrass(rec.A, rec.B)))
+    ab = curves.e2_param_of(ShortWeierstrass(rec.A, rec.B))
     if ab is None:
         shape, lower, bound = TRIVIAL, None, None
     else:

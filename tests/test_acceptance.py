@@ -251,8 +251,9 @@ def test_criterion_14_density_experiment():
                 continue
             param = E2Param(a, b)
             est = descent2.rank_upper(param)
-            model = families.e2_curve(param)
-            omega_n, _ = curves.conductor_support(model, "include-small")
+            primes = families.e2_primes(param)
+            model = families.e2_curve(param, primes)
+            omega_n, _ = curves.conductor_support(model, "include-small", primes)
             if est.rank_upper > omega_n - 2:
                 failures.append((a, b))
     assert failures == []

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from ecdescent import cli, curves, descent2, descent3, families, stats
+from ecdescent import arith, cli, curves, descent2, descent3, families, stats
 from ecdescent.config import load_config
 from ecdescent.errors import DomainError
 
@@ -280,15 +280,44 @@ def test_scan_failing_partway_keeps_the_rows_written(capsys, monkeypatch):
     assert capsys.readouterr().err == "error: fifth descent fails\n"
 
 
+def test_incomplete_row_primes_exit_1(monkeypatch, capsys):
+    """A row whose primes miss one of its discriminant's stops the scan with
+    exit 1 and one `error:` line, not a miscount and not a traceback."""
+    e2_primes = families.e2_primes
+    monkeypatch.setattr(families, "e2_primes", lambda param: e2_primes(param) - {2})
+    for argv in (["enumerate", "--family", "e2", "--height", "2"],
+                 ["watkins", "--family", "e2", "--height", "2"]):
+        code, out = run_cli(argv)
+        assert code == 1
+        assert len(out.splitlines()) == 1  # the header alone
+        err = capsys.readouterr().err
+        assert err.startswith("error: discriminant ") and err.count("\n") == 1, err
+        assert "has a prime outside" in err
+
+
+@pytest.mark.parametrize("argv, bound", [
+    (["enumerate", "--family", "type1", "--height", "8", "--rank-bounds"], 512),
+    (["enumerate", "--family", "twist-e0", "--range", "2000"], 2000),
+])
+def test_scan_memo_holds_the_parameters_alone(argv, bound):
+    """A row derives its numbers from its parameter's factorization, so the
+    factor memo ends with one entry per |a| or |D| of the window, and none of
+    432 a^2, D^3 or 432 D^6."""
+    arith.set_factor_cache(False)
+    arith.set_factor_cache(True)
+    assert cli.main(["--workers", "1", *argv], out=io.StringIO()) == 0
+    assert 0 < len(arith._factor_cache) <= bound
+
+
 def test_scan_writes_each_row_as_it_is_made(monkeypatch):
     """At --workers 1 a row reaches stdout before the next item's row is
     made: no scan holds its rows."""
     events = []
     conductor_support = curves.conductor_support
 
-    def recording(model, policy):
+    def recording(model, policy, primes):
         events.append("made")
-        return conductor_support(model, policy)
+        return conductor_support(model, policy, primes)
 
     class Out:
         def write(self, text):

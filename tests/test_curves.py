@@ -1,10 +1,11 @@
+import io
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from ecdescent import arith, curves
+from ecdescent import arith, cli, curves
 from ecdescent.arith import factor, valuation
 from ecdescent.curves import LongWeierstrass, ShortWeierstrass
 from ecdescent.errors import DomainError, SingularCurve
@@ -56,9 +57,14 @@ def test_singular_rejected():
         ShortWeierstrass(A=0, B=0)
 
 
+def minimize(E):
+    """`curves.minimize` with the primes of gcd(A, B), those it may divide out."""
+    return curves.minimize(E, arith.prime_divisors(gcd(E.A, E.B)))
+
+
 def is_minimal(E):
     """No prime p has p^4 | A and p^6 | B: `minimize` leaves E as it is."""
-    return curves.minimize(E) == E
+    return minimize(E) == E
 
 
 def test_is_minimal():
@@ -70,9 +76,9 @@ def test_is_minimal():
 
 
 def test_minimize():
-    assert curves.minimize(ShortWeierstrass(16, 64)) == ShortWeierstrass(1, 1)
-    assert curves.minimize(ShortWeierstrass(1, 2)) == ShortWeierstrass(1, 2)
-    assert curves.minimize(ShortWeierstrass(0, 3**12)) == ShortWeierstrass(0, 1)
+    assert minimize(ShortWeierstrass(16, 64)) == ShortWeierstrass(1, 1)
+    assert minimize(ShortWeierstrass(1, 2)) == ShortWeierstrass(1, 2)
+    assert minimize(ShortWeierstrass(0, 3**12)) == ShortWeierstrass(0, 1)
 
 
 def test_minimize_idempotent_and_minimal():
@@ -84,7 +90,7 @@ def test_minimize_idempotent_and_minimal():
             E = ShortWeierstrass(A, B)
         except SingularCurve:
             continue
-        m = curves.minimize(E)
+        m = minimize(E)
         assert is_minimal(m)
         # same curve up to (u^4, u^6) scaling: c4^3 / c6^2 preserved when both nonzero
         if m.A and m.B:
@@ -125,20 +131,22 @@ def test_minimize_matches_retired_loop():
             E = ShortWeierstrass(A, B)
         except SingularCurve:
             continue
-        assert curves.minimize(E) == oracle_minimize(E), E
+        assert minimize(E) == oracle_minimize(E), E
         seen["A = 0"] += A == 0
         seen["B = 0"] += B == 0
         seen["two or more primes"] += len(factor(u)) >= 2
     assert min(seen.values()) > 100, seen
 
 
-def test_minimize_factors_once(monkeypatch):
+def test_minimize_factors_nothing(monkeypatch):
+    """The caller's primes are the only ones looked at: one left out stays in u."""
     calls = []
     factor_abs = arith._factor_abs
     monkeypatch.setattr(arith, "_factor_abs", lambda n: calls.append(n) or factor_abs(n))
     E = ShortWeierstrass(2**4 * 3**4 * 5**4, 2**6 * 3**6 * 5**6)
-    assert curves.minimize(E) == ShortWeierstrass(1, 1)
-    assert calls == [2**4 * 3**4 * 5**4]
+    assert curves.minimize(E, [2, 3, 5]) == ShortWeierstrass(1, 1)
+    assert curves.minimize(E, {5, 7, 3}) == ShortWeierstrass(2**4, 2**6)
+    assert calls == []
 
 
 def test_height_leq():
@@ -152,11 +160,72 @@ def test_height_leq():
 
 
 def test_conductor_support():
-    assert curves.conductor_support(ShortWeierstrass(0, -1), "include-small") == (2, [2, 3])
-    assert curves.conductor_support(ShortWeierstrass(0, 1), "include-small") == (2, [2, 3])
-    assert curves.conductor_support(ShortWeierstrass(-1, 0), "include-small") == (1, [2])
-    omega_n, support = curves.conductor_support(ShortWeierstrass(0, -1), "exclude-23")
+    assert curves.conductor_support(ShortWeierstrass(0, -1), "include-small", {2, 3}) == (2, [2, 3])
+    assert curves.conductor_support(ShortWeierstrass(0, 1), "include-small", {2, 3}) == (2, [2, 3])
+    assert curves.conductor_support(ShortWeierstrass(-1, 0), "include-small", {2, 3}) == (1, [2])
+    omega_n, support = curves.conductor_support(ShortWeierstrass(0, -1), "exclude-23", {2, 3})
     assert omega_n == 0 and support == []
+
+
+def oracle_conductor_support(E, policy):
+    """The computation before callers passed their primes: minimize by the
+    retired loop, factor the minimal discriminant and keep its primes."""
+    support = [p for p, _ in factor(curves.invariants(oracle_minimize(E)).delta)]
+    if policy == "exclude-23":
+        support = [p for p in support if p > 3]
+    return len(support), support
+
+
+# Each scan's rows, and the e2 rows of `watkins` (through `watkins.report`).
+ROW_WINDOWS = (
+    ("enumerate", "--family", "type1", "--height", "10"),
+    ("enumerate", "--family", "twist-e0", "--range", "3000"),
+    ("enumerate", "--family", "e2", "--height", "8"),
+    ("watkins", "--family", "e2", "--height", "8"),
+    ("enumerate", "--family", "e3", "--height", "6"),
+    ("enumerate", "--family", "e5", "--height", "100"),
+    ("enumerate", "--family", "e7", "--height", "1000"),
+)
+
+
+@pytest.mark.parametrize("policy", curves.POLICIES)
+def test_row_primes_agree_with_the_factored_discriminant(monkeypatch, policy):
+    """Every `minimize` and `conductor_support` call of every scan row, with
+    the primes the row passes, agrees with the oracle that factors."""
+    minimize, conductor_support = curves.minimize, curves.conductor_support
+    calls = []
+
+    def checked_minimize(E, primes):
+        out = minimize(E, primes)
+        assert out == oracle_minimize(E), (E, primes)
+        return out
+
+    def checked_support(E, policy, primes):
+        out = conductor_support(E, policy, primes)
+        assert out == oracle_conductor_support(E, policy), (E, policy, primes)
+        calls.append(E)
+        return out
+
+    monkeypatch.setattr(curves, "minimize", checked_minimize)
+    monkeypatch.setattr(curves, "conductor_support", checked_support)
+    for argv in ROW_WINDOWS:
+        calls.clear()
+        assert cli.main(["--workers", "1", "--policy", policy, *argv], out=io.StringIO()) == 0
+        assert calls, argv
+
+
+@pytest.mark.parametrize("policy", curves.POLICIES)
+def test_conductor_support_raises_on_a_missing_prime(policy):
+    """A prime of the discriminant left out of `primes` raises, also one
+    that divides only the scale u of a non-minimal model (5 in (0, 2 5^6))."""
+    for E, primes in ((ShortWeierstrass(0, 35), {2, 3, 5, 7}),
+                      (ShortWeierstrass(0, 2 * 5**6), {2, 3, 5}),
+                      (ShortWeierstrass(-1, 0), {2}),
+                      (ShortWeierstrass(-8, 7), {2, 5, 29})):
+        assert curves.conductor_support(E, policy, primes) == oracle_conductor_support(E, policy)
+        for p in primes:
+            with pytest.raises(ArithmeticError, match="has a prime outside"):
+                curves.conductor_support(E, policy, primes - {p})
 
 
 def test_two_torsion_shape():

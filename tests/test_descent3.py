@@ -191,7 +191,6 @@ def test_composition_group_axioms():
 
 def test_class_bound():
     assert descent3.class_bound(1) == descent3.ClassGroup3(1, 0, "rational-trivial", 0)
-    assert descent3.class_bound(4) == descent3.ClassGroup3(1, 0, "rational-trivial", 0)
     assert descent3.class_bound(-3) == descent3.ClassGroup3(-3, 0, "exact-imaginary", 1)
     cb = descent3.class_bound(79)
     assert cb.method == "scholz-bound"
@@ -219,11 +218,11 @@ def test_unit_3dim():
     assert descent3.class_bound(-3).unit == 1
     assert descent3.class_bound(5).unit == 1
     assert descent3.class_bound(1).unit == 0
-    assert descent3.class_bound(8).unit == 1  # kernel 2, real
-    assert descent3.class_bound(-12).unit == 1  # kernel -3
+    assert descent3.class_bound(2).unit == 1  # real
     for d in range(-3000, 3001):
         if d:
-            assert descent3.class_bound(d).unit == reference_unit_3dim(d), d
+            k = arith.squarefree_kernel(d)
+            assert descent3.class_bound(k).unit == reference_unit_3dim(d), d
 
 
 def test_fundamental_discriminant():
@@ -255,21 +254,44 @@ def test_rank_upper_type1_components_are_bounds():
         assert bound >= 0
 
 
-def test_rank_upper_type1_takes_each_kernel_once(monkeypatch):
-    # one kernel per field, plus the Scholz partner of a real field
+def test_rank_upper_type1_factors_only_a(monkeypatch):
+    """Both fields' kernels and the Scholz partner come from a's
+    factorization, by gcd arithmetic; `class_bound` factors nothing."""
     calls = []
-    kernel = descent3.squarefree_kernel
+    factor_abs = arith._factor_abs
+    monkeypatch.setattr(arith, "_factor_abs", lambda n: calls.append(n) or factor_abs(n))
+    for a in (1, -1, 2, -12, 3**7 * 5, -(2**6) * 3, 5**6):
+        calls.clear()
+        descent3.rank_upper_type1(a)
+        assert set(calls) == {abs(a)}, (a, calls)
 
-    def counting(d):
-        calls.append(d)
-        return kernel(d)
 
-    monkeypatch.setattr(descent3, "squarefree_kernel", counting)
-    descent3.rank_upper_type1(1)
-    assert len(calls) == 2
-    calls.clear()
-    descent3.rank_upper_type1(2)
-    assert len(calls) == 3
+def reference_class_bound(d):
+    """The class bound of Q(sqrt(d)) before kernels came from `factor(a)`:
+    d and the Scholz partner -3k each went through `squarefree_kernel`."""
+    k = arith.squarefree_kernel(d)
+    if k == 1:
+        return descent3.ClassGroup3(descent3.RATIONAL, 0, descent3.RATIONAL_TRIVIAL, 0)
+    if k < 0:
+        r3 = descent3.r3_imaginary(descent3.fundamental_discriminant(k))
+        return descent3.ClassGroup3(k, r3, descent3.EXACT_IMAGINARY, 1 if k == -3 else 0)
+    partner = arith.squarefree_kernel(-3 * k)
+    r3 = descent3.r3_imaginary(descent3.fundamental_discriminant(partner))
+    return descent3.ClassGroup3(k, r3, descent3.SCHOLZ_BOUND, 1)
+
+
+def test_rank_upper_type1_kernels_match_squarefree_kernel():
+    """Every 1 <= |a| <= 5000 and the edge cases of the -3k / gcd(3, k)^2
+    kernel, with both signs: a unit, odd powers of 3 alone and with a
+    cofactor (3, 27, 3^7 5), and sixth powers that leave the kernel 3 or 1
+    (2^6 3, 5^6)."""
+    edges = [1, 3, 27, 3**7 * 5, 2**6 * 3, 5**6]
+    for n in [*range(1, 5001), *edges]:
+        for a in (n, -n):
+            comp = descent3.Type1Bound(reference_class_bound(-3 * a), reference_class_bound(a),
+                                       len(descent3.s_set(a)))
+            assert descent3.rank_upper_type1(a) == (
+                comp.class_unit_total + 2 * comp.s_a, comp), a
 
 
 def test_square_family_class_unit_constancy():

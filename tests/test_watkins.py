@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 
 from ecdescent import cli, curves, descent2, polys, watkins
-from ecdescent.arith import is_square, legendre, next_prime, valuation
+from ecdescent.arith import is_square, legendre, next_prime, prime_divisors, valuation
 from ecdescent.curves import ShortWeierstrass
 from ecdescent.errors import DatasetFormatError, DomainError, SingularCurve
 from ecdescent.families import E2Param
@@ -200,9 +200,9 @@ def test_verify_factors_discriminant_only_with_two_torsion(monkeypatch):
     calls = []
     real = curves.conductor_support
 
-    def counting(E, policy):
+    def counting(E, policy, primes):
         calls.append(E)
-        return real(E, policy)
+        return real(E, policy, primes)
 
     monkeypatch.setattr(curves, "conductor_support", counting)
     out = _verify(-16, 16)  # trivial 2-torsion
@@ -240,6 +240,22 @@ def test_verify_every_shape(tmp_path, policy, surrogates):
                          "ok": True})
     assert doc["records"] == expected
     assert doc["all_ok"]
+
+
+def test_verify_record_does_not_depend_on_the_scale():
+    """`verify_record` translates the record's own model, not its minimal
+    one: E_{u^2 a, u^4 b} has the Selmer groups of E_{a,b}, and `e2_curve`
+    reaches the same minimal model, so every field matches at each scale."""
+    seen = Counter()
+    for E in _nonsingular(ShortWeierstrass, range(-12, 13), range(-20, 21)):
+        if curves.minimize(E, prime_divisors(gcd(E.A, E.B))) != E:
+            continue
+        for policy in curves.POLICIES:
+            out = _verify(E.A, E.B, policy=policy)
+            seen[out["shape"]] += 1
+            for u in (2, 3, 10):
+                assert _verify(u**4 * E.A, u**6 * E.B, policy=policy) == out, (E, u)
+    assert len(seen) == 3 and min(seen.values()) >= 10, seen
 
 
 def test_verify_flags_inconsistent_record():
