@@ -4,9 +4,9 @@ Factoring (trial division by the primes below 2^10 that a gcd with their
 product shows to divide, exact integer roots for perfect powers, and Pollard
 rho only for the other composites; primality by Miller-Rabin, which is
 deterministic below _MR_BOUND and completed by a strong Lucas test, BPSW,
-above), distinct-prime counts, square-free parts, Legendre symbols, the Moebius
-function, and signed square-free divisors (representatives of the square
-classes Q(T) supported on the primes T of n).
+above), prime powers read at known primes (`factor_over`), distinct-prime
+counts, square-free parts, Legendre symbols, the Moebius function, and signed
+square-free divisors (the square classes Q(T) on the primes T of n).
 
 Everything here is pure and exact; the only shared state is an optional
 factorization memo keyed by absolute value, which is a cache and nothing more
@@ -262,6 +262,23 @@ def factor(n):
 def prime_divisors(n):
     """The distinct primes of |n| for nonzero n, increasing."""
     return [p for p, _ in factor(n)]
+
+
+def factor_over(n, primes, what):
+    """`factor(n)` read at `primes`, which must hold every prime of n: nothing is
+    factored, and a prime left over raises ArithmeticError worded with `what`."""
+    if n == 0:
+        raise DomainError("cannot factor zero")
+    rest, out = abs(n), []
+    for p in sorted(primes):
+        if rest % p == 0:
+            rest, e = rest // p, 1
+            while rest % p == 0:
+                rest, e = rest // p, e + 1
+            out.append((p, e))
+    if rest != 1:
+        raise ArithmeticError(f"{what} {n} has a prime outside {sorted(primes)}")
+    return tuple(out)
 
 
 def omega(n):

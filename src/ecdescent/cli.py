@@ -72,20 +72,20 @@ def _model_row(tag, item, policy):
 
 
 def _e2_row(tag, param, policy, rank_bounds):
-    extra = [descent2.rank_upper(param).rank_upper] if rank_bounds else []
     primes = families.e2_primes(param)
+    extra = [descent2.rank_upper(param, primes).rank_upper] if rank_bounds else []
     return _curve_row(tag, families.e2_curve(param, primes), policy, primes, *extra)
 
 
 def _twist_row(tag, D, policy):
-    # y^2 = x^3 + c has discriminant -432 c^2, so its primes are 2, 3 and those
-    # of c: here of D, whose factorization `twist_window` made; of a below
-    return _curve_row(tag, families.twist_model(D), policy, {2, 3, *prime_divisors(D)})
+    # the model y^2 = x^3 - D^3 is `type1(-D^3)`, whose primes are those of D
+    return _curve_row(tag, families.twist_model(D), policy, families.type1_primes(D))
 
 
 def _type1_row(tag, a, policy, rank_bounds):
-    extra = [descent3.rank_upper_type1(a)[0]] if rank_bounds else []
-    return _curve_row(tag, families.type1(a), policy, {2, 3, *prime_divisors(a)}, *extra)
+    primes = families.type1_primes(a)
+    extra = [descent3.rank_upper_type1(a, primes)[0]] if rank_bounds else []
+    return _curve_row(tag, families.type1(a), policy, primes, *extra)
 
 
 def cmd_enumerate(args, cfg):
@@ -116,7 +116,7 @@ def cmd_enumerate(args, cfg):
 
 def cmd_descent(args, cfg):
     param = families.E2Param(args.a, args.b)
-    est = descent2.rank_upper(param)
+    est = descent2.rank_upper(param, families.e2_primes(param))
     return None, (), {
         "a": args.a,
         "b": args.b,
@@ -133,7 +133,7 @@ def cmd_descent(args, cfg):
 def cmd_descent3(args, cfg):
     if args.a == 0:
         raise SingularCurve("a must be nonzero")
-    bound, comp = descent3.rank_upper_type1(args.a)
+    bound, comp = descent3.rank_upper_type1(args.a, families.type1_primes(args.a))
     return None, (), {
         "a": args.a,
         "bound": bound,

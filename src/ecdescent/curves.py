@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import polys
-from .arith import is_prime, is_square, prime_divisors, valuation
+from .arith import factor_over, is_prime, is_square, prime_divisors, valuation
 from .errors import DomainError, SingularCurve
 
 TRIVIAL = "Trivial"
@@ -106,21 +106,13 @@ def conductor_support(E, policy, primes):
     p^6|B criterion even at 2 and 3, where the true global minimal model can
     differ; the `exclude-23` policy drops 2 and 3 for sensitivity analysis.
 
-    Nothing is factored: `primes`, distinct primes, must hold every prime of
-    E's discriminant, and the support is read from them.  Each one found is
-    divided out, and a prime outside them that is left over raises
-    ArithmeticError, so an incomplete set never miscounts.
+    Nothing is factored: the support is read by `factor_over` at `primes`,
+    which must hold every prime of E's discriminant.
     """
     if policy not in POLICIES:
         raise DomainError(f"unknown policy {policy!r}")
-    delta = rest = invariants(minimize(E, primes)).delta
-    support = []
-    for p in sorted(primes):
-        if rest % p == 0:
-            support.append(p)
-            rest //= p ** valuation(rest, p)
-    if abs(rest) != 1:
-        raise ArithmeticError(f"discriminant {delta} has a prime outside {sorted(primes)}")
+    delta = invariants(minimize(E, primes)).delta
+    support = [p for p, _ in factor_over(delta, primes, "discriminant")]
     if policy == "exclude-23":
         support = [p for p in support if p not in (2, 3)]
     return len(support), support

@@ -35,15 +35,7 @@ from functools import lru_cache
 from itertools import chain
 from math import gcd, prod
 
-from .arith import (
-    CACHE_BOUND,
-    factor,
-    is_prime,
-    is_square,
-    legendre,
-    prime_divisors,
-    valuation,
-)
+from .arith import CACHE_BOUND, factor_over, is_prime, is_square, legendre, valuation
 from .errors import DomainError
 
 
@@ -169,11 +161,6 @@ def nonresidues_insoluble(a, b, p):
     return valuation(b, p) % 2 == 1 or legendre(a, p) == 1
 
 
-def _local_primes(param):
-    """Sorted primes dividing 2 b (a^2 - 4b)."""
-    return sorted({2, *prime_divisors(param.b), *prime_divisors(param.disc_quadratic)})
-
-
 def _square_class(d, p):
     """The class of a square-free d in Q_p*/Q_p*^2 as an int whose XOR is the
     group law: bit 0 is p | d, the higher bits the unit part u's Euler symbol
@@ -188,20 +175,28 @@ def _times(d, e):
     return d * e // gcd(d, e) ** 2
 
 
+def _places(param, primes):
+    """The finite places of both sides of the descent: 2 and those of `primes`
+    that divide b (a^2 - 4b), every odd prime of which `primes` must hold."""
+    m = param.b * param.disc_quadratic
+    return sorted({2, *(p for p in primes if m % p == 0)})
+
+
 def _selmer(side, local):
     """Classes d | b of side = (a, b) whose space (d, a, b/d) is soluble over R
-    and over Q_p for every p in local, the primes that `factor` proved.
+    and over Q_p for every p in local, the places `_places` of either side.
 
     They form a group, cut place by place from a `basis`: the primes of b, and
     -1 if soluble over R.  At p, `good`, the known part of W_p, starts as the
-    classes of 1 and t = b's square-free kernel, read with the basis from the
-    one factorization of b; `span` maps the class of each product of rejected
-    elements to it, and its classes but 0 lie outside W_p: no insoluble set is
-    kept.  One pass keeps each s in `good`, and any other s times a span member
-    carrying it into `good`, or else searches s times each member: one
-    soluble is kept and widens `good`, or s joins the span."""
+    classes of 1 and t = b's square-free kernel, read with the basis from b's
+    prime powers at local (`factor_over`, which factors nothing and raises
+    ArithmeticError on a missing prime); `span` maps the class of each product
+    of rejected elements to it, and its classes but 0 lie outside W_p: no
+    insoluble set is kept.  One pass keeps each s in `good`, and any other s
+    times a span member carrying it into `good`, or else searches s times
+    each member: one soluble is kept and widens `good`, or s joins the span."""
     a, b = side
-    fac = factor(b)
+    fac = factor_over(b, local, side)
     t = (1 if b > 0 else -1) * prod(p for p, e in fac if e % 2)
     basis = [p for p, _ in fac]
     if real_soluble(HomogeneousSpace(-1, a, -b)):
@@ -229,21 +224,21 @@ def _selmer(side, local):
     return sorted(out, key=lambda d: (abs(d), d < 0))
 
 
-def sel_phi(param):
+def sel_phi(param, primes):
     """Surviving classes d in Q(T1), T1 = primes(a^2 - 4b) and infinity.
 
     These are the phi-hat classes of `param.dual`: the space for class d is
     Z^2 = d U^4 - 2a U^2 V^2 + ((a^2-4b)/d) V^4.
     """
-    return _selmer(param.dual, _local_primes(param))
+    return _selmer(param.dual, _places(param, primes))
 
 
-def sel_phihat(param):
+def sel_phihat(param, primes):
     """Surviving classes d in Q(T2), T2 = primes(b) and infinity.
 
     The space for class d is Z^2 = d U^4 + a U^2 V^2 + (b/d) V^4.
     """
-    return _selmer(param, _local_primes(param))
+    return _selmer(param, _places(param, primes))
 
 
 def _dim_f2(classes):
@@ -254,8 +249,9 @@ def _dim_f2(classes):
     return dim
 
 
-def rank_upper(param):
-    """Selmer sets for both isogeny directions and the rank bound.
+def rank_upper(param, primes):
+    """Selmer sets for both isogeny directions and the rank bound, read at
+    the places that `_places` keeps of `primes` (`families.e2_primes(param)`).
 
     rank(E_{a,b}(Q)) <= dim_phi + dim_phihat - 2.  Each Selmer set holds the
     image of its side's Kummer map, and |alpha(E(Q))| |alpha'(E'(Q))| =
@@ -264,7 +260,7 @@ def rank_upper(param):
     d with b/d a square on the phi-hat side, with (a^2 - 4b)/d a square on
     the phi side; for square-free d that is d times the numerator a square.
     """
-    local = _local_primes(param)
+    local = _places(param, primes)
     phi = _selmer(param.dual, local)
     phihat = _selmer(param, local)
     if 1 not in phi or 1 not in phihat:

@@ -9,9 +9,9 @@ and S_{-27a}.
 
 from collections import namedtuple
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
-from .arith import CACHE_BOUND, factor, legendre, squarefree_kernel
+from .arith import CACHE_BOUND, factor_over, legendre
 from .errors import DomainError
 
 RATIONAL = 1  # square-class marker for the degenerate "field" Q
@@ -46,16 +46,10 @@ class Type1Bound(namedtuple("Type1Bound", "class_a class_m27a s_a")):
         return self.class_a.r3 + self.class_a.unit + self.class_m27a.r3 + self.class_m27a.unit
 
 
-def s_set(a):
-    """S_a as a sorted tuple of primes: always 2 and 3, plus primes p > 3 with
-    nu_p(a) in {2, 4} and (-3/p) = 1."""
-    if a == 0:
-        raise DomainError("a must be nonzero")
-    primes = {2, 3}
-    for p, e in factor(a):
-        if p > 3 and e in (2, 4) and legendre(-3, p) == 1:
-            primes.add(p)
-    return tuple(sorted(primes))
+def s_set(fac):
+    """S_a, from a's prime powers `fac`, as a sorted tuple: always 2 and 3, plus
+    primes p > 3 with nu_p(a) in {2, 4} and (-3/p) = 1."""
+    return (2, 3, *(p for p, e in fac if p > 3 and e in (2, 4) and legendre(-3, p) == 1))
 
 
 def reduce_form(a, b, c):
@@ -203,18 +197,17 @@ def class_bound(k):
     return ClassGroup3(k, r3, SCHOLZ_BOUND, 1)
 
 
-def rank_upper_type1(a):
+def rank_upper_type1(a, primes):
     """Rank bound for y^2 = x^3 + a through the 3-isogeny to y^2 = x^3 - 27a.
 
     bound = r3(K_a) + units(K_a) + r3(K_{-27a}) + units(K_{-27a})
           + #S_a + #S_{-27a},
     with K_a = Q(sqrt(-3a)), K_{-27a} = Q(sqrt(a)) and #S_{-27a} = #S_a.
     Class-group terms may be Scholz upper bounds; the sum stays a valid upper
-    bound.  a's factorization is the only one: the signed kernel k of a is
-    read from it, and that of -3a is `_times_minus3(k)`.
+    bound.  Nothing is factored: a's signed kernel k and S_a come from its prime
+    powers at `primes` (`families.type1_primes(a)`); -3a's is `_times_minus3(k)`.
     """
-    if a == 0:
-        raise DomainError("a must be nonzero")
-    k = squarefree_kernel(a)
-    comp = Type1Bound(class_bound(_times_minus3(k)), class_bound(k), len(s_set(a)))
+    fac = factor_over(a, primes, "a")
+    k = (1 if a > 0 else -1) * prod(p for p, e in fac if e % 2)
+    comp = Type1Bound(class_bound(_times_minus3(k)), class_bound(k), len(s_set(fac)))
     return comp.class_unit_total + 2 * comp.s_a, comp

@@ -64,16 +64,16 @@ def e2_window(X):
             yield param
 
 
-def e2_primes(p):
-    """2, 3 and the primes of b and a^2 - 4b: every prime of the discriminant
-    3^12 16 b^2 (a^2 - 4b) of `e2_curve`'s unreduced model."""
-    return {2, 3, *prime_divisors(p.b), *prime_divisors(p.disc_quadratic)}
+def e2_primes(param):
+    """2, 3 and the primes of b and a^2 - 4b, all that an E_{a,b} row factors:
+    every prime of `e2_curve`'s unreduced discriminant 3^12 16 b^2 (a^2 - 4b)."""
+    return {2, 3, *prime_divisors(param.b), *prime_divisors(param.disc_quadratic)}
 
 
-def e2_curve(p, primes):
+def e2_curve(param, primes):
     """Minimal short model of y^2 = x^3 + ax^2 + bx; `primes` holds
-    `e2_primes(p)`."""
-    a, b = p.a, p.b
+    `e2_primes(param)`."""
+    a, b = param.a, param.b
     # x -> x - a/3, then (A, B) scaled by 3^4, 3^6
     return curves.minimize(ShortWeierstrass(81 * b - 27 * a * a, 54 * a**3 - 243 * a * b), primes)
 
@@ -120,6 +120,12 @@ def type1(a):
     if a == 0:
         raise DomainError("a must be nonzero")
     return ShortWeierstrass(0, a)
+
+
+def type1_primes(a):
+    """2, 3 and the primes of a, all that a type1 row factors: every prime of
+    `type1(a)`'s discriminant -432 a^2."""
+    return {2, 3, *prime_divisors(a)}
 
 
 def type1_window(X):

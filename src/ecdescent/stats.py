@@ -359,13 +359,7 @@ def has_insolubility_certificate(a, b):
     A singular pair raises `SingularCurve`.
     """
     dual = families.E2Param(a, b).dual
-    return _phi_certificate(a, b, dual.b) or _phi_certificate(dual.a, dual.b, b)
-
-
-def _phi_certificate(a, b, m):
-    """Some p | b with `nonresidues_insoluble(a, b, p)` and q | m, (q/p) = -1."""
-    qs = prime_divisors(m)
-    return any(
-        descent2.nonresidues_insoluble(a, b, p) and any(legendre(q, p) == -1 for q in qs)
-        for p, _ in factor(b) if p > 3 and a % p
-    )
+    pb, pm = prime_divisors(b), prime_divisors(dual.b)  # each side reads both
+    return any(descent2.nonresidues_insoluble(x, y, p) and any(legendre(q, p) == -1 for q in qs)
+               for x, y, ps, qs in ((a, b, pb, pm), (dual.a, dual.b, pm, pb))
+               for p in ps if p > 3 and x % p)

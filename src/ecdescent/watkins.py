@@ -73,13 +73,14 @@ def twist_watkins(D, nu2_manin):
 def report(param, policy):
     """The WatkinsReport of E2Param param, whose `two_torsion` is the shape.
     The surrogate omega(N) - 2 for nu_2(m_E) needs E(Q)[2] = Z/2Z.  The
-    model and omega(N) read the primes `families.e2_primes(param)`."""
+    model, omega(N) and the rank bound read the primes
+    `families.e2_primes(param)`."""
     primes = families.e2_primes(param)
     model = families.e2_curve(param, primes)
     shape = param.two_torsion
     omega_n, _ = curves.conductor_support(model, policy, primes)
     surrogate = omega_n - 2 if shape == Z2 else None
-    rank_bound = descent2.rank_upper(param).rank_upper
+    rank_bound = descent2.rank_upper(param, primes).rank_upper
     max_m = None
     if surrogate is not None and surrogate >= rank_bound:
         max_m = surrogate - rank_bound

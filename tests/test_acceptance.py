@@ -66,7 +66,8 @@ def test_criterion_03_descent_spot_values():
         (3, 3): {Fraction(0)},
     }
     for (a, b), allowed in torsion_x.items():
-        est = descent2.rank_upper(E2Param(a, b))
+        param = E2Param(a, b)
+        est = descent2.rank_upper(param, families.e2_primes(param))
         assert est.rank_upper == 0, (a, b, est)
         found = set(_rational_points_x(a, b, 100))
         assert found <= allowed, (a, b, found - allowed)
@@ -79,7 +80,8 @@ def test_criterion_04_either_or_property():
         for b in range(-30, 31):
             if b * (a * a - 4 * b) == 0:
                 continue
-            est = descent2.rank_upper(E2Param(a, b))
+            param = E2Param(a, b)
+            est = descent2.rank_upper(param, families.e2_primes(param))
             if min(est.phi_classes) < 0 and min(est.phihat_classes) < 0:
                 violations.append((a, b))
     assert violations == []
@@ -202,7 +204,7 @@ def test_criterion_11_class_unit_constancy():
     for n in range(1, 201):
         if n % 3 == 0 or not is_squarefree(n):
             continue
-        _, comp = descent3.rank_upper_type1(n * n)
+        _, comp = descent3.rank_upper_type1(n * n, families.type1_primes(n * n))
         values.add(comp.class_unit_total)
         count += 1
     assert values == {1}, values
@@ -250,8 +252,8 @@ def test_criterion_14_density_experiment():
             if not stats.has_insolubility_certificate(a, b):
                 continue
             param = E2Param(a, b)
-            est = descent2.rank_upper(param)
             primes = families.e2_primes(param)
+            est = descent2.rank_upper(param, primes)
             model = families.e2_curve(param, primes)
             omega_n, _ = curves.conductor_support(model, "include-small", primes)
             if est.rank_upper > omega_n - 2:

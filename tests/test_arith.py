@@ -75,6 +75,29 @@ def test_factor_zero_rejected():
         arith.mobius(0)
 
 
+def test_factor_over_reads_the_given_primes(monkeypatch):
+    """`factor_over(n, primes)` is `factor(n)` for any set of primes holding
+    those of n, factors nothing, and raises on every prime left out."""
+    calls = []
+    factor_abs = arith._factor_abs
+    monkeypatch.setattr(arith, "_factor_abs", lambda n: calls.append(n) or factor_abs(n))
+    rng = random.Random(30)
+    extra = {2, 3, 5, 7, 11, 13, 97, 1009}
+    for n in [1, -1, 2**40, -(3**5) * 7, 2 * 1009**3, *(rng.randrange(-10**6, 10**6) or 1
+                                                     for _ in range(300))]:
+        fac = trial_division(n)
+        primes = {p for p, _ in fac}
+        calls.clear()
+        assert arith.factor_over(n, primes, "n") == fac, n
+        assert arith.factor_over(n, sorted(primes | extra), "n") == fac, n
+        assert calls == []
+        for p in primes:
+            with pytest.raises(ArithmeticError, match=rf"^n {n} has a prime outside "):
+                arith.factor_over(n, (primes | extra) - {p}, "n")
+    with pytest.raises(DomainError):
+        arith.factor_over(0, {2}, "n")
+
+
 def test_factor_round_trip_small_range():
     for n in range(1, 2500):
         for s in (n, -n):

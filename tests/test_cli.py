@@ -174,7 +174,7 @@ def test_descent_selmer_dimensions_below_two_exit1(capsys, monkeypatch):
 
 
 def test_descent3_class_group_inconsistency_exit1(capsys, monkeypatch):
-    def broken(a):
+    def broken(a, primes):
         raise ArithmeticError("3-torsion count 2 is not a power of 3")
 
     monkeypatch.setattr(descent3, "rank_upper_type1", broken)
@@ -267,11 +267,11 @@ def test_scan_failing_partway_keeps_the_rows_written(capsys, monkeypatch):
     calls = []
     rank_upper = descent2.rank_upper
 
-    def failing_fifth(param):
+    def failing_fifth(param, primes):
         calls.append(param)
         if len(calls) == 5:
             raise ArithmeticError("fifth descent fails")
-        return rank_upper(param)
+        return rank_upper(param, primes)
 
     monkeypatch.setattr(descent2, "rank_upper", failing_fifth)
     code, out = run_cli(["watkins", "--family", "e2", "--height", "3"])
@@ -293,6 +293,53 @@ def test_incomplete_row_primes_exit_1(monkeypatch, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: discriminant ") and err.count("\n") == 1, err
         assert "has a prime outside" in err
+
+
+@pytest.mark.parametrize("argv, patch, missing", [
+    (["descent", "--a", "1", "--b", "15"], "e2_primes", 5),  # a prime of b
+    (["descent", "--a", "1", "--b", "15"], "e2_primes", 59),  # of a^2 - 4b = -59
+    (["descent3", "--a", "-50"], "type1_primes", 5),  # of a
+    (["enumerate", "--family", "type1", "--height", "2", "--rank-bounds"], "type1_primes", 2),
+])
+def test_missing_descent_prime_exits_1(monkeypatch, capsys, argv, patch, missing):
+    """A descent whose primes miss one of b, of a^2 - 4b or of a stops with
+    exit 1 and one `error:` line, before any result is written."""
+    primes = getattr(families, patch)
+    monkeypatch.setattr(families, patch, lambda x: primes(x) - {missing})
+    code, out = run_cli(["--workers", "1", *argv])
+    assert code == 1
+    assert out == ("params,A,B,omega_N,rank_upper\n" if argv[0] == "enumerate" else "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "has a prime outside" in err
+
+
+@pytest.mark.parametrize("argv, per_row", [
+    (["enumerate", "--family", "e2", "--height", "3", "--rank-bounds"], 2),
+    (["watkins", "--family", "e2", "--height", "3"], 2),
+    (["enumerate", "--family", "type1", "--height", "3", "--rank-bounds"], 1),
+    (["descent", "--a", "-3", "--b", "210"], 2),
+    (["descent3", "--a", "-432"], 1),
+])
+def test_rows_factor_their_parameters_once(monkeypatch, argv, per_row):
+    """With the memo off every factorization is real and counted: an e2 row
+    or a `descent` factors b and a^2 - 4b, a type1 row or a `descent3` a,
+    once each, and stdout is that of the memo on."""
+    argv = ["--workers", "1", *argv]
+    expected = run_cli(argv)
+    assert expected[0] == 0
+    calls = []
+    factor_abs = arith._factor_abs
+    monkeypatch.setattr(arith, "_factor_abs", lambda n: calls.append(n) or factor_abs(n))
+    arith.set_factor_cache(False)
+    try:
+        code, out = run_cli(argv)
+    finally:
+        arith.set_factor_cache(True)
+    assert (code, out) == expected
+    csv = [line for line in out.splitlines() if not line.startswith("{")]
+    rows = len(csv) - 1 if csv else 1  # a header and its rows, or one JSON result
+    assert len(calls) == per_row * rows, (rows, len(calls))
 
 
 @pytest.mark.parametrize("argv, bound", [
@@ -743,12 +790,12 @@ def test_worker_failure_keeps_earlier_chunks(capsys, monkeypatch, two_cpus, fail
     parent = os.getpid()
     rank_upper = descent2.rank_upper
 
-    def failing(param):
+    def failing(param, primes):
         if os.getpid() != parent and (param.a, param.b) == target:
             if failure is None:
                 os._exit(0)  # end the worker without sending its chunk
             raise failure
-        return rank_upper(param)
+        return rank_upper(param, primes)
 
     def hung(*_):
         raise TimeoutError("the scan hung")

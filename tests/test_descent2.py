@@ -13,6 +13,7 @@ from ecdescent import arith, cli, descent2, polys
 from ecdescent.arith import (
     factor,
     legendre,
+    prime_divisors,
     primes_up_to,
     squarefree_divisors,
     squarefree_kernel,
@@ -21,7 +22,26 @@ from ecdescent.arith import (
 )
 from ecdescent.descent2 import HomogeneousSpace
 from ecdescent.errors import DomainError
-from ecdescent.families import E2Param, e2_window
+from ecdescent.families import E2Param, e2_primes, e2_window
+
+
+def rank_upper(param):
+    """`descent2.rank_upper` with the primes it reads."""
+    return descent2.rank_upper(param, e2_primes(param))
+
+
+def sel_phi(param):
+    return descent2.sel_phi(param, e2_primes(param))
+
+
+def sel_phihat(param):
+    return descent2.sel_phihat(param, e2_primes(param))
+
+
+def local_primes(param):
+    """The places of both sides of the descent, factored here: 2 and the
+    primes of b (a^2 - 4b)."""
+    return sorted({2, *prime_divisors(param.b), *prime_divisors(param.disc_quadratic)})
 
 
 def test_space_validation():
@@ -246,18 +266,18 @@ def test_big_prime_is_decided_at_the_root(monkeypatch):
         return valuation(n, p)
 
     monkeypatch.setattr(descent2, "valuation", counting)
-    est = descent2.rank_upper(E2Param(1, 3000009))
+    est = rank_upper(E2Param(1, 3000009))
     assert 1 in est.phi_classes and 1 in est.phihat_classes
     assert sum(calls.values()) < 1000, calls
 
 
 def test_selmer_loop_does_not_recheck_primes(monkeypatch):
-    """The local primes come from `factor`, which proved them."""
+    """The local primes come from the caller's, which `e2_primes` factored."""
     def no_call(n):
         raise AssertionError(f"is_prime({n}) called")
 
     monkeypatch.setattr(descent2, "is_prime", no_call)
-    est = descent2.rank_upper(E2Param(1, 3000009))
+    est = rank_upper(E2Param(1, 3000009))
     assert 1 in est.phi_classes and 1 in est.phihat_classes
 
 
@@ -378,17 +398,40 @@ def test_rank_upper_leaves_the_padic_cache_empty():
     the public `padic_soluble` fills the process-wide cache."""
     descent2._padic_soluble_cached.cache_clear()
     for param in (E2Param(1, 30), E2Param(-3, 210), E2Param(2, -7)):
-        descent2.rank_upper(param)
+        rank_upper(param)
         assert descent2._padic_soluble_cached.cache_info().currsize == 0, param
 
 
-def test_rank_upper_finds_the_local_primes_once(monkeypatch):
-    calls = []
-    local_primes = descent2._local_primes
-    monkeypatch.setattr(descent2, "_local_primes",
-                        lambda param: calls.append(param) or local_primes(param))
-    descent2.rank_upper(E2Param(-3, 210))
-    assert calls == [E2Param(-3, 210)]
+def test_rank_upper_factors_nothing(monkeypatch):
+    """The caller's primes are the only ones read: both Selmer sets come from
+    them, a prime of them that divides neither b nor a^2 - 4b (3 and 5
+    below) is no place, and nothing is factored."""
+    cases = [(E2Param(-3, 210), [2, 3, 5, 7, 277], {2, 3, 5, 7, 277}),
+             (E2Param(1, -7), {2, 3, 7, 29}, {2, 7, 29}),
+             (E2Param(0, -1), {5, 2, 3}, {2})]
+    expected = [rank_upper(param) for param, _, _ in cases]
+    calls, read = [], set()
+    factor_abs, square_class = arith._factor_abs, descent2._square_class
+    monkeypatch.setattr(arith, "_factor_abs", lambda n: calls.append(n) or factor_abs(n))
+    monkeypatch.setattr(descent2, "_square_class", lambda d, p: read.add(p) or square_class(d, p))
+    for (param, primes, places), est in zip(cases, expected):
+        read.clear()
+        assert descent2.rank_upper(param, primes) == est, param
+        assert read == places, (param, read)
+    assert calls == []
+
+
+def test_rank_upper_raises_on_a_missing_prime():
+    """Each odd prime of b and of a^2 - 4b left out of `primes` raises; 2 is
+    a place of every descent, so it need not be given."""
+    for param in (E2Param(-3, 210), E2Param(1, 15), E2Param(2, -7 * 11**3), E2Param(4, 3)):
+        primes = e2_primes(param)
+        assert descent2.rank_upper(param, primes - {2}) == rank_upper(param)
+        missing = set(local_primes(param)) - {2}
+        assert missing
+        for p in missing:
+            with pytest.raises(ArithmeticError, match="has a prime outside"):
+                descent2.rank_upper(param, primes - {p})
 
 
 def test_many_prime_descent_decides_each_square_class_once(monkeypatch):
@@ -396,7 +439,7 @@ def test_many_prime_descent_decides_each_square_class_once(monkeypatch):
     two more: 15 local primes and 2^13 classes on the phi-hat side.  Each
     side decides at most 8 square classes at p = 2 and 4 at each odd p."""
     param = E2Param(1, -152125131763605)
-    local = descent2._local_primes(param)
+    local = local_primes(param)
     assert len(local) == 15 and len(squarefree_divisors(param.b)) == 8192
     calls = 0
     qp_soluble = descent2._qp_soluble
@@ -407,7 +450,7 @@ def test_many_prime_descent_decides_each_square_class_once(monkeypatch):
         return qp_soluble(*args)
 
     monkeypatch.setattr(descent2, "_qp_soluble", counting)
-    est = descent2.rank_upper(param)
+    est = rank_upper(param)
     assert (est.dim_phi, est.dim_phihat) == (1, 12)
     assert calls <= 2 * (8 + 4 * 14), calls
 
@@ -435,7 +478,7 @@ def test_solubility_depends_only_on_the_square_class(side):
                 continue
             param = E2Param(a, b)
             sa, sb = param.dual if side == "phi" else param
-            for p in descent2._local_primes(param):
+            for p in local_primes(param):
                 answers, reps = {}, {}
                 for d in squarefree_divisors(sb):
                     key = _class_at(d, p)
@@ -520,7 +563,7 @@ def test_selmer_matches_the_coset_loop():
     below is that of its output."""
     for k in range(12, 17):
         param = E2Param(1, -_odd_prime_product(k))
-        local = descent2._local_primes(param)
+        local = local_primes(param)
         for side in (param.dual, param):
             assert descent2._selmer(side, local) == _selmer_coset_loop(side, local), (k, side)
 
@@ -550,7 +593,7 @@ def test_seventeen_prime_descent_reads_few_square_classes(monkeypatch):
 def test_selmer_matches_the_per_class_memo():
     curves = 0
     for param in e2_window(12):
-        local = descent2._local_primes(param)
+        local = local_primes(param)
         for side in (param.dual, param):
             assert descent2._selmer(side, local) == _selmer_per_class_memo(side, local), (
                 param, side)
@@ -573,7 +616,7 @@ def test_selmer_searches_only_unsettled_classes(monkeypatch):
 
     monkeypatch.setattr(descent2, "_qp_soluble", counting)
     for param in e2_window(8):
-        descent2.rank_upper(param)
+        rank_upper(param)
     assert calls <= 8000, calls
 
 
@@ -606,7 +649,7 @@ def test_rank_upper_of_the_dual_swaps_the_sides():
             if b * (a * a - 4 * b) == 0:
                 continue
             param = E2Param(a, b)
-            est, dual = descent2.rank_upper(param), descent2.rank_upper(param.dual)
+            est, dual = rank_upper(param), rank_upper(param.dual)
             assert (dual.dim_phi, dual.dim_phihat) == (est.dim_phihat, est.dim_phi), param
             assert dual.rank_upper == est.rank_upper, param
             curves += 1
@@ -650,7 +693,7 @@ def _survivors_ref(param, quartic_of, classes):
     """Classes whose own space is soluble over R and at every local prime,
     each tested class by class: the oracle for the Selmer loop's decisions
     per square class, the sign class at the real place included."""
-    local = descent2._local_primes(param)
+    local = local_primes(param)
     out = []
     for d in classes:
         space = quartic_of(d)
@@ -683,24 +726,24 @@ def test_selmer_sides_match_reference():
             if b * (a * a - 4 * b) == 0:
                 continue
             param = E2Param(a, b)
-            assert descent2.sel_phi(param) == sel_phi_ref(param), param
-            assert descent2.sel_phihat(param) == sel_phihat_ref(param), param
+            assert sel_phi(param) == sel_phi_ref(param), param
+            assert sel_phihat(param) == sel_phihat_ref(param), param
             checked += 1
     assert checked == 2168
 
 
 def test_sel_phi_examples():
-    assert descent2.sel_phi(E2Param(0, -1)) == [1, 2]
-    assert descent2.sel_phihat(E2Param(0, -1)) == [1, -1]
-    assert descent2.sel_phi(E2Param(0, 1)) == [1, -1, 2, -2]
-    assert descent2.sel_phihat(E2Param(0, 1)) == [1]
-    assert 1 in descent2.sel_phihat(E2Param(0, 4))
-    assert len(descent2.sel_phi(E2Param(3, 3))) == 2
+    assert sel_phi(E2Param(0, -1)) == [1, 2]
+    assert sel_phihat(E2Param(0, -1)) == [1, -1]
+    assert sel_phi(E2Param(0, 1)) == [1, -1, 2, -2]
+    assert sel_phihat(E2Param(0, 1)) == [1]
+    assert 1 in sel_phihat(E2Param(0, 4))
+    assert len(sel_phi(E2Param(3, 3))) == 2
 
 
 def test_rank_upper_examples():
     for ab in ((0, -1), (0, 1), (3, 3)):
-        est = descent2.rank_upper(E2Param(*ab))
+        est = rank_upper(E2Param(*ab))
         assert est.rank_upper == 0, ab
         assert 1 in est.phi_classes and 1 in est.phihat_classes
         assert est.rank_upper == max(est.dim_phi + est.dim_phihat - 2, 0)
@@ -709,18 +752,18 @@ def test_rank_upper_examples():
 def test_rank_upper_clamp():
     # b and a^2 - 4b both perfect squares force tiny Selmer sets; the torsion
     # images alone give dim_phi + dim_phihat >= 2, so no bound needs a clamp
-    est = descent2.rank_upper(E2Param(5, 4))
+    est = rank_upper(E2Param(5, 4))
     assert "clamped" not in est._fields
     assert est.rank_upper == est.dim_phi + est.dim_phihat - 2 >= 0
     for param in e2_window(4):
-        est = descent2.rank_upper(param)
+        est = rank_upper(param)
         assert est.dim_phi + est.dim_phihat >= 2, param
 
 
 def test_rank_upper_below_torsion_images_raises(monkeypatch):
     monkeypatch.setattr(descent2, "_selmer", lambda *args: [1])
     with pytest.raises(ArithmeticError, match=r"^Selmer dimensions 0 \+ 0 are below"):
-        descent2.rank_upper(E2Param(0, -1))
+        rank_upper(E2Param(0, -1))
 
 
 def test_rank_upper_scaling_invariance():
@@ -731,9 +774,9 @@ def test_rank_upper_scaling_invariance():
         b = rng.randrange(-8, 9)
         if b * (a * a - 4 * b) == 0:
             continue
-        base = descent2.rank_upper(E2Param(a, b)).rank_upper
+        base = rank_upper(E2Param(a, b)).rank_upper
         for u in (2, 3):
-            scaled = descent2.rank_upper(E2Param(u * u * a, u**4 * b)).rank_upper
+            scaled = rank_upper(E2Param(u * u * a, u**4 * b)).rank_upper
             assert scaled == base, (a, b, u)
         done += 1
 
@@ -744,7 +787,7 @@ def test_either_or_small_box():
         for b in range(-10, 11):
             if b * (a * a - 4 * b) == 0:
                 continue
-            est = descent2.rank_upper(E2Param(a, b))
+            est = rank_upper(E2Param(a, b))
             assert min(est.phi_classes) > 0 or min(est.phihat_classes) > 0, (a, b)
 
 
@@ -758,7 +801,7 @@ def test_group_closure():
         if b * (a * a - 4 * b) == 0:
             continue
         done += 1
-        for classes in (descent2.sel_phi(E2Param(a, b)), descent2.sel_phihat(E2Param(a, b))):
+        for classes in (sel_phi(E2Param(a, b)), sel_phihat(E2Param(a, b))):
             group = set(classes)
             assert len(group) & (len(group) - 1) == 0  # power of 2
             for d1 in group:
@@ -796,11 +839,11 @@ def test_global_point_soundness():
         if b * (a * a - 4 * b) == 0:
             continue
         param = E2Param(a, b)
-        phihat = set(descent2.sel_phihat(param))
+        phihat = set(sel_phihat(param))
         for x in search_points(a, b):
             d = squarefree_kernel(x.numerator * x.denominator)
             assert d in phihat, (a, b, x)
-        phi = set(descent2.sel_phi(param))
+        phi = set(sel_phi(param))
         for x in search_points(-2 * a, a * a - 4 * b):
             d = squarefree_kernel(x.numerator * x.denominator)
             assert d in phi, (a, b, x)
@@ -825,7 +868,7 @@ def test_rank_upper_lost_torsion_class_raises(monkeypatch, param, side):
 
     monkeypatch.setattr(descent2, "_selmer", losing)
     with pytest.raises(ArithmeticError, match="torsion class must survive"):
-        descent2.rank_upper(param)
+        rank_upper(param)
 
 
 def test_rank_upper_lost_trivial_class_raises(monkeypatch):
@@ -837,4 +880,4 @@ def test_rank_upper_lost_trivial_class_raises(monkeypatch):
 
     monkeypatch.setattr(descent2, "_selmer", losing)
     with pytest.raises(ArithmeticError, match="trivial class must survive"):
-        descent2.rank_upper(E2Param(0, -1))
+        rank_upper(E2Param(0, -1))

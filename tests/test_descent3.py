@@ -8,6 +8,16 @@ import pytest
 from ecdescent import arith, descent3
 from ecdescent.arith import is_squarefree
 from ecdescent.errors import DomainError
+from ecdescent.families import type1_primes
+
+
+def rank_upper_type1(a):
+    """`descent3.rank_upper_type1` with the primes it reads."""
+    return descent3.rank_upper_type1(a, type1_primes(a))
+
+
+def s_set(a):
+    return descent3.s_set(arith.factor_over(a, type1_primes(a), "a"))
 
 
 def identity_form(D):
@@ -53,21 +63,21 @@ def reference_r3_imaginary(D):
 
 
 def test_s_set():
-    assert descent3.s_set(196) == (2, 3, 7)  # 196 = 2^2 7^2, (-3/7) = 1
-    assert descent3.s_set(1) == (2, 3)
-    assert descent3.s_set(-1) == (2, 3)
+    assert s_set(196) == (2, 3, 7)  # 196 = 2^2 7^2, (-3/7) = 1
+    assert s_set(1) == (2, 3)
+    assert s_set(-1) == (2, 3)
     # nu_p = 2 but (-3/p) = -1 keeps p out: p = 5
-    assert descent3.s_set(25) == (2, 3)
+    assert s_set(25) == (2, 3)
     # nu_p = 6 keeps p out even with (-3/p) = 1
-    assert descent3.s_set(7**6) == (2, 3)
+    assert s_set(7**6) == (2, 3)
     with pytest.raises(DomainError):
-        descent3.s_set(0)
+        descent3.s_set(arith.factor_over(0, {2, 3}, "a"))
 
 
 def test_s_set_isogeny_invariance():
     for a in range(1, 51):
         for s in (a, -a):
-            assert len(descent3.s_set(s)) == len(descent3.s_set(-27 * s))
+            assert len(s_set(s)) == len(s_set(-27 * s))
 
 
 def test_reduced_forms_and_class_numbers():
@@ -234,7 +244,7 @@ def test_fundamental_discriminant():
 
 
 def test_rank_upper_type1_a1():
-    bound, comp = descent3.rank_upper_type1(1)
+    bound, comp = rank_upper_type1(1)
     assert bound == 5
     assert comp._fields == ("class_a", "class_m27a", "s_a")
     assert comp.class_a.field_kernel == -3 and comp.class_a.r3 == 0
@@ -242,28 +252,41 @@ def test_rank_upper_type1_a1():
     assert comp.class_m27a.field_kernel == 1 and comp.class_m27a.unit == 0
     assert comp.s_a == 2
     with pytest.raises(DomainError):
-        descent3.rank_upper_type1(0)
+        descent3.rank_upper_type1(0, {2, 3})
 
 
 def test_rank_upper_type1_components_are_bounds():
     for a in (2, -2, 5, 12, 100, -45):
-        bound, comp = descent3.rank_upper_type1(a)
+        bound, comp = rank_upper_type1(a)
         # S_{-27a} = S_a, so #S_a counts twice
         assert bound == (comp.class_a.r3 + comp.class_a.unit + comp.class_m27a.r3
                          + comp.class_m27a.unit + 2 * comp.s_a)
         assert bound >= 0
 
 
-def test_rank_upper_type1_factors_only_a(monkeypatch):
-    """Both fields' kernels and the Scholz partner come from a's
-    factorization, by gcd arithmetic; `class_bound` factors nothing."""
+def test_rank_upper_type1_factors_nothing(monkeypatch):
+    """The caller's primes are the only ones read: both fields' kernels, the
+    Scholz partner and S_a come from a's prime powers at them, by gcd
+    arithmetic, and nothing is factored; a prime of them that does not
+    divide a changes nothing."""
+    cases = [(a, type1_primes(a)) for a in (1, -1, 2, -12, 3**7 * 5, -(2**6) * 3, 5**6, 196)]
+    expected = [rank_upper_type1(a) for a, _ in cases]
     calls = []
     factor_abs = arith._factor_abs
     monkeypatch.setattr(arith, "_factor_abs", lambda n: calls.append(n) or factor_abs(n))
-    for a in (1, -1, 2, -12, 3**7 * 5, -(2**6) * 3, 5**6):
-        calls.clear()
-        descent3.rank_upper_type1(a)
-        assert set(calls) == {abs(a)}, (a, calls)
+    for (a, primes), bound in zip(cases, expected):
+        assert descent3.rank_upper_type1(a, primes) == bound, a
+        assert descent3.rank_upper_type1(a, sorted(primes | {11})) == bound, a
+    assert calls == []
+
+
+def test_rank_upper_type1_raises_on_a_missing_prime():
+    """Each prime of a left out of `primes` raises."""
+    for a in (-50, 2 * 3**7, 5**6, 196, -432):
+        primes = type1_primes(a)
+        for p in arith.prime_divisors(a):
+            with pytest.raises(ArithmeticError, match=rf"^a {a} has a prime outside "):
+                descent3.rank_upper_type1(a, primes - {p})
 
 
 def reference_class_bound(d):
@@ -289,8 +312,8 @@ def test_rank_upper_type1_kernels_match_squarefree_kernel():
     for n in [*range(1, 5001), *edges]:
         for a in (n, -n):
             comp = descent3.Type1Bound(reference_class_bound(-3 * a), reference_class_bound(a),
-                                       len(descent3.s_set(a)))
-            assert descent3.rank_upper_type1(a) == (
+                                       len(s_set(a)))
+            assert rank_upper_type1(a) == (
                 comp.class_unit_total + 2 * comp.s_a, comp), a
 
 
@@ -299,7 +322,7 @@ def test_square_family_class_unit_constancy():
     for n in range(1, 80):
         if not is_squarefree(n) or n % 3 == 0:
             continue
-        _, comp = descent3.rank_upper_type1(n * n)
+        _, comp = rank_upper_type1(n * n)
         values.add(comp.class_unit_total)
     assert values == {1}
 
@@ -315,6 +338,6 @@ def test_fixed_k_square_family_takes_few_values():
 
             if gcd(n, 3 * abs(k)) != 1:
                 continue
-            _, comp = descent3.rank_upper_type1(k * n * n)
+            _, comp = rank_upper_type1(k * n * n)
             values.add(comp.class_unit_total)
         assert len(values) <= 2, (k, values)

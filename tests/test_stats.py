@@ -370,6 +370,21 @@ def test_certificate_density():
     assert stats.certificate_density(10) == (1453, 2365)
 
 
+def test_certificate_factors_b_and_its_partner_once(monkeypatch):
+    """Both isogeny sides read one factorization of b and one of a^2 - 4b:
+    with the memo off, two per pair counted."""
+    expected = stats.certificate_density(6)
+    calls = []
+    factor_abs = arith._factor_abs
+    monkeypatch.setattr(arith, "_factor_abs", lambda n: calls.append(n) or factor_abs(n))
+    arith.set_factor_cache(False)
+    try:
+        assert stats.certificate_density(6) == expected
+    finally:
+        arith.set_factor_cache(True)
+    assert len(calls) == 2 * expected[1]
+
+
 def test_certificate_of_singular_pair_raises():
     # b = 0 and a^2 = 4b, as for every other E_{a,b} entry point
     for a, b in ((3, 0), (2, 1), (-4, 4)):
@@ -392,8 +407,8 @@ def test_certificate_soundness_exhaustive_small():
             if not stats.has_insolubility_certificate(a, b):
                 continue
             param = E2Param(a, b)
-            est = descent2.rank_upper(param)
             primes = families.e2_primes(param)
+            est = descent2.rank_upper(param, primes)
             model = families.e2_curve(param, primes)
             omega_n, _ = curves.conductor_support(model, "include-small", primes)
             assert est.rank_upper <= omega_n - 2, (a, b)
