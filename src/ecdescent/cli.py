@@ -191,7 +191,7 @@ def _window(args, family):
 def _counted(rows, doc):
     """The lines of (line, verdict) rows, counting each verdict into doc."""
     for line, verdict in rows:
-        doc["proven" if verdict.startswith("Proven") else "inconclusive"] += 1
+        doc["inconclusive" if verdict == watkins.INCONCLUSIVE else "proven"] += 1
         yield line
 
 
@@ -264,18 +264,12 @@ def cmd_stats(args, cfg):
     elif exp == "normal-order":
         f = _parse_poly(args.poly)
         S = _parse_ints(args.exclude, "exclude") if args.exclude else []
-        heights = _parse_heights(args.heights)
-        rows = []
-        samples = []
-        for X in heights:
-            ns = stats.normal_order_experiment(f, X, S)
-            rows.append(_row(ns.X, ns.mean, ns.variance, ns.sample_count))
-            samples.append(
-                {"X": ns.X, "mean": str(ns.mean), "variance": str(ns.variance),
-                 "n": ns.sample_count}
-            )
+        samples = stats.normal_order_experiment(f, _parse_heights(args.heights), S)
         header = "X,mean,variance,n"
-        doc.update(poly=f, exclude=S, samples=samples)
+        rows = [_row(ns.X, ns.mean, ns.variance, ns.sample_count) for ns in samples]
+        doc.update(poly=f, exclude=S, samples=[
+            {"X": ns.X, "mean": str(ns.mean), "variance": str(ns.variance), "n": ns.sample_count}
+            for ns in samples])
     elif exp == "roots-mod":
         _nonnegative("--pmax", args.pmax)
         f = _parse_poly(args.poly)

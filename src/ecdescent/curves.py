@@ -204,7 +204,7 @@ def frobenius_trace(E, p):
     """a_p = p + 1 - #E(F_p) for a prime p > 3 of good reduction."""
     if p <= 3 or not is_prime(p):
         raise DomainError(f"{p} is not a prime > 3")
-    Em = minimize(E, prime_divisors(gcd(E.A, E.B)))
+    Em = short_model(E)
     if invariants(Em).delta % p == 0:
         raise DomainError(f"bad reduction at {p}")
     ap = trace_from_coefficients(Em.A, Em.B, p, legendre_table(p))

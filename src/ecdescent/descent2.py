@@ -183,8 +183,9 @@ def _places(param, primes):
 
 
 def _selmer(side, local):
-    """Classes d | b of side = (a, b) whose space (d, a, b/d) is soluble over R
-    and over Q_p for every p in local, the places `_places` of either side.
+    """A basis of the classes d | b of side = (a, b) whose space (d, a, b/d) is
+    soluble over R and over Q_p for every p in local, the places `_places` of
+    either side: k square-free integers, k the F_2-dimension.
 
     They form a group, cut place by place from a `basis`: the primes of b, and
     -1 if soluble over R.  At p, `good`, the known part of W_p, starts as the
@@ -218,9 +219,17 @@ def _selmer(side, local):
                     continue
             kept.append(_times(s, span[y]))
         basis = kept
+    return basis
+
+
+def _span(basis):
+    """The 2^k classes spanned by k square-free classes, sorted by (|d|, d < 0);
+    a dependent basis repeats one and raises ArithmeticError."""
     out = [1]
     for s in basis:
         out += [_times(d, s) for d in out]
+    if len(set(out)) < len(out):
+        raise ArithmeticError(f"Selmer basis {basis} is dependent")
     return sorted(out, key=lambda d: (abs(d), d < 0))
 
 
@@ -230,7 +239,7 @@ def sel_phi(param, primes):
     These are the phi-hat classes of `param.dual`: the space for class d is
     Z^2 = d U^4 - 2a U^2 V^2 + ((a^2-4b)/d) V^4.
     """
-    return _selmer(param.dual, _places(param, primes))
+    return _span(_selmer(param.dual, _places(param, primes)))
 
 
 def sel_phihat(param, primes):
@@ -238,35 +247,26 @@ def sel_phihat(param, primes):
 
     The space for class d is Z^2 = d U^4 + a U^2 V^2 + (b/d) V^4.
     """
-    return _selmer(param, _places(param, primes))
-
-
-def _dim_f2(classes):
-    size = len(classes)
-    dim = size.bit_length() - 1
-    if 1 << dim != size:
-        raise ArithmeticError(f"Selmer set size {size} is not a power of 2")
-    return dim
+    return _span(_selmer(param, _places(param, primes)))
 
 
 def rank_upper(param, primes):
     """Selmer sets for both isogeny directions and the rank bound, read at
     the places that `_places` keeps of `primes` (`families.e2_primes(param)`).
 
-    rank(E_{a,b}(Q)) <= dim_phi + dim_phihat - 2.  Each Selmer set holds the
-    image of its side's Kummer map, and |alpha(E(Q))| |alpha'(E'(Q))| =
-    2^(rank + 2) (Silverman, AEC X.6), so a sum below 2 raises ArithmeticError.
-    So does a set without the image of O (the class 1) or of T = (0, 0): the
-    d with b/d a square on the phi-hat side, with (a^2 - 4b)/d a square on
-    the phi side; for square-free d that is d times the numerator a square.
+    rank(E_{a,b}(Q)) <= dim_phi + dim_phihat - 2, each dimension the length
+    of its side's `_selmer` basis.  Each Selmer set holds the image of its
+    side's Kummer map, and |alpha(E(Q))| |alpha'(E'(Q))| = 2^(rank + 2)
+    (Silverman, AEC X.6), so a sum below 2 raises ArithmeticError.  So does a
+    set without the image of T = (0, 0): the d with b/d a square on the
+    phi-hat side, with (a^2 - 4b)/d a square on the phi side; for square-free
+    d that is d times the numerator a square.  The image of O, the class 1,
+    is in every span.
     """
     local = _places(param, primes)
-    phi = _selmer(param.dual, local)
-    phihat = _selmer(param, local)
-    if 1 not in phi or 1 not in phihat:
-        raise ArithmeticError(f"trivial class must survive, got {phi} and {phihat}")
-    dim_phi = _dim_f2(phi)
-    dim_phihat = _dim_f2(phihat)
+    phi_basis, phihat_basis = _selmer(param.dual, local), _selmer(param, local)
+    dim_phi, dim_phihat = len(phi_basis), len(phihat_basis)
+    phi, phihat = _span(phi_basis), _span(phihat_basis)
     if dim_phi + dim_phihat < 2:
         raise ArithmeticError(f"Selmer dimensions {dim_phi} + {dim_phihat} are below the 2 "
                               "that the torsion images give")
@@ -275,4 +275,3 @@ def rank_upper(param, primes):
         raise ArithmeticError(f"torsion class must survive, got {phi} and {phihat}")
     return SelmerEstimate(tuple(phi), tuple(phihat), dim_phi, dim_phihat,
                           dim_phi + dim_phihat - 2)
-

@@ -112,7 +112,7 @@ def e3_window(X):
             except SingularCurve:
                 continue
             if curves.height_leq(raw, X):
-                yield a, b, curves.minimize(raw, prime_divisors(gcd(raw.A, raw.B)))
+                yield a, b, curves.short_model(raw)
 
 
 def type1(a):
@@ -187,7 +187,7 @@ def tate_fibers(ell, X):
     Runs over coprime num/den in the family's parameter window scaled by
     SAFETY_BOX_FACTOR, den ascending in the outer loop and num in the inner.
     A fiber's model is (A(t), B(t)) scaled by den^w, an integral model of the
-    same curve, so `minimize` reaches the minimal one.
+    same curve, so `curves.short_model` reaches the minimal one.
     """
     if ell not in (5, 7):
         raise DomainError("Tate fibers cover ell in {5, 7}")
@@ -202,7 +202,7 @@ def tate_fibers(ell, X):
             A = polys.homogeneous_value(A_poly, num, den)
             B = polys.homogeneous_value(B_poly, num, den)
             try:
-                model = curves.minimize(ShortWeierstrass(A, B), prime_divisors(gcd(A, B)))
+                model = curves.short_model(ShortWeierstrass(A, B))
             except SingularCurve:
                 continue
             if curves.height_leq(model, X):

@@ -10,6 +10,7 @@ traces over family fibers, and the local-insolubility certificate density.
 from collections import namedtuple
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, isqrt, log
 
 from . import curves, descent2, families, polys
@@ -250,24 +251,25 @@ def _irreducible_mod_p(f, p):
     return True
 
 
-def normal_order_experiment(f, X, S):
-    """Mean and variance of omega_S(s(f(r))) over reduced rationals of height <= X.
+def normal_order_experiment(f, heights, S):
+    """One NormalOrderSample per X of `heights`, in their order: the mean and
+    variance of omega_S(s(f(r))) over reduced rationals a/b with |a|, b <= X.
 
     f(a/b) is cleared to the integer b^deg(f) f(a/b); omega_S counts the
-    distinct primes of its square-free part outside S.  Requires f
-    irreducible (zero values would otherwise swamp the sample).
+    distinct primes of its square-free part outside S.  One pass over the
+    largest window counts each pair toward every X >= max(|a|, b).  Requires
+    X >= 10 and f irreducible (zero values would otherwise swamp the sample).
     """
     f = polys.primitive(f)
-    if X < 10:
+    if min(heights) < 10:
         raise DomainError("X must be >= 10")
     if not is_irreducible(f):
         raise DomainError("f must be irreducible over Q")
     excluded = set(S)
-    total = 0
-    total_sq = 0
-    count = 0
-    for b in range(1, X + 1):
-        for a in range(-X, X + 1):
+    top = max(heights)
+    count, total, total_sq = ([0] * (top + 1) for _ in range(3))
+    for b in range(1, top + 1):
+        for a in range(-top, top + 1):
             if gcd(a, b) != 1:
                 continue
             value = polys.homogeneous_value(f, a, b)
@@ -275,12 +277,17 @@ def normal_order_experiment(f, X, S):
                 continue
             om = sum(1 for pr, e in factor(value)
                      if e % 2 == 1 and pr not in excluded)
-            total += om
-            total_sq += om * om
-            count += 1
-    mean = Fraction(total, count)
-    variance = Fraction(total_sq, count) - mean * mean
-    return NormalOrderSample(X, mean, variance, count)
+            h = max(abs(a), b)
+            count[h] += 1
+            total[h] += om
+            total_sq[h] += om * om
+    count, total, total_sq = (list(accumulate(sums)) for sums in (count, total, total_sq))
+    samples = []
+    for X in heights:
+        mean = Fraction(total[X], count[X])
+        variance = Fraction(total_sq[X], count[X]) - mean * mean
+        samples.append(NormalOrderSample(X, mean, variance, count[X]))
+    return samples
 
 
 def average_trace(A_coeffs, B_coeffs, p):

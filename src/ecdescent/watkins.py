@@ -33,25 +33,24 @@ DATASET_HEADER = ["label", "A", "B", "rank", "modular_degree"]
 DatasetRecord = namedtuple("DatasetRecord", "label A B rank modular_degree")
 
 
-class WatkinsReport(namedtuple("WatkinsReport", "curve shape rank_upper omega_N "
-                               "surrogate_nu2_lower max_M_proven method_notes")):
+class WatkinsReport(namedtuple("WatkinsReport", "curve rank_upper omega_N "
+                               "surrogate_nu2_lower method_notes")):
     """The Watkins computations for one E_{a,b}.  rank_upper and omega_N are
     ints; surrogate_nu2_lower is None unless the shape is Z2."""
 
     __slots__ = ()
 
     def verdict(self, M):
-        """Proven iff rank_upper + M <= omega(N) - 2, i.e. M <= max_M_proven,
-        for M >= 0 (max_M_proven is None when no M >= 0 is proven).
+        """Proven iff the surrogate exists and rank_upper + M <= omega(N) - 2,
+        for M >= 0.
 
         Never asserts a counterexample: the rank is only bounded above and
         nu_2(m_E) only below, so failure to prove is Inconclusive.
         """
         if M < 0:
             raise DomainError(f"M must be >= 0, got {M}")
-        if self.max_M_proven is not None and M <= self.max_M_proven:
-            return PROVEN
-        return INCONCLUSIVE
+        lower = self.surrogate_nu2_lower
+        return PROVEN if lower is not None and self.rank_upper + M <= lower else INCONCLUSIVE
 
 
 def m_watkins_exact(rec, M):
@@ -81,10 +80,7 @@ def report(param, policy):
     omega_n, _ = curves.conductor_support(model, policy, primes)
     surrogate = omega_n - 2 if shape == Z2 else None
     rank_bound = descent2.rank_upper(param, primes).rank_upper
-    max_m = None
-    if surrogate is not None and surrogate >= rank_bound:
-        max_m = surrogate - rank_bound
-    return WatkinsReport(model, shape, rank_bound, omega_n, surrogate, max_m,
+    return WatkinsReport(model, rank_bound, omega_n, surrogate,
                          "" if shape == Z2 else "full 2-torsion")
 
 
@@ -128,11 +124,12 @@ def verify_record(rec, M, policy):
     """All consistency checks for one dataset record.
 
     The one translation of a short model to E_{a,b}: a rational 2-torsion
-    point writes the record's model as one, whose `report` gives the shape
-    and bounds.  Without one the shape is Trivial and no descent runs.  The
-    record is not minimized first: `report`'s `e2_curve` reaches the minimal
-    model, and the 2-isogeny Selmer groups of a rescaled E_{u^2 a, u^4 b} are
-    those of E_{a,b}, so the bound is the same.
+    point writes the record's model as one, whose `two_torsion` gives the
+    shape and whose `report` the bounds.  Without one the shape is Trivial
+    and no descent runs.  The record is not minimized first: `report`'s
+    `e2_curve` reaches the minimal model, and the 2-isogeny Selmer groups of
+    a rescaled E_{u^2 a, u^4 b} are those of E_{a,b}, so the bound is the
+    same.
 
     surrogate_ok: omega(N) - 2 <= nu_2(m) whenever the curve has shape Z2.
     rank_ok: the descent bound is >= the recorded rank whenever the curve
@@ -142,8 +139,9 @@ def verify_record(rec, M, policy):
     if ab is None:
         shape, lower, bound = TRIVIAL, None, None
     else:
-        rep = report(E2Param(*ab), policy)
-        shape, lower, bound = rep.shape, rep.surrogate_nu2_lower, rep.rank_upper
+        param = E2Param(*ab)
+        rep = report(param, policy)
+        shape, lower, bound = param.two_torsion, rep.surrogate_nu2_lower, rep.rank_upper
     nu2 = valuation(rec.modular_degree, 2)
     out = {
         "label": rec.label,

@@ -141,18 +141,19 @@ def test_descent_resultant_invariant_exit1(capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("error: class 2 mod 2^2 of (3,12,52) splits past")
 
 
-def test_descent_lost_trivial_class_exit1(capsys, monkeypatch):
-    selmer, dual = descent2._selmer, families.E2Param(0, -1).dual
+def test_descent_dependent_selmer_basis_exit1(capsys, monkeypatch):
+    """A basis with the product of its first two elements appended."""
+    selmer, dual = descent2._selmer, families.E2Param(0, 1).dual
 
-    def losing(side, *args):
-        found = selmer(side, *args)
-        return [d for d in found if d != 1] if side == dual else found
+    def dependent(side, *args):
+        basis = selmer(side, *args)
+        return [*basis, descent2._times(*basis[:2])] if side == dual else basis
 
-    monkeypatch.setattr(descent2, "_selmer", losing)
-    code, out = run_cli(["descent", "--a", "0", "--b", "-1"])
+    monkeypatch.setattr(descent2, "_selmer", dependent)
+    code, out = run_cli(["descent", "--a", "0", "--b", "1"])
     assert code == 1
     assert out == ""
-    assert capsys.readouterr().err.startswith("error: trivial class must survive")
+    assert capsys.readouterr().err == "error: Selmer basis [2, -1, -2] is dependent\n"
 
 
 def test_many_prime_descent_stdout():
@@ -166,7 +167,7 @@ def test_many_prime_descent_stdout():
 
 
 def test_descent_selmer_dimensions_below_two_exit1(capsys, monkeypatch):
-    monkeypatch.setattr(descent2, "_selmer", lambda *args: [1])
+    monkeypatch.setattr(descent2, "_selmer", lambda *args: [])
     code, out = run_cli(["descent", "--a", "0", "--b", "-1"])
     assert code == 1
     assert out == ""
@@ -489,6 +490,24 @@ def test_stats_normal_order():
     rows, doc = split_csv_json(out)
     assert rows[0] == "X,mean,variance,n"
     assert doc["samples"][0]["n"] > 100
+
+
+def test_stats_normal_order_factors_one_window(monkeypatch):
+    """With the memo off, the heights 50 and 100 factor the values of the
+    height-100 window once: 12,175 factorizations (the per-height loop made
+    15,270), and stdout is that of the memo on."""
+    argv = ["stats", "normal-order", "--poly", "1,0,1", "--heights", "50,100"]
+    expected = run_cli(argv)
+    calls = []
+    factor_abs = arith._factor_abs
+    monkeypatch.setattr(arith, "_factor_abs", lambda n: calls.append(n) or factor_abs(n))
+    arith.set_factor_cache(False)
+    try:
+        assert run_cli(argv) == expected
+    finally:
+        arith.set_factor_cache(True)
+    assert expected[0] == 0
+    assert len(calls) == 12175, len(calls)
 
 
 @pytest.mark.parametrize("argv", [

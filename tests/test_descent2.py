@@ -565,7 +565,8 @@ def test_selmer_matches_the_coset_loop():
         param = E2Param(1, -_odd_prime_product(k))
         local = local_primes(param)
         for side in (param.dual, param):
-            assert descent2._selmer(side, local) == _selmer_coset_loop(side, local), (k, side)
+            basis = descent2._selmer(side, local)
+            assert descent2._span(basis) == _selmer_coset_loop(side, local), (k, side)
 
 
 def test_seventeen_prime_descent_reads_few_square_classes(monkeypatch):
@@ -595,8 +596,8 @@ def test_selmer_matches_the_per_class_memo():
     for param in e2_window(12):
         local = local_primes(param)
         for side in (param.dual, param):
-            assert descent2._selmer(side, local) == _selmer_per_class_memo(side, local), (
-                param, side)
+            basis = descent2._selmer(side, local)
+            assert descent2._span(basis) == _selmer_per_class_memo(side, local), (param, side)
         curves += 1
     assert curves == 7188, curves
 
@@ -761,7 +762,7 @@ def test_rank_upper_clamp():
 
 
 def test_rank_upper_below_torsion_images_raises(monkeypatch):
-    monkeypatch.setattr(descent2, "_selmer", lambda *args: [1])
+    monkeypatch.setattr(descent2, "_selmer", lambda *args: [])
     with pytest.raises(ArithmeticError, match=r"^Selmer dimensions 0 \+ 0 are below"):
         rank_upper(E2Param(0, -1))
 
@@ -849,10 +850,29 @@ def test_global_point_soundness():
             assert d in phi, (a, b, x)
 
 
-def test_selmer_invariants_raise():
-    assert descent2._dim_f2([1, -1, 2, -2]) == 2
-    with pytest.raises(ArithmeticError, match="not a power of 2"):
-        descent2._dim_f2([1, 2, 3])
+def _dependent(on, extra):
+    """`_selmer` with extra(basis) appended to the basis of side `on`."""
+    selmer = descent2._selmer
+
+    def injected(side, local):
+        basis = selmer(side, local)
+        return [*basis, extra(basis)] if side == on else basis
+
+    return injected
+
+
+def test_selmer_invariants_raise(monkeypatch):
+    """A dependent basis spans fewer than 2^k classes: its span repeats one.
+    Here the product of the first two elements is appended."""
+    assert descent2._span([2, -1]) == [1, -1, 2, -2]
+    with pytest.raises(ArithmeticError, match=r"^Selmer basis \[2, -1, -2\] is dependent$"):
+        descent2._span([2, -1, -2])
+    param = E2Param(0, 1)
+    assert len(descent2._selmer(param.dual, local_primes(param))) == 2
+    product = lambda basis: descent2._times(*basis[:2])
+    monkeypatch.setattr(descent2, "_selmer", _dependent(param.dual, product))
+    with pytest.raises(ArithmeticError, match="is dependent"):
+        rank_upper(param)
 
 
 @pytest.mark.parametrize("param, side", [(E2Param(0, -1), "phihat"), (E2Param(0, 1), "phi")])
@@ -871,13 +891,10 @@ def test_rank_upper_lost_torsion_class_raises(monkeypatch, param, side):
         rank_upper(param)
 
 
-def test_rank_upper_lost_trivial_class_raises(monkeypatch):
-    selmer, param = descent2._selmer, E2Param(0, -1)
-
-    def losing(side, *args):
-        found = selmer(side, *args)
-        return found[1:] if side == param else found
-
-    monkeypatch.setattr(descent2, "_selmer", losing)
-    with pytest.raises(ArithmeticError, match="trivial class must survive"):
-        rank_upper(E2Param(0, -1))
+def test_rank_upper_dependent_basis_raises(monkeypatch):
+    """The trivial class as a basis element, the empty product of the others,
+    is the smallest dependent basis."""
+    param = E2Param(0, -1)
+    monkeypatch.setattr(descent2, "_selmer", _dependent(param, lambda basis: 1))
+    with pytest.raises(ArithmeticError, match=r"^Selmer basis \[-1, 1\] is dependent$"):
+        rank_upper(param)

@@ -187,12 +187,38 @@ def test_integer_paths_build_no_long_model(monkeypatch):
     def refuse(*args):
         raise AssertionError("long Weierstrass model built")
 
+    short_model = curves.short_model
+
+    def short_only(model):
+        if not isinstance(model, ShortWeierstrass):
+            refuse()
+        return short_model(model)
+
     for name in ("tate_normal", "e5_curve", "e7_curve", "LongWeierstrass"):
         monkeypatch.setattr(families, name, refuse)
-    monkeypatch.setattr(curves, "short_model", refuse)
+    monkeypatch.setattr(curves, "short_model", short_only)
     assert len(list(families.tate_fibers(5, 56))) > 0
     assert len(list(families.tate_fibers(7, 50))) > 0
     assert e2_curve(E2Param(3, -5)) == ShortWeierstrass(-8, 7)
+
+
+def test_windows_minimize_through_short_model(monkeypatch):
+    """The e3 and Tate windows and `frobenius_trace` take their minimal
+    models from `curves.short_model`, the one way to minimize a model whose
+    primes are not known."""
+    calls = []
+    short_model = curves.short_model
+    monkeypatch.setattr(curves, "short_model",
+                        lambda model: calls.append(model) or short_model(model))
+    rows = list(families.e3_window(20))
+    assert len(calls) == len(rows) > 0
+    calls.clear()
+    rows = list(families.tate_fibers(5, 40))
+    assert len(calls) > len(rows) > 0  # every nonsingular fiber, kept or not
+    calls.clear()
+    assert curves.frobenius_trace(ShortWeierstrass(16, 64), 7) == curves.frobenius_trace(
+        ShortWeierstrass(1, 1), 7)
+    assert calls == [ShortWeierstrass(16, 64), ShortWeierstrass(1, 1)]
 
 
 def test_e3_polynomials_exact():

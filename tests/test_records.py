@@ -32,7 +32,7 @@ def one_of_each():
         descent3.class_bound(-3),
         descent3.rank_upper_type1(-432, {2, 3})[1],
         E2Param(0, -1),
-        stats.normal_order_experiment([1, 0, 1], 10, ()),
+        stats.normal_order_experiment([1, 0, 1], [10], ())[0],
         stats.volume_constant(12),
         watkins.load_dataset(DATA)[0],
         watkins.report(E2Param(0, -1), "include-small"),

@@ -284,7 +284,7 @@ def test_is_irreducible_against_sympy():
 
 
 def test_normal_order_experiment():
-    ns = stats.normal_order_experiment([0, 1], 30, ())
+    (ns,) = stats.normal_order_experiment([0, 1], [30], ())
     # reduced pairs b in [1, 30], |a| <= 30, minus a = 0 (f vanishes)
     count = sum(1 for b in range(1, 31) for a in range(-30, 31)
                 if gcd(a, b) == 1 and a != 0)
@@ -293,21 +293,43 @@ def test_normal_order_experiment():
     assert 0 < ns.mean < 4
 
     with pytest.raises(DomainError):
-        stats.normal_order_experiment([-1, 0, 1], 50, ())  # reducible
+        stats.normal_order_experiment([-1, 0, 1], [50], ())  # reducible
     with pytest.raises(DomainError):
-        stats.normal_order_experiment([0, 1], 5, ())  # X too small
+        stats.normal_order_experiment([0, 1], [50, 5], ())  # X too small
 
 
 def test_normal_order_excluded_primes():
-    full = stats.normal_order_experiment([-1, -11, 1], 20, ())
-    reduced = stats.normal_order_experiment([-1, -11, 1], 20, (2, 3, 5))
+    (full,) = stats.normal_order_experiment([-1, -11, 1], [20], ())
+    (reduced,) = stats.normal_order_experiment([-1, -11, 1], [20], (2, 3, 5))
     assert reduced.mean <= full.mean
     assert reduced.sample_count == full.sample_count
 
 
+def reference_normal_order(f, X, S):
+    """The retired loop: one NormalOrderSample from a pass over X's own window."""
+    f = polys.primitive(f)
+    oms = [sum(1 for p, e in factor(value) if e % 2 and p not in S)
+           for b in range(1, X + 1) for a in range(-X, X + 1)
+           if gcd(a, b) == 1 and (value := polys.homogeneous_value(f, a, b))]
+    mean = Fraction(sum(oms), len(oms))
+    return stats.NormalOrderSample(X, mean, Fraction(sum(om * om for om in oms), len(oms))
+                                   - mean * mean, len(oms))
+
+
+@pytest.mark.parametrize("f, heights, S", [
+    ([1, 0, 1], [30, 12, 30, 10], ()),
+    ([-1, -11, 1], [25], (2, 3)),
+    ([2, 0, 0, 1], [11, 20], (3,)),
+])
+def test_normal_order_heights_share_one_window(f, heights, S):
+    """One pass over the largest window gives each height the sample of its
+    own window, in the order given, repeats kept."""
+    assert stats.normal_order_experiment(f, heights, S) == [
+        reference_normal_order(f, X, S) for X in heights]
+
+
 def test_normal_order_mean_growth():
-    means = [float(stats.normal_order_experiment([0, 1], X, ()).mean)
-             for X in (100, 200, 400)]
+    means = [float(ns.mean) for ns in stats.normal_order_experiment([0, 1], [100, 200, 400], ())]
     assert means[1] >= means[0] - 0.3
     assert means[2] >= means[1] - 0.3
 

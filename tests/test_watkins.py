@@ -77,12 +77,13 @@ def test_twist_watkins():
 
 def test_report_param():
     rep = watkins.report(E2Param(3, 3), "include-small")
+    assert rep._fields == ("curve", "rank_upper", "omega_N", "surrogate_nu2_lower",
+                           "method_notes")
     assert rep.curve == ShortWeierstrass(0, -1)
-    assert rep.shape == curves.Z2
     assert rep.rank_upper == 0
     assert rep.omega_N == 2
     assert rep.surrogate_nu2_lower == 0
-    assert rep.max_M_proven == 0
+    assert (rep.verdict(0), rep.verdict(1)) == (watkins.PROVEN, watkins.INCONCLUSIVE)
 
 
 def test_report_finds_rational_roots_at_most_once(monkeypatch):
@@ -120,8 +121,8 @@ def test_report_shape_matches_two_torsion_shape():
     shapes = set()
     for param in _nonsingular(E2Param, range(-10, 11), range(-100, 101)):
         rep = watkins.report(param, "include-small")
-        assert rep.shape == curves.two_torsion_shape(rep.curve), param
-        shapes.add(rep.shape)
+        assert param.two_torsion == curves.two_torsion_shape(rep.curve), param
+        shapes.add(param.two_torsion)
     assert shapes == {curves.Z2, curves.Z2XZ2}
     for E in _nonsingular(ShortWeierstrass, range(-30, 31), range(-60, 61)):
         shape = _verify(E.A, E.B)["shape"]
@@ -131,10 +132,11 @@ def test_report_shape_matches_two_torsion_shape():
 
 
 def test_report_full_two_torsion():
-    rep = watkins.report(E2Param(0, -1), "include-small")  # y^2 = x^3 - x
-    assert rep.shape == curves.Z2XZ2
+    param = E2Param(0, -1)  # y^2 = x^3 - x
+    rep = watkins.report(param, "include-small")
+    assert param.two_torsion == curves.Z2XZ2
     assert rep.surrogate_nu2_lower is None
-    assert rep.max_M_proven is None
+    assert rep.verdict(0) == watkins.INCONCLUSIVE
     assert rep.method_notes == "full 2-torsion"
     assert rep.rank_upper == 0  # descent still applies
     assert rep.omega_N == 1
