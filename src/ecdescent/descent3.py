@@ -11,7 +11,7 @@ from collections import namedtuple
 from functools import lru_cache
 from math import gcd, isqrt, prod
 
-from .arith import CACHE_BOUND, factor_over, legendre
+from .arith import CACHE_BOUND, factor, factor_over, legendre
 from .errors import DomainError
 
 RATIONAL = 1  # square-class marker for the degenerate "field" Q
@@ -20,7 +20,7 @@ EXACT_IMAGINARY = "exact-imaginary"
 SCHOLZ_BOUND = "scholz-bound"
 RATIONAL_TRIVIAL = "rational-trivial"
 
-# `reduced_forms` reads b from `_ROOTS` while sqrt(|D|/3) <= ROOTS_BOUND.
+# `_forms` reads b from `_ROOTS` while sqrt(|D|/3) <= ROOTS_BOUND.
 # `_ROOTS[a]` maps each square residue mod 4a to the b in [0, a] with that
 # square; it is empty at import and grown on first use up to the largest a
 # asked for, so it never holds more than ROOTS_BOUND entries.
@@ -97,32 +97,31 @@ def _xgcd(a, b):
     return a, x0, y0
 
 
-def reduced_forms(D):
-    """All primitive reduced forms of discriminant D < 0 (the form class group).
+def _forms(D):
+    """Yield the reduced forms (a, b, c) of discriminant D < 0 with b >= 0.
 
-    A reduced form has a <= sqrt(|D|/3) and 0 <= |b| <= a with b^2 = D mod 4a.
-    While isqrt(|D|/3) <= ROOTS_BOUND (|D| < 3 (ROOTS_BOUND + 1)^2 = 198147)
-    the loop runs over a and reads each b in [0, a] from `_ROOTS[a]`, the
-    square roots of D mod 4a, so a form costs one step and a discriminant
-    about sqrt(|D|/3) lookups.  For larger |D| the table would grow with |D|,
-    so the loop runs over b and tries every a up to sqrt((b^2 - D)/4) as a
-    divisor, in constant memory.
+    A reduced form has a <= sqrt(|D|/3) and 0 <= |b| <= a <= c with
+    b^2 - 4ac = D.  While isqrt(|D|/3) <= ROOTS_BOUND (|D| < 3 (ROOTS_BOUND +
+    1)^2 = 198147) the loop runs over a and reads each b in [0, a] from
+    `_ROOTS[a]`, the square roots of D mod 4a, so a form costs one step and a
+    discriminant about sqrt(|D|/3) lookups.  For larger |D| the table would
+    grow with |D|, so the loop runs over b, and a runs over the divisors of
+    ac = (b^2 - D)/4 in [b, sqrt(ac)], read from `factor(ac)`.
     """
     if D >= 0 or D % 4 not in (0, 1):
         raise DomainError(f"{D} is not a negative discriminant")
     amax = isqrt(-D // 3)
-    out = []
     if amax > ROOTS_BOUND:
         for b in range(D & 1, amax + 1, 2):  # b = D mod 2, so 4 | b^2 - D
             ac = (b * b - D) // 4
-            for a in range(max(b, 1), isqrt(ac) + 1):
-                if ac % a == 0:
-                    c = ac // a
-                    if gcd(a, b, c) == 1:
-                        out.append((a, b, c))
-                        if b and b != a and a != c:
-                            out.append((a, -b, c))
-        return sorted(out)
+            top = isqrt(ac)
+            divisors = [1]
+            for p, e in factor(ac):
+                divisors = [d * p**k for d in divisors for k in range(e + 1) if d * p**k <= top]
+            for a in divisors:
+                if a >= b and gcd(a, b, ac // a) == 1:
+                    yield a, b, ac // a
+        return
     for a in range(len(_ROOTS) + 1, amax + 1):
         roots = {}
         for b in range(a + 1):
@@ -132,9 +131,19 @@ def reduced_forms(D):
         for b in _ROOTS[a].get(D % (4 * a), ()):
             c = (b * b - D) // (4 * a)
             if c >= a and gcd(a, b, c) == 1:
-                out.append((a, b, c))
-                if b and b != a and a != c:
-                    out.append((a, -b, c))
+                yield a, b, c
+
+
+def reduced_forms(D):
+    """All primitive reduced forms of discriminant D < 0 (the form class group),
+    sorted: each (a, b, c) of `_forms(D)` (b from the square-root table, or
+    past ROOTS_BOUND a from the divisors of (b^2 - D)/4) and, when
+    0 < b < a < c, its inverse (a, -b, c)."""
+    out = []
+    for a, b, c in _forms(D):
+        out.append((a, b, c))
+        if 0 < b < a < c:
+            out.append((a, -b, c))
     return sorted(out)
 
 
@@ -142,27 +151,37 @@ def reduced_forms(D):
 def r3_imaginary(D):
     """3-rank of the form class group of discriminant D < 0.
 
-    Counts the elements g with g^3 = identity; the count is 3^r3.  If 3 does
-    not divide h(D), the number of reduced forms, there are none but the
-    identity (Lagrange), and nothing is composed.  Otherwise g^3 = identity
-    means g^2 = g^-1, where g^-1 of (a, b, c) is (a, -b, c).  An ambiguous
-    form (b = 0, |b| = a or a = c) is its own inverse, so its order divides 2
-    and it has order 3 only if it is the identity, counted once up front.
-    Every other reduced form pairs with its inverse, also reduced and of the
-    same order, so one composition per pair (the form with b > 0) counts two.
+    The class number h(D) is counted from `_forms(D)` without a list: a form
+    with 0 < b < a < c counts twice, for itself and its inverse (a, -b, c).
+    The 3-part of the group has order 3^v, v = v_3(h) (Sylow), so r3 <= v:
+    if v <= 1 the 3-part is trivial or Z/3 and r3 = v, with nothing composed.
+    Only when 9 | h are the elements g with g^3 = identity counted; that count
+    is 3^r3.  g^3 = identity means g^2 = g^-1, where g^-1 of (a, b, c) is
+    (a, -b, c).  An ambiguous form (b = 0, |b| = a or a = c) is its own
+    inverse, so its order divides 2 and it has order 3 only if it is the
+    identity, counted once up front.  Every other reduced form pairs with its
+    inverse, also reduced and of the same order, so one composition per pair
+    (the form with b > 0) counts two.  The count stops at 3^v, and one of 1
+    (3 | h forces an element of order 3, by Cauchy) or not a power of 3
+    raises ArithmeticError.
     """
-    forms = reduced_forms(D)
-    if len(forms) % 3:
-        return 0
+    h = sum(2 if 0 < b < a < c else 1 for a, b, c in _forms(D))
+    v = 0
+    while h % 3**(v + 1) == 0:
+        v += 1
+    if v <= 1:
+        return v
     cubes = 1
-    for a, b, c in forms:
+    for a, b, c in reduced_forms(D):
         if 0 < b < a < c and compose((a, b, c), (a, b, c), D) == (a, -b, c):
             cubes += 2
+            if cubes == 3**v:
+                break
     r3 = 0
     while 3**r3 < cubes:
         r3 += 1
-    if 3**r3 != cubes:
-        raise ArithmeticError(f"3-torsion count {cubes} is not a power of 3 for D={D}")
+    if cubes == 1 or 3**r3 != cubes:
+        raise ArithmeticError(f"3-torsion count {cubes} is not a power of 3 above 1 for D={D}")
     return r3
 
 

@@ -1,3 +1,4 @@
+import io
 import os
 import subprocess
 import sys
@@ -5,7 +6,7 @@ from math import gcd, isqrt
 
 import pytest
 
-from ecdescent import arith, descent3
+from ecdescent import arith, cli, descent3
 from ecdescent.arith import is_squarefree
 from ecdescent.errors import DomainError
 from ecdescent.families import type1_primes
@@ -111,7 +112,8 @@ def test_reduced_forms_and_r3_against_reference():
     # -3..-10000 and -49128 (the largest |D| of `enumerate --family type1
     # --height 16`) read b from the table; the two edges have
     # isqrt(|D|/3) = ROOTS_BOUND, the last table side, and ROOTS_BOUND + 1,
-    # the first per-b side, as does -3321607.
+    # the first divisor side, as does -3321607.  The reference is the
+    # retired per-b loop, which tries every a by trial division.
     bound = descent3.ROOTS_BOUND
     edges = (-3 * bound * bound, -3 * (bound + 1) ** 2)
     assert [isqrt(-D // 3) for D in edges] == [bound, bound + 1]
@@ -124,8 +126,8 @@ def test_reduced_forms_and_r3_against_reference():
 
 
 def test_roots_table_is_lazy_and_bounded():
-    # the CLI import builds no table; past ROOTS_BOUND the per-b loop runs
-    # and the table stops growing
+    # the CLI import builds no table; past ROOTS_BOUND a comes from the
+    # divisors of (b^2 - D)/4 and the table stops growing
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     code = (f"import sys; sys.path.insert(0, {src!r}); import ecdescent.cli; "
             "from ecdescent import descent3; print(len(descent3._ROOTS))")
@@ -140,13 +142,20 @@ def test_roots_table_is_lazy_and_bounded():
 
 
 def test_r3_imaginary_skips_composition_when_3_does_not_divide_h(monkeypatch):
+    """Nothing is composed unless 9 | h(D): v_3(h) <= 1 is the 3-rank."""
     def no_compose(f1, f2, D):
-        raise AssertionError("composed although 3 does not divide h(D)")
+        raise AssertionError("composed although 9 does not divide h(D)")
 
+    discs = [D for D in range(-3, -2001, -1)
+             if D % 4 in (0, 1) and len(descent3.reduced_forms(D)) % 9]
+    expected = {D: reference_r3_imaginary(D) for D in discs}
+    assert set(expected.values()) == {0, 1}
     monkeypatch.setattr(descent3, "compose", no_compose)
     for D, h in ((-47, 5), (-71, 7), (-95, 8)):
         assert len(descent3.reduced_forms(D)) == h
         assert descent3.r3_imaginary.__wrapped__(D) == 0, D
+    for D in discs:
+        assert descent3.r3_imaginary.__wrapped__(D) == expected[D], D
 
 
 def test_r3_imaginary_composes_once_per_inverse_pair(monkeypatch):
@@ -158,11 +167,88 @@ def test_r3_imaginary_composes_once_per_inverse_pair(monkeypatch):
         return compose(f1, f2, D)
 
     monkeypatch.setattr(descent3, "compose", counted)
-    for D, r3 in ((-23, 1), (-3299, 2), (-3321607, 3)):
+    # h = 3: the 3-part is Z/3, so nothing is composed
+    assert descent3.r3_imaginary.__wrapped__(-23) == 1
+    assert calls == []
+    for D, r3 in ((-3299, 2), (-3321607, 3)):  # h = 27 and 567 = 3^4 7
         h = len(descent3.reduced_forms(D))
         calls.clear()
         assert descent3.r3_imaginary.__wrapped__(D) == r3
         assert 0 < len(calls) <= (h - 1) // 2, (D, h, len(calls))
+
+
+def test_r3_imaginary_raises_without_order_three(monkeypatch, capsys):
+    """9 | h(D) but no composition gives an inverse: the count stays 1, which
+    Cauchy forbids, so it raises rather than read as r3 = 0."""
+    def non_inverse(f1, f2, D):
+        return identity_form(D)
+
+    monkeypatch.setattr(descent3, "compose", non_inverse)
+    for D in (-3299, -3321607):
+        with pytest.raises(ArithmeticError, match=rf"^3-torsion count 1 .* for D={D}$"):
+            descent3.r3_imaginary.__wrapped__(D)
+    # on the CLI: both fields of a = -3299 have 3-rank r3(-3299); exit 1
+    descent3.r3_imaginary.cache_clear()
+    out = io.StringIO()
+    assert cli.main(["descent3", "--a", "-3299"], out) == 1
+    assert out.getvalue() == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: 3-torsion count 1 ") and err.count("\n") == 1, err
+
+
+def kronecker(D, n):
+    """The Kronecker symbol (D/n) for n >= 1, by hand: (D/2) from D mod 8,
+    then the Jacobi symbol (D/m) of the odd part m by reciprocity."""
+    out = 1
+    while n % 2 == 0:
+        if D % 2 == 0:
+            return 0
+        out *= 1 if D % 8 in (1, 7) else -1
+        n //= 2
+    a, m = D % n, n
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if m % 8 in (3, 5):
+                out = -out
+        a, m = m, a
+        if a % 4 == 3 and m % 4 == 3:
+            out = -out
+        a %= m
+    return out if m == 1 else 0
+
+
+def analytic_class_number(D):
+    """h(D) = (w/2) sum_{1 <= n <= |D|/2} (D/n) / (2 - (D/2)) for a fundamental
+    D < 0, with w = 6, 4 and 2 units for D = -3, -4 and D < -4."""
+    w = {-3: 6, -4: 4}.get(D, 2)
+    total = sum(kronecker(D, n) for n in range(1, -D // 2 + 1)) * w // 2
+    q, r = divmod(total, 2 - kronecker(D, 2))
+    assert r == 0, D
+    return q
+
+
+def fundamental(D):
+    """D < 0 is a fundamental discriminant."""
+    if D % 4 == 1:
+        return is_squarefree(-D)
+    return D % 16 in (8, 12) and is_squarefree(-D // 4)
+
+
+def test_class_number_against_analytic_formula():
+    """`reduced_forms` against the analytic class number formula, which shares
+    no code with the forms: every fundamental D with |D| <= 3000 (the table
+    side) and the first two past the switch (the divisor side)."""
+    discs = [D for D in range(-3, -3001, -1) if fundamental(D)]
+    assert len(discs) == 2 + 909  # -3, -4 and the 909 below -4
+    first = -3 * (descent3.ROOTS_BOUND + 1) ** 2
+    past = [D for D in range(first, first - 20, -1) if fundamental(D)][:2]
+    assert len(past) == 2 and isqrt(-first // 3) == descent3.ROOTS_BOUND + 1
+    for D in (*discs, *past):
+        assert len(descent3.reduced_forms(D)) == analytic_class_number(D), D
+    # K_a of `descent3 --a 100000001`: h = 3 2^10, so r3 = v_3(h) = 1
+    assert len(descent3.reduced_forms(-300000003)) == 3072
+    assert descent3.r3_imaginary.__wrapped__(-300000003) == 1
 
 
 def test_r3_imaginary_against_cubing():
