@@ -23,7 +23,7 @@ from operator import itemgetter
 
 from . import curves, descent2, descent3, families, polys, stats, watkins
 from .arith import prime_divisors, primes_up_to
-from .config import load_config
+from .config import Config
 from .errors import DomainError, SingularCurve
 
 EXIT_OK = 0
@@ -233,6 +233,8 @@ def _parse_poly(text):
 
 
 def _parse_heights(text):
+    if text is None:
+        raise DomainError("--heights is required")
     hs = _parse_ints(text, "heights")
     if any(h < 1 for h in hs):
         raise DomainError("heights must be positive")
@@ -343,7 +345,6 @@ def build_parser():
         prog="ecdescent",
         description="Exact-arithmetic elliptic-curve descent and counting experiments.",
     )
-    parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--policy", choices=curves.POLICIES)
     parser.add_argument("--nu2-manin", type=int, dest="nu2_manin")
     parser.add_argument("--workers", type=int)
@@ -379,7 +380,7 @@ def build_parser():
         "count-r2", "count-r3", "count-family", "volume", "normal-order",
         "roots-mod", "avg-frobenius", "density-cor-main",
     ])
-    p.add_argument("--heights", default="")
+    p.add_argument("--heights")
     p.add_argument("--height", type=int)
     p.add_argument("--precision", type=int, default=30)
     p.add_argument("--ell", type=int, choices=[5, 7], default=5)
@@ -420,20 +421,17 @@ def _glue_option_values(argv):
 
 def main(argv=None, out=None):
     """Run one command and write its output; the one writer of stdout and the
-    one place where exceptions become exit codes: DomainError (bad options,
-    config or dataset files) 2, the others 1."""
+    one place where exceptions become exit codes: DomainError (bad options or
+    dataset files) 2, the others 1.  The config holds the global flags that
+    were given; `Config` supplies the others."""
     # 64 kB writes, not 4-8 kB: each write to a pipe wakes its reader, which preempts the scan
     if own := out is None:
         out = open(sys.stdout.fileno(), "w", buffering=1 << 16, closefd=False)
     parser = build_parser()
     args = parser.parse_args(_glue_option_values(argv if argv is not None else sys.argv[1:]))
     try:
-        cfg = load_config(
-            args.config,
-            policy=args.policy,
-            nu2_manin=args.nu2_manin,
-            workers=args.workers,
-        )
+        cfg = Config(**{field: value for field in Config._fields
+                        if (value := getattr(args, field)) is not None})
         header, rows, doc = args.fn(args, cfg)
         if header is not None:
             out.write(header + "\n")

@@ -2,9 +2,10 @@
 count.  Local solubility always tests the real place: a Selmer group asks
 for a point at every place, infinity included, so there is no option for it.
 
-A config file uses `key=value` lines (# comments allowed); command-line
-flags override file values.  The effective config is echoed in every JSON
-summary so runs are reproducible from their output alone.
+The global flags `--policy`, `--nu2-manin` and `--workers` are the one way
+to set a run's config; a flag left out takes the default here.  The
+effective config is echoed in every JSON summary so runs are reproducible
+from their output alone.
 """
 
 from collections import namedtuple
@@ -32,41 +33,3 @@ class Config(namedtuple("Config", "policy nu2_manin workers")):
         # without all three at once.
         return {**self._asdict(), "depth_cap_extra": 5, "seed": 0,
                 "solubility_real_place": True}
-
-
-def parse_config_file(path):
-    """Read `key=value` lines into a dict of Config field values."""
-    values = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise DomainError(f"{path}: not UTF-8 text at byte {exc.start}") from None
-    except OSError as exc:
-        raise DomainError(str(exc)) from None
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DomainError(f"{path}:{lineno}: expected key=value")
-        key, _, val = line.partition("=")
-        key = key.strip().replace("-", "_")
-        val = val.strip()
-        if key not in Config._fields:
-            raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
-        if key == "policy":
-            values[key] = val
-        else:
-            try:
-                values[key] = int(val)
-            except ValueError:
-                raise DomainError(f"{path}:{lineno}: {key} must be an integer, got {val!r}") from None
-    return values
-
-
-def load_config(path, **overrides):
-    """Config from optional file plus keyword overrides (None values ignored)."""
-    values = parse_config_file(path) if path else {}
-    values.update({k: v for k, v in overrides.items() if v is not None})
-    return Config(**values)

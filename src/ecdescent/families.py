@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from . import curves, polys
-from .arith import factor, is_square, is_squarefree, prime_divisors
+from .arith import factor, iroot, is_square, is_squarefree, prime_divisors
 from .curves import Z2, Z2XZ2, LongWeierstrass, ShortWeierstrass
 from .errors import DomainError, SingularCurve
 
@@ -92,8 +92,8 @@ def e3_a_bound(X):
     """The |a| bound of the 3-torsion window at height X: no (a, b) beyond
     it has |6ab + 27a^4| <= X^2 and |b^2 - 27a^6| <= X^3."""
     # the two b-intervals separate once 6.75 a^6 exceeds X^3 + 1.5 a^2 X^2,
-    # around |a| ~ 0.8 sqrt(X)
-    return int(1.5 * X**0.5) + 3
+    # around |a| ~ 0.8 sqrt(X); floor(1.5 sqrt(X)) = isqrt(9X/4), exactly
+    return isqrt(9 * X // 4) + 3
 
 
 def e3_window(X):
@@ -180,6 +180,12 @@ def tate_short_polys(ell):
     return polys.scale(c4, -27), polys.scale(c6, -54)
 
 
+def _box_bound(X, e):
+    """floor(SAFETY_BOX_FACTOR X^e) + 1 for a rational exponent e = p/q, taken
+    exactly as floor((SAFETY_BOX_FACTOR^q X^p)^(1/q)) + 1."""
+    return iroot(SAFETY_BOX_FACTOR**e.denominator * X**e.numerator, e.denominator) + 1
+
+
 def tate_fibers(ell, X):
     """Yield (num, den, model) for each nonsingular fiber t = num/den of the
     5- or 7-torsion Tate family whose minimal short model has height <= X.
@@ -191,10 +197,8 @@ def tate_fibers(ell, X):
     """
     if ell not in (5, 7):
         raise DomainError("Tate fibers cover ell in {5, 7}")
-    m, n = param_box(ell)
+    num_max, den_max = (_box_bound(X, e) for e in param_box(ell))
     A_poly, B_poly = tate_short_polys(ell)
-    num_max = int(SAFETY_BOX_FACTOR * X ** float(m)) + 1
-    den_max = int(SAFETY_BOX_FACTOR * X ** float(n)) + 1
     for den in range(1, den_max + 1):
         for num in range(-num_max, num_max + 1):
             if gcd(num, den) != 1:
@@ -220,18 +224,6 @@ def tate_curves(ell, X):
         if key not in best or tag < best[key][0]:
             best[key] = (tag, model)
     return best
-
-
-def delta5_poly():
-    """t^5 (t^2 - 11t - 1), ascending coefficients."""
-    return polys.mul([0, 0, 0, 0, 0, 1], [-1, -11, 1])
-
-
-def delta7_poly():
-    """(t^3 - 8t^2 + 5t + 1)(t - 1)^7 t^7, ascending coefficients."""
-    out = [1, 5, -8, 1]
-    out = polys.mul(out, polys.power([-1, 1], 7))
-    return polys.mul(out, polys.power([0, 1], 7))
 
 
 def e3_polynomials():
@@ -278,8 +270,9 @@ def twist_e0(D, nu2_manin):
 
 def twist_window(R):
     """The square-free D with 0 < |D| <= R: positive D first, then negative,
-    each in |D| ascending."""
-    return [D for s in (1, -1) for D in range(s, s * (R + 1), s) if is_squarefree(D)]
+    each in |D| ascending.  Each |D| is tested once."""
+    positive = [D for D in range(1, R + 1) if is_squarefree(D)]
+    return positive + [-D for D in positive]
 
 
 def param_box(ell):

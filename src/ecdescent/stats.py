@@ -307,13 +307,11 @@ def average_trace(A_coeffs, B_coeffs, p):
 
 
 def _family_polys(family):
-    """(A(t), B(t), Delta(t)) of one torsion family: e5, e7 or e3poly."""
+    """(A(t), B(t)) of one torsion family y^2 = x^3 + A(t)x + B(t): e5, e7 or e3poly."""
     if family == "e3poly":
-        return families.e3_polynomials()
-    if family == "e5":
-        return (*families.tate_short_polys(5), families.delta5_poly())
-    if family == "e7":
-        return (*families.tate_short_polys(7), families.delta7_poly())
+        return families.e3_polynomials()[:2]
+    if family in ("e5", "e7"):
+        return families.tate_short_polys(int(family[1]))
     raise DomainError(f"unknown family {family!r}")
 
 
@@ -321,13 +319,14 @@ def avg_frobenius(family, p):
     """Averaged Frobenius trace over the fibers of one torsion family at p > 3."""
     if p <= 3:
         raise DomainError("need p > 3")
-    A, B, _ = _family_polys(family)
-    return average_trace(A, B, p)
+    return average_trace(*_family_polys(family), p)
 
 
 def family_trace_bound(family):
-    """3 deg(Delta) + deg(c4) - 2 for the family, the uniform bound on |A_p|."""
-    A, _, delta = _family_polys(family)
+    """3 deg(Delta) + deg(A) - 2 for the family, the uniform bound on |A_p|;
+    Delta = 4A^3 + 27B^2 is the fibers' discriminant up to a constant."""
+    A, B = _family_polys(family)
+    delta = polys.add(polys.scale(polys.power(A, 3), 4), polys.scale(polys.mul(B, B), 27))
     return 3 * polys.degree(delta) + polys.degree(A) - 2
 
 

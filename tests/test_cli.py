@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from ecdescent import arith, cli, curves, descent2, descent3, families, stats
-from ecdescent.config import load_config
+from ecdescent.config import Config
 from ecdescent.errors import DomainError
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "ecdescent", "data",
@@ -108,8 +108,13 @@ def test_enumerate_missing_height_is_usage_error():
     (["stats", "normal-order", "--heights", "15"], "--poly is required"),
     (["stats", "roots-mod"], "--poly is required"),
     (["stats", "density-cor-main"], "--height is required for density-cor-main"),
+    (["stats", "count-r2"], "--heights is required"),
+    (["stats", "count-r3"], "--heights is required"),
+    (["stats", "count-family"], "--heights is required"),
+    (["stats", "normal-order", "--poly", "-1,-11,1"], "--heights is required"),
 ], ids=["e3", "e5", "e7", "type1", "e3-rank-bounds", "twist-e0-rank-bounds", "watkins-e2",
-        "watkins-twist-e0", "normal-order", "roots-mod", "density-cor-main"])
+        "watkins-twist-e0", "normal-order", "roots-mod", "density-cor-main", "count-r2-heights",
+        "count-r3-heights", "count-family-heights", "normal-order-heights"])
 def test_missing_option_is_usage_error(capsys, argv, message):
     code, out = run_cli(argv)
     assert code == 2
@@ -540,7 +545,7 @@ def test_output_protocol(argv):
     if docs:
         assert docs == [len(lines) - 1]
         config = json.loads(lines[-1])["config"]
-        assert config == load_config(None, nu2_manin=1).as_dict()
+        assert config == Config(nu2_manin=1).as_dict()
         assert config["nu2_manin"] == 1
         lines.pop()
     if lines:  # a header, then rows of as many fields
@@ -591,9 +596,8 @@ def test_verify_non_utf8_exit2(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, error", [
     (["verify", "--dataset", "{missing}"], errno.ENOENT),
-    (["--config", "{missing}", "descent", "--a", "0", "--b", "-1"], errno.ENOENT),
     (["verify", "--dataset", "{tmp}"], errno.EISDIR),
-], ids=["missing-dataset", "missing-config", "directory-dataset"])
+], ids=["missing-dataset", "directory-dataset"])
 def test_unreadable_file_is_usage_error(tmp_path, capsys, argv, error):
     paths = {"missing": str(tmp_path / "missing.csv"), "tmp": str(tmp_path)}
     argv = [arg.format(**paths) for arg in argv]
@@ -619,52 +623,28 @@ def test_unknown_flags_exit2():
     assert err.value.code == 2
 
 
-def test_config_file_and_override(tmp_path):
-    cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("policy=exclude-23\nworkers=2\n# comment\nnu2_manin=1\n")
-    code, out = run_cli(["--config", str(cfgfile), "--workers", "1",
+def test_config_file_and_override():
+    """The global flags set every config field, and the JSON line echoes them;
+    a flag left out takes Config's default."""
+    code, out = run_cli(["--policy", "exclude-23", "--nu2-manin", "1", "--workers", "2",
                          "stats", "volume", "--precision", "12"])
     assert code == 0
-    doc = json.loads(out)
-    assert doc["config"]["policy"] == "exclude-23"
-    assert doc["config"]["nu2_manin"] == 1
-    assert doc["config"]["workers"] == 1  # flag overrides file
+    assert json.loads(out)["config"] == Config("exclude-23", 1, 2).as_dict()
+    code, out = run_cli(["--workers", "2", "stats", "volume", "--precision", "12"])
+    assert code == 0
+    assert json.loads(out)["config"] == Config(workers=2).as_dict()
 
 
-def test_config_file_non_integer_exit2(tmp_path, capsys):
-    cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("policy=exclude-23\nworkers=abc\n")
-    code, out = run_cli(["--config", str(cfgfile), "stats", "volume", "--precision", "12"])
-    assert code == 2
-    assert out == ""
-    err = capsys.readouterr().err
-    assert err == f"error: {cfgfile}:2: workers must be an integer, got 'abc'\n"
-
-
-def test_config_file_non_utf8_exit2(tmp_path, capsys):
-    cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_bytes(b"# r\xe9glages\nworkers=2\n")
-    code, out = run_cli(["--config", str(cfgfile), "stats", "volume", "--precision", "12"])
-    assert code == 2
-    assert out == ""
-    assert capsys.readouterr().err == f"error: {cfgfile}: not UTF-8 text at byte 3\n"
-
-
-def test_retired_options_are_gone_but_echoed(tmp_path, capsys):
-    # the real place is always a Selmer condition; no option drops it
+def test_retired_options_are_gone_but_echoed(capsys):
+    # the real place is always a Selmer condition; no option drops it, and
+    # the global flags are the one way to set the config
     for flags in (["--depth-cap-extra", "5"], ["--seed", "5"], ["--real-place"],
-                  ["--no-real-place"]):
+                  ["--no-real-place"], ["--config", "x"]):
         out = io.StringIO()
         with pytest.raises(SystemExit) as err:
             cli.main(flags + ["descent", "--a", "0", "--b", "-1"], out=out)
         assert err.value.code == 2
         assert out.getvalue() == capsys.readouterr().out == ""
-    cfgfile = tmp_path / "run.cfg"
-    for key, value in (("seed", "1"), ("solubility_real_place", "true")):
-        cfgfile.write_text(f"{key}={value}\n")
-        code, out = run_cli(["--config", str(cfgfile), "descent", "--a", "0", "--b", "-1"])
-        assert (code, out) == (2, "")
-        assert capsys.readouterr().err == f"error: {cfgfile}:1: unknown key {key!r}\n"
     # the JSON echo keeps all three at their last values until the
     # benchmark's reference hashes are re-recorded
     code, out = run_cli(["descent", "--a", "0", "--b", "-1"])
@@ -673,16 +653,11 @@ def test_retired_options_are_gone_but_echoed(tmp_path, capsys):
         "workers": 1, "depth_cap_extra": 5, "seed": 0}
 
 
-@pytest.mark.parametrize("argv, cfg_text, message", [
-    (["--workers", "0"], None, "workers must be >= 1, got 0"),
-    (["--nu2-manin", "-1"], None, "nu2_manin must be >= 0, got -1"),
-    ([], "workers=0\n", "workers must be >= 1, got 0"),
-], ids=["workers-flag", "nu2-manin-flag", "workers-file"])
-def test_config_range_error_names_the_field(tmp_path, capsys, argv, cfg_text, message):
-    if cfg_text is not None:
-        cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text(cfg_text)
-        argv = ["--config", str(cfgfile)] + argv
+@pytest.mark.parametrize("argv, message", [
+    (["--workers", "0"], "workers must be >= 1, got 0"),
+    (["--nu2-manin", "-1"], "nu2_manin must be >= 0, got -1"),
+], ids=["workers-flag", "nu2-manin-flag"])
+def test_config_range_error_names_the_field(capsys, argv, message):
     code, out = run_cli(argv + ["stats", "volume", "--precision", "12"])
     assert (code, out) == (2, "")
     assert capsys.readouterr().err == f"error: {message}\n"

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from ecdescent import arith, curves, families, polys
+from ecdescent import arith, curves, families, polys, stats
 from ecdescent.arith import is_squarefree
 from ecdescent.curves import ShortWeierstrass
 from ecdescent.errors import DomainError, SingularCurve
@@ -125,14 +125,26 @@ def test_e7_discriminant_examples():
     assert curves.invariants(families.e7_curve(3)).delta == -8118144
 
 
+# The Tate normal forms' discriminants in closed form, ascending coefficients.
+DELTA5 = polys.mul([0, 0, 0, 0, 0, 1], [-1, -11, 1])  # t^5 (t^2 - 11t - 1)
+DELTA7 = polys.mul(polys.mul([1, 5, -8, 1], polys.power([-1, 1], 7)),
+                   polys.power([0, 1], 7))  # (t^3 - 8t^2 + 5t + 1)(t - 1)^7 t^7
+
+
 def test_delta_identities_over_integers():
-    d5 = families.delta5_poly()
-    d7 = families.delta7_poly()
     for t in range(-25, 26):
         if t != 0:
-            assert curves.invariants(families.e5_curve(t)).delta == polys.evaluate(d5, t)
+            assert curves.invariants(families.e5_curve(t)).delta == polys.evaluate(DELTA5, t)
         if t not in (0, 1):
-            assert curves.invariants(families.e7_curve(t)).delta == polys.evaluate(d7, t)
+            assert curves.invariants(families.e7_curve(t)).delta == polys.evaluate(DELTA7, t)
+    # 4A^3 + 27B^2 of the short polynomials, which `stats.family_trace_bound`
+    # reads, is a constant multiple of each closed form
+    for ell, delta in ((5, DELTA5), (7, DELTA7)):
+        A, B = families.tate_short_polys(ell)
+        derived = polys.add(polys.scale(polys.power(A, 3), 4), polys.scale(polys.mul(B, B), 27))
+        c = Fraction(derived[-1], delta[-1])
+        assert c != 0 and [Fraction(x) for x in derived] == [c * x for x in delta]
+        assert stats.family_trace_bound(f"e{ell}") == 3 * polys.degree(delta) + polys.degree(A) - 2
 
 
 def test_torsion_presence_on_tate_fibers():
@@ -296,6 +308,34 @@ def test_type1_and_twist_windows_against_inline_definitions():
         assert families.type1_window(X) == [a for a in range(-amax, amax + 1) if a != 0]
         assert families.twist_window(X) == [
             D for s in (1, -1) for D in (s * k for k in range(1, X + 1)) if is_squarefree(D)]
+
+
+def test_twist_window_factors_each_abs_d_once(monkeypatch):
+    calls = []
+    factor_abs = arith._factor_abs
+    monkeypatch.setattr(arith, "_factor_abs", lambda n: calls.append(n) or factor_abs(n))
+    arith.set_factor_cache(False)
+    try:
+        window = families.twist_window(300)
+    finally:
+        arith.set_factor_cache(True)
+    assert calls == list(range(1, 301))
+    assert window[:3] == [1, 2, 3] and window[-3:] == [-295, -298, -299]
+
+
+def test_window_bounds_are_exact_integer_roots():
+    """The e3 and Tate window bounds are integer roots, equal to the float
+    formulas they replaced wherever a float is exact enough, and defined at
+    every height."""
+    exponents = {*families.param_box(5), *families.param_box(7)}
+    for X in range(20001):
+        assert families.e3_a_bound(X) == int(1.5 * X**0.5) + 3, X
+        for e in exponents:
+            assert families._box_bound(X, e) == int(
+                families.SAFETY_BOX_FACTOR * X ** float(e)) + 1, (X, e)
+    big = families.e3_a_bound(10**400)  # a float overflows here
+    assert type(big) is int and big == 15 * 10**199 + 3
+    assert families._box_bound(10**400, Fraction(1, 4)) == 4 * 10**100 + 1
 
 
 @pytest.mark.parametrize("ell, heights", [(5, (5, 20, 56, 120)), (7, (8, 50, 300, 1000))])

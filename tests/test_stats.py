@@ -359,7 +359,7 @@ def test_avg_frobenius_matches_direct_fiber_sum():
     fibers by the smooth-locus group order (p - a_p nonsingular points)."""
     p = 13
     A_poly, B_poly = families.tate_short_polys(5)
-    delta5 = families.delta5_poly()
+    delta5 = polys.mul([0, 0, 0, 0, 0, 1], [-1, -11, 1])  # t^5 (t^2 - 11t - 1)
     total = 0
     for r in range(p):
         A = polys.evaluate_mod(A_poly, r, p)
