@@ -321,11 +321,14 @@ def is_square(n):
 
 
 def valuation(n, p):
-    """nu_p(n) for nonzero n.  Factors p are stripped one at a time up to 8,
-    as many as the p-adic search mostly sees; past that, nu_p(n) =
-    2 nu_{p^2}(n) + (0 or 1), so nu_p(n) = v takes O(log v) divisions."""
+    """nu_p(n) for nonzero n.  nu_2(n) is the index of n's lowest set bit.
+    At odd p, factors p are stripped one at a time up to 8, as many as the
+    p-adic search mostly sees; past that, nu_p(n) = 2 nu_{p^2}(n) + (0 or 1),
+    so nu_p(n) = v takes O(log v) divisions."""
     if n == 0:
         raise DomainError("valuation of zero is undefined")
+    if p == 2:
+        return (n & -n).bit_length() - 1
     v = 0
     while n % p == 0:
         n //= p

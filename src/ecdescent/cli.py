@@ -120,8 +120,8 @@ def cmd_descent(args, cfg):
     return None, (), {
         "a": args.a,
         "b": args.b,
-        "phi_classes": list(est.phi_classes),
-        "phihat_classes": list(est.phihat_classes),
+        "phi_classes": est.phi_classes,
+        "phihat_classes": est.phihat_classes,
         "dim_phi": est.dim_phi,
         "dim_phihat": est.dim_phihat,
         "rank_upper": est.rank_upper,

@@ -28,14 +28,22 @@ classes of 1 and b, the images of O and T = (0, 0).  So a Selmer set is a
 group, cut from a basis by F_2 linear algebra place by place, and one search
 settles a whole coset of W_p.  Over R the classes are the signs: d > 0 is
 soluble (at V = 0), and every d < 0 decides as -1: (d, a, b/d) has no real
-point iff b > 0 and (a <= 0 or a^2 < 4b)."""
+point iff b > 0 and (a <= 0 or a^2 < 4b).
+
+The two sides' local images are each other's annihilators under the
+Hilbert symbol (local Tate duality: Cassels, Lectures on Elliptic Curves;
+Schaefer and Stoll, Trans. AMS 356, 2004).  So the phi side searches only
+classes that pair to +1 with the phi-hat torsion class, and the phi-hat side
+only classes that pair to +1 with every class the phi side found soluble;
+any other class is insoluble with no search.  A `SelmerEstimate` keeps the
+two bases; their 2^k classes are expanded only for `descent` output."""
 
 from collections import namedtuple
 from functools import lru_cache
 from itertools import chain
 from math import gcd, prod
 
-from .arith import CACHE_BOUND, factor_over, is_prime, is_square, legendre, valuation
+from .arith import CACHE_BOUND, factor_over, is_prime, legendre, valuation
 from .errors import DomainError
 
 
@@ -50,8 +58,32 @@ class HomogeneousSpace(namedtuple("HomogeneousSpace", "d1 F d2")):
         return super().__new__(cls, d1, F, d2)
 
 
-SelmerEstimate = namedtuple(
-    "SelmerEstimate", "phi_classes phihat_classes dim_phi dim_phihat rank_upper")
+class SelmerEstimate(namedtuple("SelmerEstimate", "phi_basis phihat_basis")):
+    """Both sides' Selmer bases, k square-free integers each with k the
+    side's F_2-dimension; the 2^k classes of a side are expanded only when
+    asked for."""
+
+    __slots__ = ()
+
+    @property
+    def rank_upper(self):
+        return len(self.phi_basis) + len(self.phihat_basis) - 2
+
+    @property
+    def dim_phi(self):
+        return len(self.phi_basis)
+
+    @property
+    def dim_phihat(self):
+        return len(self.phihat_basis)
+
+    @property
+    def phi_classes(self):
+        return _span(self.phi_basis)
+
+    @property
+    def phihat_classes(self):
+        return _span(self.phihat_basis)
 
 
 def real_soluble(space):
@@ -86,10 +118,11 @@ def _decide_zp(c4, c2, c0, p, first):
       mu >= k, lam = 2k - 2 and g(r) / 2^lam = 1 mod 4;
       insoluble otherwise.
     A split opens the children that `_children` keeps.  A split at k >= 2
-    has min(lam, mu) >= k, so p^k | Res(g, g'); one that breaks this bound
-    raises ArithmeticError.
+    has min(lam, mu) >= k, so p^k | Res(g, g'), computed at the first such
+    split of the search (it is nonzero); one that breaks this bound raises
+    ArithmeticError.
     """
-    stack = [iter(first)]
+    stack, res = [iter(first)], None
     while stack:
         if (r := next(stack[-1], None)) is None:
             stack.pop()
@@ -114,7 +147,7 @@ def _decide_zp(c4, c2, c0, p, first):
         if not (lam >= 2 * k or p == 2 and lam == 2 * k - 2 and u % 4 == 1):
             continue  # g(class) lies in g(r) + p^(2k) Z_p: no square
         step = p**k
-        if k >= 2 and quartic_resultant(c4, c2, c0) % step:
+        if k >= 2 and (res := res or quartic_resultant(c4, c2, c0)) % step:
             raise ArithmeticError(
                 f"class {r} mod {p}^{k} of ({c4},{c2},{c0}) splits past nu_{p}(Res(g, g'))")
         stack.append(iter(_children(r, step, p)))
@@ -161,6 +194,7 @@ def nonresidues_insoluble(a, b, p):
     return valuation(b, p) % 2 == 1 or legendre(a, p) == 1
 
 
+@lru_cache(maxsize=CACHE_BOUND)
 def _square_class(d, p):
     """The class of a square-free d in Q_p*/Q_p*^2 as an int whose XOR is the
     group law: bit 0 is p | d, the higher bits the unit part u's Euler symbol
@@ -170,56 +204,81 @@ def _square_class(d, p):
     return (r == 0) | ((u % 8) >> 1 if p == 2 else pow(u, (p - 1) // 2, p) != 1) << 1
 
 
+def _hilbert(x, y, p):
+    """The Hilbert symbol (x, y)_p of two `_square_class` codes, 0 for +1 and
+    1 for -1: with x = p^al u and y = p^be v, the exponent of -1 is
+    al be eps(p) + be [u nonresidue] + al [v nonresidue] at odd p, and
+    eps(u) eps(v) + al omega(v) + be omega(u) at p = 2, where
+    eps(u) = (u - 1)/2 and omega(u) = (u^2 - 1)/8 mod 2 (Serre, A Course in
+    Arithmetic, III.1.2, Theorem 1).  It reads only p mod 4."""
+    al, u, be, v = x & 1, x >> 1, y & 1, y >> 1
+    if p == 2:
+        return (u & v ^ al & (v ^ v >> 1) ^ be & (u ^ u >> 1)) & 1
+    return (al & be & p >> 1 ^ be & u ^ al & v) & 1
+
+
+@lru_cache(maxsize=CACHE_BOUND)
+def _annihilator(q, group):
+    """The codes y with (x, y)_p = +1 for every code x in the frozenset
+    `group`, at a prime p = q mod 4: 8 classes to try at p = 2, 4 at odd p."""
+    return frozenset(y for y in range(8 if q == 2 else 4)
+                     if not any(_hilbert(x, y, q) for x in group))
+
+
 def _times(d, e):
     """The group law on square-free classes: d e with their common primes cancelled."""
     return d * e // gcd(d, e) ** 2
 
 
-def _places(param, primes):
-    """The finite places of both sides of the descent: 2 and those of `primes`
-    that divide b (a^2 - 4b), every odd prime of which `primes` must hold."""
-    m = param.b * param.disc_quadratic
-    return sorted({2, *(p for p in primes if m % p == 0)})
+def _kernel(n, fac):
+    """The signed square-free kernel of n from its prime powers `fac`."""
+    return (1 if n > 0 else -1) * prod(p for p, e in fac if e % 2)
 
 
-def _selmer(side, local):
+def _selmer(side, fac, t, other):
     """A basis of the classes d | b of side = (a, b) whose space (d, a, b/d) is
-    soluble over R and over Q_p for every p in local, the places `_places` of
-    either side: k square-free integers, k the F_2-dimension.
+    soluble over R and over Q_p for every place p of `other`, with the known
+    part of each W_p: k square-free integers, k the F_2-dimension, and
+    {p: frozenset of the soluble codes found at p}.
 
-    They form a group, cut place by place from a `basis`: the primes of b, and
-    -1 if soluble over R.  At p, `good`, the known part of W_p, starts as the
-    classes of 1 and t = b's square-free kernel, read with the basis from b's
-    prime powers at local (`factor_over`, which factors nothing and raises
-    ArithmeticError on a missing prime); `span` maps the class of each product
-    of rejected elements to it, and its classes but 0 lie outside W_p: no
-    insoluble set is kept.  One pass keeps each s in `good`, and any other s
-    times a span member carrying it into `good`, or else searches s times
-    each member: one soluble is kept and widens `good`, or s joins the span."""
+    They form a group, cut place by place from a `basis`: the primes of b (its
+    prime powers `fac`), and -1 if soluble over R.  At p, `good`, the known
+    part of W_p, starts as the classes of 1 and t, b's signed square-free
+    kernel; `span` maps the class of each product of rejected elements to it,
+    and its classes but 0 lie outside W_p: no insoluble set is kept.  One pass
+    keeps each s in `good`, and any other s times a span member carrying it
+    into `good`, or else tries s times each member: one soluble is kept and
+    widens `good`, or s joins the span.  other[p] is a frozenset of codes
+    known to lie in the other side's local image, so W_p lies in its
+    annihilator `ok`: a class outside `ok` counts as insoluble without a
+    search, and a t outside it raises ArithmeticError."""
     a, b = side
-    fac = factor_over(b, local, side)
-    t = (1 if b > 0 else -1) * prod(p for p, e in fac if e % 2)
     basis = [p for p, _ in fac]
     if real_soluble(HomogeneousSpace(-1, a, -b)):
         basis.append(-1)
-    for p in local:
-        good, span, kept = {0, _square_class(t, p)}, {0: 1}, []
+    goods = {}
+    for p, known in other.items():
+        ok = _annihilator(p % 4, known)
+        if (ct := _square_class(t, p)) not in ok:
+            raise ArithmeticError(f"torsion class {t} of ({a}, {b}) pairs to -1 with "
+                                  f"the other side's local image at {p}")
+        good, span, kept = frozenset((0, ct)), {0: 1}, []
         for s in basis:
             if (c := _square_class(s, p)) in good:
                 kept.append(s)
                 continue
-            y = next((y for y in span if c ^ y in good), None)
+            y = next((y for y in span if c ^ y in good), None) if len(span) > 1 else None
             if y is None:
                 for y, e in span.items():
-                    if _qp_soluble(d := _times(s, e), a, b // d, p):
+                    if c ^ y in ok and _qp_soluble(d := _times(s, e), a, b // d, p):
                         good |= {c ^ y ^ g for g in good}
                         break
                 else:
                     span.update({c ^ x: _times(s, e) for x, e in span.items()})
                     continue
             kept.append(_times(s, span[y]))
-        basis = kept
-    return basis
+        basis, goods[p] = kept, good
+    return basis, goods
 
 
 def _span(basis):
@@ -233,13 +292,35 @@ def _span(basis):
     return sorted(out, key=lambda d: (abs(d), d < 0))
 
 
+def _check_basis(basis, t, local):
+    """Raise ArithmeticError unless the torsion class t lies in the span of
+    `basis` and `basis` is independent, by F_2 elimination on the classes as
+    bit masks: bit 0 the sign, bit i + 1 whether local[i] divides."""
+    rows = []  # distinct leading bits, descending
+    for d in (*basis, t):
+        m, bit = d < 0, 2
+        for p in local:
+            if d % p == 0:
+                m |= bit
+            bit <<= 1
+        for r in rows:
+            m = min(m, m ^ r)
+        if m:
+            rows.append(m)
+            rows.sort(reverse=True)
+    if m:  # what is left of t
+        raise ArithmeticError(f"torsion class must survive, got {t} outside the span of {basis}")
+    if len(rows) < len(basis):
+        raise ArithmeticError(f"Selmer basis {basis} is dependent")
+
+
 def sel_phi(param, primes):
     """Surviving classes d in Q(T1), T1 = primes(a^2 - 4b) and infinity.
 
     These are the phi-hat classes of `param.dual`: the space for class d is
     Z^2 = d U^4 - 2a U^2 V^2 + ((a^2-4b)/d) V^4.
     """
-    return _span(_selmer(param.dual, _places(param, primes)))
+    return rank_upper(param, primes).phi_classes
 
 
 def sel_phihat(param, primes):
@@ -247,31 +328,44 @@ def sel_phihat(param, primes):
 
     The space for class d is Z^2 = d U^4 + a U^2 V^2 + (b/d) V^4.
     """
-    return _span(_selmer(param, _places(param, primes)))
+    return rank_upper(param, primes).phihat_classes
 
 
 def rank_upper(param, primes):
-    """Selmer sets for both isogeny directions and the rank bound, read at
-    the places that `_places` keeps of `primes` (`families.e2_primes(param)`).
+    """Selmer bases for both isogeny directions and the rank bound.  `primes`
+    (`families.e2_primes(param)`) must hold every odd prime of b and of
+    a^2 - 4b; the places of both sides are 2 and the primes of b (a^2 - 4b).
 
     rank(E_{a,b}(Q)) <= dim_phi + dim_phihat - 2, each dimension the length
     of its side's `_selmer` basis.  Each Selmer set holds the image of its
     side's Kummer map, and |alpha(E(Q))| |alpha'(E'(Q))| = 2^(rank + 2)
     (Silverman, AEC X.6), so a sum below 2 raises ArithmeticError.  So does a
-    set without the image of T = (0, 0): the d with b/d a square on the
-    phi-hat side, with (a^2 - 4b)/d a square on the phi side; for square-free
-    d that is d times the numerator a square.  The image of O, the class 1,
-    is in every span.
+    set without the image of T = (0, 0), the signed square-free kernel t of
+    a^2 - 4b on the phi side and t' of b on the phi-hat side, or a dependent
+    basis.
+
+    The two sides cut each other: W'_p, the phi-hat local image, is exactly
+    the annihilator of W_p, the phi one, under the Hilbert symbol (local Tate
+    duality: Cassels, Lectures on Elliptic Curves; Schaefer and Stoll, Trans.
+    AMS 356, 2004).  t' lies in W'_p, so the phi side searches only inside
+    the annihilator of {1, t'}, and the phi-hat side only inside that of the
+    part of W_p the phi side found.  The duality is also checked, since
+    `_selmer` raises ArithmeticError on a torsion class outside the
+    annihilator it searches in: t and t' must pair to +1 at every place, and
+    t' must lie in the annihilator of the phi side's known W_p.
     """
-    local = _places(param, primes)
-    phi_basis, phihat_basis = _selmer(param.dual, local), _selmer(param, local)
-    dim_phi, dim_phihat = len(phi_basis), len(phihat_basis)
-    phi, phihat = _span(phi_basis), _span(phihat_basis)
-    if dim_phi + dim_phihat < 2:
-        raise ArithmeticError(f"Selmer dimensions {dim_phi} + {dim_phihat} are below the 2 "
-                              "that the torsion images give")
-    if not (any(is_square(param.disc_quadratic * d) for d in phi)
-            and any(is_square(param.b * d) for d in phihat)):
-        raise ArithmeticError(f"torsion class must survive, got {phi} and {phihat}")
-    return SelmerEstimate(tuple(phi), tuple(phihat), dim_phi, dim_phihat,
-                          dim_phi + dim_phihat - 2)
+    dual, primes = param.dual, {2, *primes}
+    n, b = dual.b, param.b
+    fac, fac_hat = factor_over(n, primes, dual), factor_over(b, primes, param)
+    local = sorted({2, *dict(fac), *dict(fac_hat)})
+    t, t_hat = _kernel(n, fac), _kernel(b, fac_hat)
+    phi_basis, goods = _selmer(dual, fac, t, {
+        p: frozenset((0, _square_class(t_hat, p))) for p in local})
+    phihat_basis, _ = _selmer(param, fac_hat, t_hat, goods)
+    est = SelmerEstimate(tuple(phi_basis), tuple(phihat_basis))
+    if est.rank_upper < 0:
+        raise ArithmeticError(f"Selmer dimensions {est.dim_phi} + {est.dim_phihat} are below "
+                              "the 2 that the torsion images give")
+    _check_basis(phi_basis, t, local)
+    _check_basis(phihat_basis, t_hat, local)
+    return est

@@ -230,6 +230,17 @@ def test_valuation_against_naive_loop():
         arith.valuation(0, 3)
 
 
+def test_valuation_two_reads_the_lowest_set_bit():
+    """nu_2 of n = +-u 2^e, u odd, e <= 300, against the division loop."""
+    rng = random.Random(34)
+    for e in range(301):
+        for u in (1, 3, rng.randrange(1, 10**20, 2)):
+            for n in (u << e, -(u << e)):
+                assert arith.valuation(n, 2) == naive_valuation(n, 2) == e, (n, e)
+    with pytest.raises(DomainError):
+        arith.valuation(0, 2)
+
+
 def test_mobius():
     assert arith.mobius(1) == 1
     assert arith.mobius(12) == 0

@@ -138,12 +138,12 @@ def test_descent_singular_exit1(capsys):
 
 def test_descent_resultant_invariant_exit1(capsys, monkeypatch):
     # a split at depth k >= 2 needs p^k | Res(g, g'); a resultant of 1 makes
-    # the first such split (class 2 mod 4 of the space (3, 12, 52)) break it
+    # the first such split (class 3 mod 4 of the space (2, 8, 10)) break it
     monkeypatch.setattr(descent2, "quartic_resultant", lambda *coeffs: 1)
-    code, out = run_cli(["descent", "--a", "-6", "--b", "-30"])
+    code, out = run_cli(["descent", "--a", "-4", "--b", "-1"])
     assert code == 1
     assert out == ""
-    assert capsys.readouterr().err.startswith("error: class 2 mod 2^2 of (3,12,52) splits past")
+    assert capsys.readouterr().err.startswith("error: class 3 mod 2^2 of (2,8,10) splits past")
 
 
 def test_descent_dependent_selmer_basis_exit1(capsys, monkeypatch):
@@ -151,8 +151,8 @@ def test_descent_dependent_selmer_basis_exit1(capsys, monkeypatch):
     selmer, dual = descent2._selmer, families.E2Param(0, 1).dual
 
     def dependent(side, *args):
-        basis = selmer(side, *args)
-        return [*basis, descent2._times(*basis[:2])] if side == dual else basis
+        basis, goods = selmer(side, *args)
+        return [*basis, descent2._times(*basis[:2])] if side == dual else basis, goods
 
     monkeypatch.setattr(descent2, "_selmer", dependent)
     code, out = run_cli(["descent", "--a", "0", "--b", "1"])
@@ -172,7 +172,8 @@ def test_many_prime_descent_stdout():
 
 
 def test_descent_selmer_dimensions_below_two_exit1(capsys, monkeypatch):
-    monkeypatch.setattr(descent2, "_selmer", lambda *args: [])
+    monkeypatch.setattr(descent2, "_selmer",
+                        lambda side, fac, t, other: ([], {p: frozenset({0}) for p in other}))
     code, out = run_cli(["descent", "--a", "0", "--b", "-1"])
     assert code == 1
     assert out == ""

@@ -4,6 +4,7 @@ import random
 import sys
 import tracemalloc
 from collections import Counter
+from functools import lru_cache
 from fractions import Fraction
 from math import gcd, prod
 
@@ -563,10 +564,9 @@ def test_selmer_matches_the_coset_loop():
     below is that of its output."""
     for k in range(12, 17):
         param = E2Param(1, -_odd_prime_product(k))
-        local = local_primes(param)
-        for side in (param.dual, param):
-            basis = descent2._selmer(side, local)
-            assert descent2._span(basis) == _selmer_coset_loop(side, local), (k, side)
+        local, est = local_primes(param), rank_upper(param)
+        assert est.phi_classes == _selmer_coset_loop(param.dual, local), k
+        assert est.phihat_classes == _selmer_coset_loop(param, local), k
 
 
 def test_seventeen_prime_descent_reads_few_square_classes(monkeypatch):
@@ -594,18 +594,88 @@ def test_seventeen_prime_descent_reads_few_square_classes(monkeypatch):
 def test_selmer_matches_the_per_class_memo():
     curves = 0
     for param in e2_window(12):
-        local = local_primes(param)
-        for side in (param.dual, param):
-            basis = descent2._selmer(side, local)
-            assert descent2._span(basis) == _selmer_per_class_memo(side, local), (param, side)
+        local, est = local_primes(param), rank_upper(param)
+        assert est.phi_classes == _selmer_per_class_memo(param.dual, local), param
+        assert est.phihat_classes == _selmer_per_class_memo(param, local), param
         curves += 1
     assert curves == 7188, curves
 
 
+def _selmer_unpruned(side, local):
+    """The retired basis loop, which searched every class that `good` and
+    `span` left open, with no annihilator from the other side: the reference
+    for the pruned one, whose bases must be the same ints in the same order."""
+    a, b = side
+    fac = arith.factor_over(b, local, side)
+    t = (1 if b > 0 else -1) * prod(p for p, e in fac if e % 2)
+    basis = [p for p, _ in fac]
+    if descent2.real_soluble(HomogeneousSpace(-1, a, -b)):
+        basis.append(-1)
+    for p in local:
+        good, span, kept = {0, descent2._square_class(t, p)}, {0: 1}, []
+        for s in basis:
+            if (c := descent2._square_class(s, p)) in good:
+                kept.append(s)
+                continue
+            y = next((y for y in span if c ^ y in good), None)
+            if y is None:
+                for y, e in span.items():
+                    if descent2._qp_soluble(d := descent2._times(s, e), a, b // d, p):
+                        good |= {c ^ y ^ g for g in good}
+                        break
+                else:
+                    span.update({c ^ x: descent2._times(s, e) for x, e in span.items()})
+                    continue
+            kept.append(descent2._times(s, span[y]))
+        basis = kept
+    return basis
+
+
+def test_pruned_selmer_matches_the_unpruned_reference():
+    """Every curve with |a| <= 12 and |b| <= 144, both sides: the classes
+    that duality rules out change no basis element and no order."""
+    curves = 0
+    for param in e2_window(12):
+        local, est = local_primes(param), rank_upper(param)
+        assert list(est.phi_basis) == _selmer_unpruned(param.dual, local), param
+        assert list(est.phihat_basis) == _selmer_unpruned(param, local), param
+        curves += 1
+    assert curves == 7188, curves
+
+
+def _count_searches(monkeypatch, params):
+    """`rank_upper` of each of params and the `_qp_soluble` calls made."""
+    calls = 0
+    qp_soluble = descent2._qp_soluble
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return qp_soluble(*args)
+
+    monkeypatch.setattr(descent2, "_qp_soluble", counting)
+    bases = [rank_upper(param) for param in params]
+    monkeypatch.setattr(descent2, "_qp_soluble", qp_soluble)
+    return bases, calls
+
+
+def test_duality_pruning_is_active_and_only_prunes(monkeypatch):
+    """Over the height-8 window, with every class allowed, the cut makes the
+    unpruned loop's 7,972 searches, 3,304 more than with the annihilators,
+    and finds the same bases."""
+    params = list(e2_window(8))
+    pruned, calls = _count_searches(monkeypatch, params)
+    monkeypatch.setattr(descent2, "_annihilator", lambda q, group: frozenset(range(8)))
+    unpruned, unpruned_calls = _count_searches(monkeypatch, params)
+    assert (calls, unpruned_calls) == (4668, 7972)
+    assert pruned == unpruned
+
+
 def test_selmer_searches_only_unsettled_classes(monkeypatch):
-    """Over the height-8 window the basis loop makes at most 8,000 searches
-    (the coset loop made 8,056, the per-class memo 36,865), and none for a
-    class of 1 or b, which start out known soluble."""
+    """Over the height-8 window the basis loop makes at most 5,000 searches
+    (4,668 with the other side's annihilator, 7,972 without it; the coset
+    loop made 8,056, the per-class memo 36,865), and none for a class of 1
+    or b, which start out known soluble."""
     calls = 0
     qp_soluble = descent2._qp_soluble
 
@@ -618,7 +688,7 @@ def test_selmer_searches_only_unsettled_classes(monkeypatch):
     monkeypatch.setattr(descent2, "_qp_soluble", counting)
     for param in e2_window(8):
         rank_upper(param)
-    assert calls <= 8000, calls
+    assert calls <= 5000, calls
 
 
 def test_real_solubility_depends_only_on_the_sign():
@@ -762,7 +832,8 @@ def test_rank_upper_clamp():
 
 
 def test_rank_upper_below_torsion_images_raises(monkeypatch):
-    monkeypatch.setattr(descent2, "_selmer", lambda *args: [])
+    monkeypatch.setattr(descent2, "_selmer",
+                        lambda side, fac, t, other: ([], {p: frozenset({0}) for p in other}))
     with pytest.raises(ArithmeticError, match=r"^Selmer dimensions 0 \+ 0 are below"):
         rank_upper(E2Param(0, -1))
 
@@ -854,9 +925,9 @@ def _dependent(on, extra):
     """`_selmer` with extra(basis) appended to the basis of side `on`."""
     selmer = descent2._selmer
 
-    def injected(side, local):
-        basis = selmer(side, local)
-        return [*basis, extra(basis)] if side == on else basis
+    def injected(side, *args):
+        basis, goods = selmer(side, *args)
+        return [*basis, extra(basis)] if side == on else basis, goods
 
     return injected
 
@@ -868,7 +939,7 @@ def test_selmer_invariants_raise(monkeypatch):
     with pytest.raises(ArithmeticError, match=r"^Selmer basis \[2, -1, -2\] is dependent$"):
         descent2._span([2, -1, -2])
     param = E2Param(0, 1)
-    assert len(descent2._selmer(param.dual, local_primes(param))) == 2
+    assert rank_upper(param).dim_phi == 2
     product = lambda basis: descent2._times(*basis[:2])
     monkeypatch.setattr(descent2, "_selmer", _dependent(param.dual, product))
     with pytest.raises(ArithmeticError, match="is dependent"):
@@ -883,8 +954,8 @@ def test_rank_upper_lost_torsion_class_raises(monkeypatch, param, side):
     lose_on = param if side == "phihat" else param.dual
 
     def losing(found_side, *args):
-        found = selmer(found_side, *args)
-        return [7 if d == -1 else d for d in found] if found_side == lose_on else found
+        found, goods = selmer(found_side, *args)
+        return [7 if d == -1 else d for d in found] if found_side == lose_on else found, goods
 
     monkeypatch.setattr(descent2, "_selmer", losing)
     with pytest.raises(ArithmeticError, match="torsion class must survive"):
@@ -897,4 +968,108 @@ def test_rank_upper_dependent_basis_raises(monkeypatch):
     param = E2Param(0, -1)
     monkeypatch.setattr(descent2, "_selmer", _dependent(param, lambda basis: 1))
     with pytest.raises(ArithmeticError, match=r"^Selmer basis \[-1, 1\] is dependent$"):
+        rank_upper(param)
+
+
+def _serre_hilbert(x, y, p):
+    """(x, y)_p for nonzero integers as +1 or -1, written out from Serre, A
+    Course in Arithmetic, III.1.2, Theorem 1: with x = p^al u, y = p^be v,
+    (-1)^(al be eps(p)) (u/p)^be (v/p)^al at odd p and
+    (-1)^(eps(u) eps(v) + al omega(v) + be omega(u)) at p = 2, where
+    eps(z) = (z - 1)/2 and omega(z) = (z^2 - 1)/8 mod 2."""
+    al, be = valuation(x, p), valuation(y, p)
+    u, v = x // p**al, y // p**be
+    if p == 2:
+        eps = lambda z: (z - 1) // 2 % 2
+        omega = lambda z: (z * z - 1) // 8 % 2
+        return (-1) ** (eps(u) * eps(v) + al * omega(v) + be * omega(u))
+    return (-1) ** (al * be * ((p - 1) // 2)) * legendre(u, p) ** be * legendre(v, p) ** al
+
+
+def test_hilbert_matches_serre():
+    """`_hilbert` on square-class codes against Serre's formula, on every
+    pair of signed square-free |d| <= 60 at every p <= 13."""
+    classes = [s * d for d in range(1, 61) if squarefree_kernel(d) == d for s in (1, -1)]
+    pairs = 0
+    for p in (2, 3, 5, 7, 11, 13):
+        for x in classes:
+            for y in classes:
+                code = descent2._hilbert(descent2._square_class(x, p),
+                                         descent2._square_class(y, p), p)
+                assert (-1) ** code == _serre_hilbert(x, y, p), (x, y, p)
+                pairs += 1
+    assert pairs == 32856, pairs
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_hilbert_is_a_nondegenerate_symmetric_bilinear_form(p):
+    """On Q_p*/Q_p*^2 (8 codes at p = 2, 4 at odd p, one p of each class mod
+    4): symmetric, additive in each argument, and nondegenerate, so that an
+    annihilator of a subgroup G has order |Q_p*/Q_p*^2| / |G| and its own
+    annihilator is G again."""
+    codes = range(8 if p == 2 else 4)
+    h = lambda x, y: descent2._hilbert(x, y, p)
+    for x in codes:
+        assert any(h(x, y) for y in codes) == (x != 0), (p, x)
+        for y in codes:
+            assert h(x, y) == h(y, x), (p, x, y)
+            for z in codes:
+                assert h(x ^ z, y) == h(x, y) ^ h(z, y), (p, x, y, z)
+    groups = {frozenset({0, x, y, x ^ y}) for x in codes for y in codes}
+    groups |= {frozenset({0, x, y, x ^ y, z, x ^ z, y ^ z, x ^ y ^ z})
+               for x in codes for y in codes for z in codes}
+    for group in groups:
+        ann = descent2._annihilator(p % 4, group)
+        assert len(ann) * len(group) == len(codes), (p, group)
+        assert descent2._annihilator(p % 4, ann) == group, (p, group)
+
+
+def test_square_class_cache_is_bounded(monkeypatch):
+    """`_square_class` is a cache of at most `CACHE_BOUND` entries; rebuilt at
+    a bound of 4, it stays there over a window and the bounds do not move."""
+    assert descent2._square_class.cache_info().maxsize == arith.CACHE_BOUND == 1 << 16
+    params = list(e2_window(4))
+    expected = [rank_upper(param) for param in params]
+    monkeypatch.setattr(arith, "CACHE_BOUND", 4)
+    small = lru_cache(maxsize=arith.CACHE_BOUND)(descent2._square_class.__wrapped__)
+    monkeypatch.setattr(descent2, "_square_class", small)
+    assert [rank_upper(param) for param in params] == expected
+    info = small.cache_info()
+    assert info.currsize == 4 and info.misses > 4, info
+
+
+@pytest.fixture
+def clear_annihilators():
+    """The annihilators are cached; a patched `_hilbert` must fill no entry
+    that a later test reads."""
+    descent2._annihilator.cache_clear()
+    yield
+    descent2._annihilator.cache_clear()
+
+
+def test_descent_with_a_wrong_hilbert_symbol_exits_1(clear_annihilators, monkeypatch, capsys):
+    """A symbol that pairs everything to -1 breaks the first duality check:
+    the torsion classes 1 and -1 of y^2 = x^3 - x (on the phi side, that of
+    (0, 4), and on the phi-hat side) must pair to +1 at 2."""
+    monkeypatch.setattr(descent2, "_hilbert", lambda x, y, p: 1)
+    out = io.StringIO()
+    assert cli.main(["descent", "--a", "0", "--b", "-1"], out=out) == 1
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err == ("error: torsion class 1 of (0, 4) pairs to -1 with the "
+                                       "other side's local image at 2\n")
+
+
+def test_phi_image_off_the_torsion_annihilator_raises(monkeypatch):
+    """A phi side that reports 3 (code 2 at p = 2) soluble at 2, where
+    (3, -1)_2 = -1, puts t' = -1 outside the annihilator the phi-hat side
+    searches in."""
+    param = E2Param(0, -1)
+    selmer = descent2._selmer
+
+    def widened(side, *args):
+        basis, goods = selmer(side, *args)
+        return basis, {**goods, 2: goods[2] | {2}} if side == param.dual else goods
+
+    monkeypatch.setattr(descent2, "_selmer", widened)
+    with pytest.raises(ArithmeticError, match=r"^torsion class -1 of \(0, -1\) pairs to -1 "):
         rank_upper(param)
