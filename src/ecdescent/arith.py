@@ -306,6 +306,16 @@ def squarefree_kernel(n):
     return (1 if n > 0 else -1) * squarefree_part(n)
 
 
+def signed_kernel(n, fac):
+    """`squarefree_kernel(n)` read from n's prime powers `fac`, with nothing factored."""
+    return (1 if n > 0 else -1) * prod(p for p, e in fac if e % 2)
+
+
+def class_product(d, e):
+    """The group law on signed square-free classes: d e with their common primes cancelled."""
+    return d * e // gcd(d, e) ** 2
+
+
 def is_squarefree(n):
     if n == 0:
         return False

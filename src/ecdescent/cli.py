@@ -1,11 +1,11 @@
 """Command-line front end.
 
-Subcommands: enumerate, descent, descent3, watkins, stats, verify.  Each
-`cmd_*(args, cfg)` returns (CSV header or None, CSV rows, JSON summary or
-None), and `main` alone writes them to stdout, the summary last with the
-config echoed; diagnostics go to stderr.  Exit codes: 0 success, 1
-mathematical inconsistency (`all_ok` false), singular input or a stdout
-closed by its reader, 2 usage or parse errors.
+Subcommands: enumerate, descent, descent3, watkins, stats (one subcommand
+per experiment) and verify.  Each `cmd_*(args, cfg)` returns (CSV header or
+None, CSV rows, JSON summary or None), and `main` alone writes them to
+stdout, the summary last with the config echoed; diagnostics go to stderr.
+Exit codes: 0 success, 1 mathematical inconsistency (`all_ok` false),
+singular input or a stdout closed by its reader, 2 usage or parse errors.
 
 Every `enumerate` and `watkins` scan writes its rows in tag order as they
 are made (`_scan`), so output is byte-identical for any worker count.  A
@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from functools import partial
 from operator import itemgetter
 
@@ -224,8 +223,6 @@ def _parse_ints(text, what):
 
 
 def _parse_poly(text):
-    if text is None:
-        raise DomainError("--poly is required")
     coeffs = _parse_ints(text, "polynomial")
     if not polys.normalize(coeffs):
         raise DomainError("zero polynomial")
@@ -233,92 +230,84 @@ def _parse_poly(text):
 
 
 def _parse_heights(text):
-    if text is None:
-        raise DomainError("--heights is required")
     hs = _parse_ints(text, "heights")
     if any(h < 1 for h in hs):
         raise DomainError("heights must be positive")
     return hs
 
 
-def cmd_stats(args, cfg):
-    exp = args.experiment
-    doc = {"command": f"stats.{exp}"}
-    header, rows = None, ()
-    if exp == "volume":
-        vc = stats.volume_constant(args.precision)
-        doc.update(
-            alpha_plus=str(vc.alpha_plus),
-            alpha_minus=str(vc.alpha_minus),
-            value=str(vc.value),
-            precision=args.precision,
-        )
-    elif exp in ("count-r2", "count-r3", "count-family"):
-        heights = _parse_heights(args.heights)
-        if exp == "count-family":
-            doc["ell"] = args.ell
-        ell = {"count-r2": 2, "count-r3": 3}.get(exp, args.ell)
-        pts = stats.family_series(ell, heights)
-        header, rows = "X,count", [_row(*pt) for pt in pts]
-        doc["counts"] = pts
-        if len(pts) >= 3 and all(c > 0 for _, c in pts):
-            doc["slope"] = stats.slope(pts)
-    elif exp == "normal-order":
-        f = _parse_poly(args.poly)
-        S = _parse_ints(args.exclude, "exclude") if args.exclude else []
-        samples = stats.normal_order_experiment(f, _parse_heights(args.heights), S)
-        header = "X,mean,variance,n"
-        rows = [_row(ns.X, ns.mean, ns.variance, ns.sample_count) for ns in samples]
-        doc.update(poly=f, exclude=S, samples=[
-            {"X": ns.X, "mean": str(ns.mean), "variance": str(ns.variance), "n": ns.sample_count}
-            for ns in samples])
-    elif exp == "roots-mod":
-        _nonnegative("--pmax", args.pmax)
-        f = _parse_poly(args.poly)
-        deg = polys.degree(f)
-        rows = []
-        worst = 0
-        violations = 0
-        # the 2 deg(f) bound needs f and f' coprime mod p, i.e. p away from
-        # Res(f, f'); the content gcd alone is not enough
-        bad = polys.resultant(f, polys.derivative(f))
-        if args.square and bad == 0:
-            raise DomainError("--square needs f squarefree over Q and nonconstant: Res(f, f') = 0")
-        for p in primes_up_to(args.pmax):
-            if args.square and bad % p == 0:
-                continue
-            c = stats.roots_mod(f, p, args.square)
-            rows.append(_row(p, c))
-            worst = max(worst, c)
-            if args.square and c > 2 * deg:
-                violations += 1
-        header = "p,count"
-        doc.update(poly=f, square=args.square, max_count=worst,
-                   bound=2 * deg, violations=violations)
-    elif exp == "avg-frobenius":
-        _nonnegative("--pmax", args.pmax)
-        rows = []
-        worst = Fraction(0)
-        for p in primes_up_to(args.pmax):
-            if p <= 3:
-                continue
-            v = stats.avg_frobenius(args.family, p)
-            rows.append(_row(p, v))
-            worst = max(worst, abs(v))
-        bound = stats.family_trace_bound(args.family)
-        header = "p,avg_trace"
-        doc.update(family=args.family, bound=bound, max_abs=str(worst),
-                   within_bound=worst <= bound)
-    elif exp == "density-cor-main":
-        if args.height is None:
-            raise DomainError("--height is required for density-cor-main")
-        certified, total = stats.certificate_density(args.height)
-        header, rows = "X,certified,total", [_row(args.height, certified, total)]
-        doc.update(X=args.height, certified=certified, total=total,
-                   fraction=certified / total if total else None)
-    else:  # pragma: no cover
-        raise DomainError(f"unknown experiment {exp}")
-    return header, rows, doc
+def cmd_volume(args, cfg):
+    vc = stats.volume_constant(args.precision)
+    return None, (), {"command": "stats.volume", "alpha_plus": str(vc.alpha_plus),
+                      "alpha_minus": str(vc.alpha_minus), "value": str(vc.value),
+                      "precision": args.precision}
+
+
+def cmd_count(args, cfg):
+    """count-r2 and count-r3, whose ell their parsers set, and count-family (--ell)."""
+    pts = stats.family_series(args.ell, _parse_heights(args.heights))
+    doc = {"command": f"stats.{args.experiment}", "counts": pts}
+    if args.experiment == "count-family":
+        doc["ell"] = args.ell
+    if len(pts) >= 3 and all(c > 0 for _, c in pts):
+        doc["slope"] = stats.slope(pts)
+    return "X,count", [_row(*pt) for pt in pts], doc
+
+
+def cmd_normal_order(args, cfg):
+    f = _parse_poly(args.poly)
+    S = _parse_ints(args.exclude, "exclude") if args.exclude else []
+    samples = [{"X": ns.X, "mean": str(ns.mean), "variance": str(ns.variance), "n": ns.sample_count}
+               for ns in stats.normal_order_experiment(f, _parse_heights(args.heights), S)]
+    return ("X,mean,variance,n", [_row(*sample.values()) for sample in samples],
+            {"command": "stats.normal-order", "poly": f, "exclude": S, "samples": samples})
+
+
+def cmd_roots_mod(args, cfg):
+    _nonnegative("--pmax", args.pmax)
+    f = _parse_poly(args.poly)
+    deg = polys.degree(f)
+    rows = []
+    worst = 0
+    violations = 0
+    # the 2 deg(f) bound needs f and f' coprime mod p, i.e. p away from
+    # Res(f, f'); the content gcd alone is not enough
+    bad = polys.resultant(f, polys.derivative(f))
+    if args.square and bad == 0:
+        raise DomainError("--square needs f squarefree over Q and nonconstant: Res(f, f') = 0")
+    for p in primes_up_to(args.pmax):
+        if args.square and bad % p == 0:
+            continue
+        c = stats.roots_mod(f, p, args.square)
+        rows.append(_row(p, c))
+        worst = max(worst, c)
+        if args.square and c > 2 * deg:
+            violations += 1
+    return "p,count", rows, {"command": "stats.roots-mod", "poly": f, "square": args.square,
+                             "max_count": worst, "bound": 2 * deg, "violations": violations}
+
+
+def cmd_avg_frobenius(args, cfg):
+    _nonnegative("--pmax", args.pmax)
+    rows = []
+    worst = 0
+    for p in primes_up_to(args.pmax):
+        if p <= 3:
+            continue
+        v = stats.avg_frobenius(args.family, p)
+        rows.append(_row(p, v))
+        worst = max(worst, abs(v))
+    bound = stats.family_trace_bound(args.family)
+    return "p,avg_trace", rows, {"command": "stats.avg-frobenius", "family": args.family,
+                                 "bound": bound, "max_abs": str(worst),
+                                 "within_bound": worst <= bound}
+
+
+def cmd_density(args, cfg):
+    certified, total = stats.certificate_density(args.height)
+    return "X,certified,total", [_row(args.height, certified, total)], {
+        "command": "stats.density-cor-main", "X": args.height, "certified": certified,
+        "total": total, "fraction": certified / total if total else None}
 
 
 # ------------------------------------------------------------------- verify
@@ -376,20 +365,36 @@ def build_parser():
     p.set_defaults(fn=cmd_watkins)
 
     p = sub.add_parser("stats", help="counting and statistics experiments")
-    p.add_argument("experiment", choices=[
-        "count-r2", "count-r3", "count-family", "volume", "normal-order",
-        "roots-mod", "avg-frobenius", "density-cor-main",
-    ])
-    p.add_argument("--heights")
-    p.add_argument("--height", type=int)
-    p.add_argument("--precision", type=int, default=30)
-    p.add_argument("--ell", type=int, choices=[5, 7], default=5)
-    p.add_argument("--poly")
-    p.add_argument("--exclude", default="")
-    p.add_argument("--pmax", type=int, default=100)
-    p.add_argument("--square", action="store_true")
-    p.add_argument("--family", choices=["e5", "e7", "e3poly"], default="e5")
-    p.set_defaults(fn=cmd_stats)
+    # one parser per experiment, without abbreviations: `--height` is not `--heights`
+    add = partial(p.add_subparsers(dest="experiment", required=True).add_parser, allow_abbrev=False)
+    for name, ell in (("count-r2", 2), ("count-r3", 3)):
+        q = add(name, help=f"lattice points of the {ell}-torsion region at each height")
+        q.add_argument("--heights", required=True)
+        q.set_defaults(fn=cmd_count, ell=ell)
+    q = add("count-family", help="curves of the 5- or 7-torsion family at each height")
+    q.add_argument("--heights", required=True)
+    q.add_argument("--ell", type=int, choices=[5, 7], default=5)
+    q.set_defaults(fn=cmd_count)
+    q = add("volume", help="the volume constant of the 2-torsion region")
+    q.add_argument("--precision", type=int, default=30)
+    q.set_defaults(fn=cmd_volume)
+    q = add("normal-order", help="mean and variance of omega(s(f(r))) at each height")
+    q.add_argument("--poly", required=True)
+    q.add_argument("--heights", required=True)
+    q.add_argument("--exclude", default="")
+    q.set_defaults(fn=cmd_normal_order)
+    q = add("roots-mod", help="roots of f mod p, or mod p^2 with --square")
+    q.add_argument("--poly", required=True)
+    q.add_argument("--pmax", type=int, default=100)
+    q.add_argument("--square", action="store_true")
+    q.set_defaults(fn=cmd_roots_mod)
+    q = add("avg-frobenius", help="Frobenius traces averaged over a family's fibers")
+    q.add_argument("--family", choices=["e5", "e7", "e3poly"], default="e5")
+    q.add_argument("--pmax", type=int, default=100)
+    q.set_defaults(fn=cmd_avg_frobenius)
+    q = add("density-cor-main", help="share of curves with a local insolubility certificate")
+    q.add_argument("--height", type=int, required=True)
+    q.set_defaults(fn=cmd_density)
 
     p = sub.add_parser("verify", help="consistency checks against a dataset CSV")
     p.add_argument("--dataset", required=True)

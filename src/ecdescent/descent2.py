@@ -41,9 +41,9 @@ two bases; their 2^k classes are expanded only for `descent` output."""
 from collections import namedtuple
 from functools import lru_cache
 from itertools import chain
-from math import gcd, prod
 
-from .arith import CACHE_BOUND, factor_over, is_prime, legendre, valuation
+from .arith import (CACHE_BOUND, class_product, factor_over, is_prime, legendre, signed_kernel,
+                    valuation)
 from .errors import DomainError
 
 
@@ -225,16 +225,6 @@ def _annihilator(q, group):
                      if not any(_hilbert(x, y, q) for x in group))
 
 
-def _times(d, e):
-    """The group law on square-free classes: d e with their common primes cancelled."""
-    return d * e // gcd(d, e) ** 2
-
-
-def _kernel(n, fac):
-    """The signed square-free kernel of n from its prime powers `fac`."""
-    return (1 if n > 0 else -1) * prod(p for p, e in fac if e % 2)
-
-
 def _selmer(side, fac, t, other):
     """A basis of the classes d | b of side = (a, b) whose space (d, a, b/d) is
     soluble over R and over Q_p for every place p of `other`, with the known
@@ -270,13 +260,13 @@ def _selmer(side, fac, t, other):
             y = next((y for y in span if c ^ y in good), None) if len(span) > 1 else None
             if y is None:
                 for y, e in span.items():
-                    if c ^ y in ok and _qp_soluble(d := _times(s, e), a, b // d, p):
+                    if c ^ y in ok and _qp_soluble(d := class_product(s, e), a, b // d, p):
                         good |= {c ^ y ^ g for g in good}
                         break
                 else:
-                    span.update({c ^ x: _times(s, e) for x, e in span.items()})
+                    span.update({c ^ x: class_product(s, e) for x, e in span.items()})
                     continue
-            kept.append(_times(s, span[y]))
+            kept.append(class_product(s, span[y]))
         basis, goods[p] = kept, good
     return basis, goods
 
@@ -286,7 +276,7 @@ def _span(basis):
     a dependent basis repeats one and raises ArithmeticError."""
     out = [1]
     for s in basis:
-        out += [_times(d, s) for d in out]
+        out += [class_product(d, s) for d in out]
     if len(set(out)) < len(out):
         raise ArithmeticError(f"Selmer basis {basis} is dependent")
     return sorted(out, key=lambda d: (abs(d), d < 0))
@@ -358,7 +348,7 @@ def rank_upper(param, primes):
     n, b = dual.b, param.b
     fac, fac_hat = factor_over(n, primes, dual), factor_over(b, primes, param)
     local = sorted({2, *dict(fac), *dict(fac_hat)})
-    t, t_hat = _kernel(n, fac), _kernel(b, fac_hat)
+    t, t_hat = signed_kernel(n, fac), signed_kernel(b, fac_hat)
     phi_basis, goods = _selmer(dual, fac, t, {
         p: frozenset((0, _square_class(t_hat, p))) for p in local})
     phihat_basis, _ = _selmer(param, fac_hat, t_hat, goods)

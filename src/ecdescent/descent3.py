@@ -9,9 +9,9 @@ and S_{-27a}.
 
 from collections import namedtuple
 from functools import lru_cache
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
 
-from .arith import CACHE_BOUND, factor, factor_over, legendre
+from .arith import CACHE_BOUND, class_product, factor, factor_over, legendre, signed_kernel
 from .errors import DomainError
 
 RATIONAL = 1  # square-class marker for the degenerate "field" Q
@@ -190,11 +190,6 @@ def fundamental_discriminant(d):
     return d if d % 4 == 1 else 4 * d
 
 
-def _times_minus3(k):
-    """The square-free kernel of -3k for a square-free k: -3k, or -k/3 when 3 | k."""
-    return -3 * k // gcd(3, k) ** 2
-
-
 def class_bound(k):
     """3-rank and unit data for Q(sqrt(k)), k a square-free kernel; the
     3-rank is exact when imaginary, a bound when real.  Nothing is factored.
@@ -212,7 +207,7 @@ def class_bound(k):
     if k < 0:
         r3 = r3_imaginary(fundamental_discriminant(k))
         return ClassGroup3(k, r3, EXACT_IMAGINARY, 1 if k == -3 else 0)
-    r3 = r3_imaginary(fundamental_discriminant(_times_minus3(k)))
+    r3 = r3_imaginary(fundamental_discriminant(class_product(-3, k)))
     return ClassGroup3(k, r3, SCHOLZ_BOUND, 1)
 
 
@@ -224,9 +219,9 @@ def rank_upper_type1(a, primes):
     with K_a = Q(sqrt(-3a)), K_{-27a} = Q(sqrt(a)) and #S_{-27a} = #S_a.
     Class-group terms may be Scholz upper bounds; the sum stays a valid upper
     bound.  Nothing is factored: a's signed kernel k and S_a come from its prime
-    powers at `primes` (`families.type1_primes(a)`); -3a's is `_times_minus3(k)`.
+    powers at `primes` (`families.type1_primes(a)`); -3a's is `class_product(-3, k)`.
     """
     fac = factor_over(a, primes, "a")
-    k = (1 if a > 0 else -1) * prod(p for p, e in fac if e % 2)
-    comp = Type1Bound(class_bound(_times_minus3(k)), class_bound(k), len(s_set(fac)))
+    k = signed_kernel(a, fac)
+    comp = Type1Bound(class_bound(class_product(-3, k)), class_bound(k), len(s_set(fac)))
     return comp.class_unit_total + 2 * comp.s_a, comp

@@ -205,6 +205,17 @@ def test_squarefree_part_square_invariance():
         assert arith.squarefree_part(n * m * m) == arith.squarefree_part(n)
 
 
+def test_signed_kernel_and_class_product_match_squarefree_kernel():
+    """On every pair of signed square-free |d|, |e| <= 60: the kernel of d e
+    read from its prime powers, and the class product of d and e."""
+    classes = [s * d for d in range(1, 61) if arith.is_squarefree(d) for s in (1, -1)]
+    for d in classes:
+        for e in classes:
+            kernel = arith.squarefree_kernel(d * e)
+            assert arith.signed_kernel(d * e, arith.factor(d * e)) == kernel, (d, e)
+            assert arith.class_product(d, e) == kernel, (d, e)
+
+
 def naive_valuation(n, p):
     """nu_p(n) by stripping one factor p at a time."""
     v = 0

@@ -1,8 +1,10 @@
+import argparse
 import errno
 import hashlib
 import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -105,21 +107,31 @@ def test_enumerate_missing_height_is_usage_error():
      "--range (or --height) is required for twist-e0"),
     (["watkins", "--family", "e2"], "--height is required for family e2"),
     (["watkins", "--family", "twist-e0"], "--range (or --height) is required for twist-e0"),
-    (["stats", "normal-order", "--heights", "15"], "--poly is required"),
-    (["stats", "roots-mod"], "--poly is required"),
-    (["stats", "density-cor-main"], "--height is required for density-cor-main"),
-    (["stats", "count-r2"], "--heights is required"),
-    (["stats", "count-r3"], "--heights is required"),
-    (["stats", "count-family"], "--heights is required"),
-    (["stats", "normal-order", "--poly", "-1,-11,1"], "--heights is required"),
+    (["stats", "normal-order", "--heights", "15"], "--poly"),
+    (["stats", "roots-mod"], "--poly"),
+    (["stats", "density-cor-main"], "--height"),
+    (["stats", "count-r2"], "--heights"),
+    (["stats", "count-r3"], "--heights"),
+    (["stats", "count-family"], "--heights"),
+    (["stats", "normal-order", "--poly", "-1,-11,1"], "--heights"),
 ], ids=["e3", "e5", "e7", "type1", "e3-rank-bounds", "twist-e0-rank-bounds", "watkins-e2",
         "watkins-twist-e0", "normal-order", "roots-mod", "density-cor-main", "count-r2-heights",
         "count-r3-heights", "count-family-heights", "normal-order-heights"])
 def test_missing_option_is_usage_error(capsys, argv, message):
-    code, out = run_cli(argv)
-    assert code == 2
-    assert out == ""
-    assert capsys.readouterr().err == f"error: {message}\n"
+    """A scan's window is checked by its command, which returns 2; an option
+    that a stats experiment's parser requires is checked by argparse, which
+    raises SystemExit(2) and names the option."""
+    out = io.StringIO()
+    if argv[0] == "stats":
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv, out=out)
+        assert err.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: the following arguments are required: {message}\n")
+    else:
+        assert cli.main(argv, out=out) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert out.getvalue() == ""
 
 
 def test_descent_json():
@@ -152,7 +164,7 @@ def test_descent_dependent_selmer_basis_exit1(capsys, monkeypatch):
 
     def dependent(side, *args):
         basis, goods = selmer(side, *args)
-        return [*basis, descent2._times(*basis[:2])] if side == dual else basis, goods
+        return [*basis, arith.class_product(*basis[:2])] if side == dual else basis, goods
 
     monkeypatch.setattr(descent2, "_selmer", dependent)
     code, out = run_cli(["descent", "--a", "0", "--b", "1"])
@@ -622,6 +634,78 @@ def test_unknown_flags_exit2():
     with pytest.raises(SystemExit) as err:
         cli.main(["stats", "no-such-experiment"], out=io.StringIO())
     assert err.value.code == 2
+
+
+# Each stats experiment's options, and a valid value of each stats option.
+STATS_OPTIONS = {
+    "count-r2": ["--heights"],
+    "count-r3": ["--heights"],
+    "count-family": ["--heights", "--ell"],
+    "volume": ["--precision"],
+    "normal-order": ["--poly", "--heights", "--exclude"],
+    "roots-mod": ["--poly", "--pmax", "--square"],
+    "avg-frobenius": ["--family", "--pmax"],
+    "density-cor-main": ["--height"],
+}
+OPTION_VALUES = {"--heights": ["3,5"], "--height": ["3"], "--precision": ["12"],
+                 "--ell": ["7"], "--poly": ["-1,-11,1"], "--exclude": ["2"], "--pmax": ["30"],
+                 "--square": [], "--family": ["e7"]}
+
+
+def stats_argv(experiment, *options):
+    """`stats experiment` with each of `options` and its valid value."""
+    return ["stats", experiment, *(x for o in options for x in [o, *OPTION_VALUES[o]])]
+
+
+def assert_parser_refuses(capsys, argv):
+    """argparse rejects argv with SystemExit(2), and nothing reaches stdout."""
+    out = io.StringIO()
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv, out=out)
+    assert err.value.code == 2
+    assert out.getvalue() == capsys.readouterr().out == ""
+
+
+def subcommands(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_stats_options_are_fourteen_pairs():
+    experiments = subcommands(subcommands(cli.build_parser())["stats"])
+    declared = {name: [a.option_strings[-1] for a in q._actions if a.dest != "help"]
+                for name, q in experiments.items()}
+    assert declared == STATS_OPTIONS
+    assert sum(map(len, declared.values())) == 14
+
+
+@pytest.mark.parametrize("experiment, option", [
+    (experiment, option) for experiment, own in STATS_OPTIONS.items()
+    for option in OPTION_VALUES if option not in own])
+def test_stats_option_not_read_is_refused(capsys, experiment, option):
+    """Each of the 58 (experiment, option) pairs that the experiment does not
+    read exits 2, `--height` included where `--heights` is read: no option
+    stands for another by abbreviation."""
+    cli.build_parser().parse_args(cli._glue_option_values(
+        stats_argv(experiment, *STATS_OPTIONS[experiment])))
+    assert_parser_refuses(capsys, stats_argv(experiment, *STATS_OPTIONS[experiment], option))
+
+
+@pytest.mark.parametrize("experiment, option", [
+    (experiment, option) for experiment, own in STATS_OPTIONS.items() for option in own])
+def test_stats_option_before_the_experiment_is_refused(capsys, experiment, option):
+    """An option the experiment reads, given before its name, reaches the
+    `stats` parser, which declares none."""
+    rest = stats_argv(experiment, *(o for o in STATS_OPTIONS[experiment] if o != option))
+    assert_parser_refuses(capsys, ["stats", option, *OPTION_VALUES[option], *rest[1:]])
+
+
+@pytest.mark.parametrize("experiment", sorted(STATS_OPTIONS))
+def test_stats_help_lists_the_experiments_own_options(capsys, experiment):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["stats", experiment, "-h"], out=io.StringIO())
+    assert err.value.code == 0
+    listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == {"--help", *STATS_OPTIONS[experiment]}
 
 
 def test_config_file_and_override():

@@ -620,13 +620,13 @@ def _selmer_unpruned(side, local):
             y = next((y for y in span if c ^ y in good), None)
             if y is None:
                 for y, e in span.items():
-                    if descent2._qp_soluble(d := descent2._times(s, e), a, b // d, p):
+                    if descent2._qp_soluble(d := arith.class_product(s, e), a, b // d, p):
                         good |= {c ^ y ^ g for g in good}
                         break
                 else:
-                    span.update({c ^ x: descent2._times(s, e) for x, e in span.items()})
+                    span.update({c ^ x: arith.class_product(s, e) for x, e in span.items()})
                     continue
-            kept.append(descent2._times(s, span[y]))
+            kept.append(arith.class_product(s, span[y]))
         basis = kept
     return basis
 
@@ -940,7 +940,7 @@ def test_selmer_invariants_raise(monkeypatch):
         descent2._span([2, -1, -2])
     param = E2Param(0, 1)
     assert rank_upper(param).dim_phi == 2
-    product = lambda basis: descent2._times(*basis[:2])
+    product = lambda basis: arith.class_product(*basis[:2])
     monkeypatch.setattr(descent2, "_selmer", _dependent(param.dual, product))
     with pytest.raises(ArithmeticError, match="is dependent"):
         rank_upper(param)
