@@ -58,33 +58,40 @@ def _scan(fn, tag, items, workers):
 # ---------------------------------------------------------------- enumerate
 
 
-def _curve_row(tag, model, policy, primes, *extra):
-    """One enumerate row: tag, the model's own A and B, omega(N) from the
-    primes of its discriminant, then `extra`."""
-    omega_n, _ = curves.conductor_support(model, policy, primes)
+def _curve_row(tag, model, minimal, policy, primes, *extra):
+    """One enumerate row: tag, the model's own A and B, omega(N) from
+    `minimal`, its minimal model, and `primes`, every prime of that model's
+    discriminant, then `extra`."""
+    omega_n, _ = curves.conductor_support(minimal, policy, primes)
     return _row(tag, model.A, model.B, omega_n, *extra)
 
 
 def _model_row(tag, item, policy):
-    model = item[1]
-    return _curve_row(tag, model, policy, prime_divisors(curves.invariants(model).delta))
+    model = item[1]  # minimal: `short_model` made it
+    return _curve_row(tag, model, model, policy,
+                      prime_divisors(curves.invariants(model).delta))
 
 
 def _e2_row(tag, param, policy, rank_bounds):
-    primes = families.e2_primes(param)
-    extra = [descent2.rank_upper(param, primes).rank_upper] if rank_bounds else []
-    return _curve_row(tag, families.e2_curve(param, primes), policy, primes, *extra)
+    facs = families.e2_primes(param)
+    primes = families.disc_primes(*facs)
+    model = families.e2_curve(param, primes)
+    extra = [descent2.rank_upper(param, facs).rank_upper] if rank_bounds else []
+    return _curve_row(tag, model, model, policy, primes, *extra)
 
 
 def _twist_row(tag, D, policy):
-    # the model y^2 = x^3 - D^3 is `type1(-D^3)`, whose primes are those of D
-    return _curve_row(tag, families.twist_model(D), policy, families.type1_primes(D))
+    # the model y^2 = x^3 - D^3 is `type1(-D^3)`, whose primes are those of
+    # D, and it is minimal: p^6 | D^3 would need p^2 | D, and D is square-free
+    model = families.twist_model(D)
+    return _curve_row(tag, model, model, policy, families.disc_primes(families.type1_primes(D)))
 
 
 def _type1_row(tag, a, policy, rank_bounds):
-    primes = families.type1_primes(a)
-    extra = [descent3.rank_upper_type1(a, primes)[0]] if rank_bounds else []
-    return _curve_row(tag, families.type1(a), policy, primes, *extra)
+    fac = families.type1_primes(a)
+    primes, model = families.disc_primes(fac), families.type1(a)
+    extra = [descent3.rank_upper_type1(a, fac)[0]] if rank_bounds else []
+    return _curve_row(tag, model, curves.minimize(model, primes), policy, primes, *extra)
 
 
 def cmd_enumerate(args, cfg):
@@ -333,14 +340,17 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="ecdescent",
         description="Exact-arithmetic elliptic-curve descent and counting experiments.",
+        allow_abbrev=False,
     )
     parser.add_argument("--policy", choices=curves.POLICIES)
     parser.add_argument("--nu2-manin", type=int, dest="nu2_manin")
     parser.add_argument("--workers", type=int)
 
-    sub = parser.add_subparsers(dest="command", required=True)
+    # no abbreviations on any parser: `--fam` is not `--family`
+    sub = partial(parser.add_subparsers(dest="command", required=True).add_parser,
+                  allow_abbrev=False)
 
-    p = sub.add_parser("enumerate", help="list curves of a family up to a height")
+    p = sub("enumerate", help="list curves of a family up to a height")
     p.add_argument("--family", required=True,
                    choices=["e2", "e3", "e5", "e7", "type1", "twist-e0"])
     p.add_argument("--height", type=int)
@@ -348,24 +358,24 @@ def build_parser():
     p.add_argument("--rank-bounds", action="store_true")
     p.set_defaults(fn=cmd_enumerate)
 
-    p = sub.add_parser("descent", help="2-isogeny descent for y^2 = x^3 + ax^2 + bx")
+    p = sub("descent", help="2-isogeny descent for y^2 = x^3 + ax^2 + bx")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.set_defaults(fn=cmd_descent)
 
-    p = sub.add_parser("descent3", help="3-isogeny rank bound for y^2 = x^3 + a")
+    p = sub("descent3", help="3-isogeny rank bound for y^2 = x^3 + a")
     p.add_argument("--a", type=int, required=True)
     p.set_defaults(fn=cmd_descent3)
 
-    p = sub.add_parser("watkins", help="scan a family for M-Watkins verdicts")
+    p = sub("watkins", help="scan a family for M-Watkins verdicts")
     p.add_argument("--family", required=True, choices=["e2", "twist-e0"])
     p.add_argument("--height", type=int)
     p.add_argument("--range", type=int)
     p.add_argument("--M", type=int, default=0)
     p.set_defaults(fn=cmd_watkins)
 
-    p = sub.add_parser("stats", help="counting and statistics experiments")
-    # one parser per experiment, without abbreviations: `--height` is not `--heights`
+    p = sub("stats", help="counting and statistics experiments")
+    # one parser per experiment: `--height` is not `--heights`
     add = partial(p.add_subparsers(dest="experiment", required=True).add_parser, allow_abbrev=False)
     for name, ell in (("count-r2", 2), ("count-r3", 3)):
         q = add(name, help=f"lattice points of the {ell}-torsion region at each height")
@@ -396,7 +406,7 @@ def build_parser():
     q.add_argument("--height", type=int, required=True)
     q.set_defaults(fn=cmd_density)
 
-    p = sub.add_parser("verify", help="consistency checks against a dataset CSV")
+    p = sub("verify", help="consistency checks against a dataset CSV")
     p.add_argument("--dataset", required=True)
     p.add_argument("--M", type=int, default=0)
     p.set_defaults(fn=cmd_verify)

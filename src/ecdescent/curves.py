@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import polys
-from .arith import factor_over, is_prime, is_square, prime_divisors, valuation
+from .arith import is_prime, is_square, prime_divisors, valuation
 from .errors import DomainError, SingularCurve
 
 TRIVIAL = "Trivial"
@@ -106,13 +106,14 @@ def conductor_support(E, policy, primes):
     p^6|B criterion even at 2 and 3, where the true global minimal model can
     differ; the `exclude-23` policy drops 2 and 3 for sensitivity analysis.
 
-    Nothing is factored: the support is read by `factor_over` at `primes`,
-    which must hold every prime of E's discriminant.
+    E must be minimal already, and `primes` must hold every prime of its
+    discriminant: the support is the primes of `primes` that divide it, so
+    nothing is minimized or factored.
     """
     if policy not in POLICIES:
         raise DomainError(f"unknown policy {policy!r}")
-    delta = invariants(minimize(E, primes)).delta
-    support = [p for p, _ in factor_over(delta, primes, "discriminant")]
+    delta = invariants(E).delta
+    support = sorted(p for p in primes if delta % p == 0)
     if policy == "exclude-23":
         support = [p for p in support if p not in (2, 3)]
     return len(support), support

@@ -42,8 +42,7 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import chain
 
-from .arith import (CACHE_BOUND, class_product, factor_over, is_prime, legendre, signed_kernel,
-                    valuation)
+from .arith import CACHE_BOUND, class_product, is_prime, legendre, signed_kernel, valuation
 from .errors import DomainError
 
 
@@ -304,27 +303,28 @@ def _check_basis(basis, t, local):
         raise ArithmeticError(f"Selmer basis {basis} is dependent")
 
 
-def sel_phi(param, primes):
+def sel_phi(param, facs):
     """Surviving classes d in Q(T1), T1 = primes(a^2 - 4b) and infinity.
 
     These are the phi-hat classes of `param.dual`: the space for class d is
     Z^2 = d U^4 - 2a U^2 V^2 + ((a^2-4b)/d) V^4.
     """
-    return rank_upper(param, primes).phi_classes
+    return rank_upper(param, facs).phi_classes
 
 
-def sel_phihat(param, primes):
+def sel_phihat(param, facs):
     """Surviving classes d in Q(T2), T2 = primes(b) and infinity.
 
     The space for class d is Z^2 = d U^4 + a U^2 V^2 + (b/d) V^4.
     """
-    return rank_upper(param, primes).phihat_classes
+    return rank_upper(param, facs).phihat_classes
 
 
-def rank_upper(param, primes):
-    """Selmer bases for both isogeny directions and the rank bound.  `primes`
-    (`families.e2_primes(param)`) must hold every odd prime of b and of
-    a^2 - 4b; the places of both sides are 2 and the primes of b (a^2 - 4b).
+def rank_upper(param, facs):
+    """Selmer bases for both isogeny directions and the rank bound.  `facs`
+    (`families.e2_primes(param)`) is the pair of prime powers of b and of
+    a^2 - 4b, and nothing is factored; the places of both sides are 2 and the
+    primes of b and of a^2 - 4b.
 
     rank(E_{a,b}(Q)) <= dim_phi + dim_phihat - 2, each dimension the length
     of its side's `_selmer` basis.  Each Selmer set holds the image of its
@@ -344,9 +344,8 @@ def rank_upper(param, primes):
     annihilator it searches in: t and t' must pair to +1 at every place, and
     t' must lie in the annihilator of the phi side's known W_p.
     """
-    dual, primes = param.dual, {2, *primes}
+    dual, (fac_hat, fac) = param.dual, facs
     n, b = dual.b, param.b
-    fac, fac_hat = factor_over(n, primes, dual), factor_over(b, primes, param)
     local = sorted({2, *dict(fac), *dict(fac_hat)})
     t, t_hat = signed_kernel(n, fac), signed_kernel(b, fac_hat)
     phi_basis, goods = _selmer(dual, fac, t, {

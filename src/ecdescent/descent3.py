@@ -11,7 +11,7 @@ from collections import namedtuple
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .arith import CACHE_BOUND, class_product, factor, factor_over, legendre, signed_kernel
+from .arith import CACHE_BOUND, class_product, factor, legendre, signed_kernel
 from .errors import DomainError
 
 RATIONAL = 1  # square-class marker for the degenerate "field" Q
@@ -31,6 +31,7 @@ _ROOTS = {}
 # field_kernel: square-free d with K = Q(sqrt(d)); 1 means K = Q.
 # unit: dim_F3 of the units of K modulo cubes.
 ClassGroup3 = namedtuple("ClassGroup3", "field_kernel r3 method unit")
+_RATIONAL_FIELD = ClassGroup3(RATIONAL, 0, RATIONAL_TRIVIAL, 0)  # K = Q
 
 
 class Type1Bound(namedtuple("Type1Bound", "class_a class_m27a s_a")):
@@ -203,25 +204,38 @@ def class_bound(k):
     if k == 0:
         raise DomainError("square class of zero is undefined")
     if k == 1:
-        return ClassGroup3(RATIONAL, 0, RATIONAL_TRIVIAL, 0)
+        return _RATIONAL_FIELD
     if k < 0:
         r3 = r3_imaginary(fundamental_discriminant(k))
         return ClassGroup3(k, r3, EXACT_IMAGINARY, 1 if k == -3 else 0)
-    r3 = r3_imaginary(fundamental_discriminant(class_product(-3, k)))
+    return _scholz(k, r3_imaginary(fundamental_discriminant(class_product(-3, k))))
+
+
+def _scholz(k, r3):
+    """The real field Q(sqrt(k)), k > 1, whose partner Q(sqrt(-3k)) has 3-rank r3."""
     return ClassGroup3(k, r3, SCHOLZ_BOUND, 1)
 
 
-def rank_upper_type1(a, primes):
+def rank_upper_type1(a, fac):
     """Rank bound for y^2 = x^3 + a through the 3-isogeny to y^2 = x^3 - 27a.
 
     bound = r3(K_a) + units(K_a) + r3(K_{-27a}) + units(K_{-27a})
           + #S_a + #S_{-27a},
     with K_a = Q(sqrt(-3a)), K_{-27a} = Q(sqrt(a)) and #S_{-27a} = #S_a.
     Class-group terms may be Scholz upper bounds; the sum stays a valid upper
-    bound.  Nothing is factored: a's signed kernel k and S_a come from its prime
-    powers at `primes` (`families.type1_primes(a)`); -3a's is `class_product(-3, k)`.
+    bound.  Nothing is factored: a's signed kernel k and S_a come from its
+    prime powers `fac` (`families.type1_primes(a)`); -3a's is
+    `class_product(-3, k)`.  The two kernels differ by the negative -3, so
+    one field is imaginary, and the other is real with it as Scholz partner,
+    or is Q (a = m^2 or a = -3 m^2): one 3-rank serves both.
     """
-    fac = factor_over(a, primes, "a")
+    if a == 0:
+        raise DomainError("a must be nonzero")
     k = signed_kernel(a, fac)
-    comp = Type1Bound(class_bound(class_product(-3, k)), class_bound(k), len(s_set(fac)))
-    return comp.class_unit_total + 2 * comp.s_a, comp
+    k_a = class_product(-3, k)
+    imaginary = class_bound(min(k_a, k))
+    real = max(k_a, k)
+    other = _RATIONAL_FIELD if real == 1 else _scholz(real, imaginary.r3)
+    s_a = len(s_set(fac))
+    comp = Type1Bound(imaginary, other, s_a) if k_a < 0 else Type1Bound(other, imaginary, s_a)
+    return comp.class_unit_total + 2 * s_a, comp

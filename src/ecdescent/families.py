@@ -9,10 +9,10 @@ one window its scans run over.
 
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from . import curves, polys
-from .arith import factor, iroot, is_square, is_squarefree, prime_divisors
+from .arith import factor, iroot, is_square, is_squarefree
 from .curves import Z2, Z2XZ2, LongWeierstrass, ShortWeierstrass
 from .errors import DomainError, SingularCurve
 
@@ -65,14 +65,15 @@ def e2_window(X):
 
 
 def e2_primes(param):
-    """2, 3 and the primes of b and a^2 - 4b, all that an E_{a,b} row factors:
-    every prime of `e2_curve`'s unreduced discriminant 3^12 16 b^2 (a^2 - 4b)."""
-    return {2, 3, *prime_divisors(param.b), *prime_divisors(param.disc_quadratic)}
+    """The prime powers of b and of a^2 - 4b, `_factored`: the one factoring of
+    an E_{a,b} row.  `disc_primes` of them are every prime of `e2_curve`'s
+    unreduced discriminant 3^12 16 b^2 (a^2 - 4b)."""
+    return _factored(param.b), _factored(param.disc_quadratic)
 
 
 def e2_curve(param, primes):
     """Minimal short model of y^2 = x^3 + ax^2 + bx; `primes` holds
-    `e2_primes(param)`."""
+    `disc_primes(*e2_primes(param))`."""
     a, b = param.a, param.b
     # x -> x - a/3, then (A, B) scaled by 3^4, 3^6
     return curves.minimize(ShortWeierstrass(81 * b - 27 * a * a, 54 * a**3 - 243 * a * b), primes)
@@ -123,9 +124,26 @@ def type1(a):
 
 
 def type1_primes(a):
-    """2, 3 and the primes of a, all that a type1 row factors: every prime of
-    `type1(a)`'s discriminant -432 a^2."""
-    return {2, 3, *prime_divisors(a)}
+    """The prime powers of a, `_factored`: the one factoring of a type1 row.
+    `disc_primes` of them are every prime of `type1(a)`'s discriminant
+    -432 a^2."""
+    return _factored(a)
+
+
+def _factored(n):
+    """`factor(n)` for a row's parameter n, checked once: its prime powers must
+    multiply back to |n|, or ArithmeticError, so a row never reads an
+    incomplete factorization."""
+    fac = factor(n)
+    if prod(p**e for p, e in fac) != abs(n):
+        raise ArithmeticError(f"{n} has a prime outside its prime powers {fac}")
+    return fac
+
+
+def disc_primes(*facs):
+    """2, 3 and the primes of the prime powers `facs`: every prime of the
+    discriminant of an e2 row (`e2_primes`) or of a type1 row (`type1_primes`)."""
+    return {2, 3, *(p for fac in facs for p, _ in fac)}
 
 
 def type1_window(X):

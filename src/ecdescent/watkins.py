@@ -72,14 +72,15 @@ def twist_watkins(D, nu2_manin):
 def report(param, policy):
     """The WatkinsReport of E2Param param, whose `two_torsion` is the shape.
     The surrogate omega(N) - 2 for nu_2(m_E) needs E(Q)[2] = Z/2Z.  The
-    model, omega(N) and the rank bound read the primes
-    `families.e2_primes(param)`."""
-    primes = families.e2_primes(param)
+    model, omega(N) and the rank bound read the prime powers
+    `families.e2_primes(param)`, the one factoring of the row."""
+    facs = families.e2_primes(param)
+    primes = families.disc_primes(*facs)
     model = families.e2_curve(param, primes)
     shape = param.two_torsion
     omega_n, _ = curves.conductor_support(model, policy, primes)
     surrogate = omega_n - 2 if shape == Z2 else None
-    rank_bound = descent2.rank_upper(param, primes).rank_upper
+    rank_bound = descent2.rank_upper(param, facs).rank_upper
     return WatkinsReport(model, rank_bound, omega_n, surrogate,
                          "" if shape == Z2 else "full 2-torsion")
 

@@ -252,8 +252,9 @@ def test_criterion_14_density_experiment():
             if not stats.has_insolubility_certificate(a, b):
                 continue
             param = E2Param(a, b)
-            primes = families.e2_primes(param)
-            est = descent2.rank_upper(param, primes)
+            facs = families.e2_primes(param)
+            primes = families.disc_primes(*facs)
+            est = descent2.rank_upper(param, facs)
             model = families.e2_curve(param, primes)
             omega_n, _ = curves.conductor_support(model, "include-small", primes)
             if est.rank_upper > omega_n - 2:

@@ -193,7 +193,7 @@ def test_descent_selmer_dimensions_below_two_exit1(capsys, monkeypatch):
 
 
 def test_descent3_class_group_inconsistency_exit1(capsys, monkeypatch):
-    def broken(a, primes):
+    def broken(a, fac):
         raise ArithmeticError("3-torsion count 2 is not a power of 3")
 
     monkeypatch.setattr(descent3, "rank_upper_type1", broken)
@@ -208,6 +208,26 @@ def test_descent3_json():
     doc = json.loads(out)
     assert doc["bound"] == 5
     assert doc["components"]["s_a"] == 2
+
+
+# sha256 of `descent3 --a` stdout, recorded before `rank_upper_type1` shared
+# one 3-rank between its two fields: a = m^2 and a = -3 m^2, whose second
+# field is Q, a real K_a and an imaginary one.
+DESCENT3_STDOUT_SHA256 = {
+    4: "a4fcb2b26adb593405b15c7ac6a497795fbff7ea22ce65139245c462433f1eb5",
+    -12: "d1ea263adcd231b1669098a25e9171bc310b2df2aaef5e84d9d7b0eeb1fe5f1b",
+    -432: "bb845e28ba6983327d084a48b6c147601fea25459baca2bfd3755c704fa9042a",
+    79: "30946979528649bbff40a8d2cd6da4fd1c118477dae19c4954526321156b1d3b",
+    -79: "542ffe072b55237ef68e802f1071d1fa7ef8d451ab2e3557c007c655e6107cb1",
+    2997: "f89fceef72804f040dc8b5a0686a98db1081a014ffb8baa2111661a7f81d7547",
+}
+
+
+@pytest.mark.parametrize("a", sorted(DESCENT3_STDOUT_SHA256))
+def test_descent3_stdout_pinned(a):
+    code, out = run_cli(["descent3", "--a", str(a)])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DESCENT3_STDOUT_SHA256[a]
 
 
 def test_watkins_e2():
@@ -286,11 +306,11 @@ def test_scan_failing_partway_keeps_the_rows_written(capsys, monkeypatch):
     calls = []
     rank_upper = descent2.rank_upper
 
-    def failing_fifth(param, primes):
+    def failing_fifth(param, facs):
         calls.append(param)
         if len(calls) == 5:
             raise ArithmeticError("fifth descent fails")
-        return rank_upper(param, primes)
+        return rank_upper(param, facs)
 
     monkeypatch.setattr(descent2, "rank_upper", failing_fifth)
     code, out = run_cli(["watkins", "--family", "e2", "--height", "3"])
@@ -300,37 +320,61 @@ def test_scan_failing_partway_keeps_the_rows_written(capsys, monkeypatch):
 
 
 def test_incomplete_row_primes_exit_1(monkeypatch, capsys):
-    """A row whose primes miss one of its discriminant's stops the scan with
-    exit 1 and one `error:` line, not a miscount and not a traceback."""
-    e2_primes = families.e2_primes
-    monkeypatch.setattr(families, "e2_primes", lambda param: e2_primes(param) - {2})
+    """A row whose factorization misses a prime power stops the scan with
+    exit 1 and one `error:` line, not a miscount and not a traceback: each
+    number's largest prime power is dropped, so the first row fails."""
+    factor = families.factor
+    monkeypatch.setattr(families, "factor", lambda n: factor(n)[:-1])
     for argv in (["enumerate", "--family", "e2", "--height", "2"],
                  ["watkins", "--family", "e2", "--height", "2"]):
         code, out = run_cli(argv)
         assert code == 1
         assert len(out.splitlines()) == 1  # the header alone
         err = capsys.readouterr().err
-        assert err.startswith("error: discriminant ") and err.count("\n") == 1, err
-        assert "has a prime outside" in err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "has a prime outside its prime powers" in err
 
 
-@pytest.mark.parametrize("argv, patch, missing", [
+@pytest.mark.parametrize("argv, source, missing", [
     (["descent", "--a", "1", "--b", "15"], "e2_primes", 5),  # a prime of b
     (["descent", "--a", "1", "--b", "15"], "e2_primes", 59),  # of a^2 - 4b = -59
     (["descent3", "--a", "-50"], "type1_primes", 5),  # of a
     (["enumerate", "--family", "type1", "--height", "2", "--rank-bounds"], "type1_primes", 2),
 ])
-def test_missing_descent_prime_exits_1(monkeypatch, capsys, argv, patch, missing):
-    """A descent whose primes miss one of b, of a^2 - 4b or of a stops with
-    exit 1 and one `error:` line, before any result is written."""
-    primes = getattr(families, patch)
-    monkeypatch.setattr(families, patch, lambda x: primes(x) - {missing})
-    code, out = run_cli(["--workers", "1", *argv])
+def test_missing_descent_prime_exits_1(monkeypatch, capsys, argv, source, missing):
+    """A descent whose factorization of b, of a^2 - 4b or of a misses the
+    power of `missing` stops with exit 1 and one `error:` line, raised by the
+    row's factoring step `source`, before any result of such a parameter is
+    written: a scan keeps only the rows before the first a that `missing`
+    divides."""
+    argv = ["--workers", "1", *argv]
+    _, full = run_cli(argv)
+    factor = families.factor
+    monkeypatch.setattr(families, "factor",
+                        lambda n: tuple((p, e) for p, e in factor(n) if p != missing))
+    raised, check = [], getattr(families, source)
+
+    def recording(x):
+        try:
+            return check(x)
+        except ArithmeticError:
+            raised.append(x)
+            raise
+
+    monkeypatch.setattr(families, source, recording)
+    code, out = run_cli(argv)
     assert code == 1
-    assert out == ("params,A,B,omega_N,rank_upper\n" if argv[0] == "enumerate" else "")
+    assert len(raised) == 1
+    if argv[2] == "enumerate":
+        lines = full.splitlines(keepends=True)
+        first = next(i for i, line in enumerate(lines) if i and int(line.split(",")[0]) % missing == 0)
+        assert lines[0] == "params,A,B,omega_N,rank_upper\n"
+        assert out == "".join(lines[:first])
+    else:
+        assert out == ""
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert "has a prime outside" in err
+    assert "has a prime outside its prime powers" in err
 
 
 @pytest.mark.parametrize("argv, per_row", [
@@ -699,6 +743,28 @@ def test_stats_option_before_the_experiment_is_refused(capsys, experiment, optio
     assert_parser_refuses(capsys, ["stats", option, *OPTION_VALUES[option], *rest[1:]])
 
 
+ABBREVIATED = {
+    "--nu2": ["--nu2-manin", "1", "enumerate", "--family", "type1", "--height", "1", "--rank-bounds"],
+    "--work": ["--workers", "1", "enumerate", "--family", "type1", "--height", "1"],
+    "--fam": ["enumerate", "--family", "type1", "--height", "1"],
+    "--heig": ["enumerate", "--family", "type1", "--height", "1"],
+    "--rank": ["enumerate", "--family", "type1", "--height", "1", "--rank-bounds"],
+    "--famil": ["watkins", "--family", "e2", "--height", "1"],
+    "--data": ["verify", "--dataset", DATA],
+}
+
+
+@pytest.mark.parametrize("abbreviation", sorted(ABBREVIATED))
+def test_abbreviated_option_is_refused(capsys, abbreviation):
+    """No parser takes a prefix for a whole option: the top level's, those of
+    `enumerate`, `watkins` and `verify` (`descent` and `descent3` have only
+    `--a` and `--b`).  The full names work."""
+    argv = ABBREVIATED[abbreviation]
+    assert run_cli(argv)[0] == 0
+    full = next(tok for tok in argv if tok.startswith(abbreviation))
+    assert_parser_refuses(capsys, [abbreviation if tok == full else tok for tok in argv])
+
+
 @pytest.mark.parametrize("experiment", sorted(STATS_OPTIONS))
 def test_stats_help_lists_the_experiments_own_options(capsys, experiment):
     with pytest.raises(SystemExit) as err:
@@ -869,12 +935,12 @@ def test_worker_failure_keeps_earlier_chunks(capsys, monkeypatch, two_cpus, fail
     parent = os.getpid()
     rank_upper = descent2.rank_upper
 
-    def failing(param, primes):
+    def failing(param, facs):
         if os.getpid() != parent and (param.a, param.b) == target:
             if failure is None:
                 os._exit(0)  # end the worker without sending its chunk
             raise failure
-        return rank_upper(param, primes)
+        return rank_upper(param, facs)
 
     def hung(*_):
         raise TimeoutError("the scan hung")

@@ -5,10 +5,11 @@ from math import gcd
 
 import pytest
 
-from ecdescent import arith, cli, curves
+from ecdescent import arith, cli, curves, families
 from ecdescent.arith import factor, valuation
 from ecdescent.curves import LongWeierstrass, ShortWeierstrass
 from ecdescent.errors import DomainError, SingularCurve
+from ecdescent.families import E2Param
 
 
 def test_invariants_short_examples():
@@ -191,7 +192,8 @@ ROW_WINDOWS = (
 @pytest.mark.parametrize("policy", curves.POLICIES)
 def test_row_primes_agree_with_the_factored_discriminant(monkeypatch, policy):
     """Every `minimize` and `conductor_support` call of every scan row, with
-    the primes the row passes, agrees with the oracle that factors."""
+    the primes the row passes, agrees with the oracle that factors, and the
+    model each row hands to `conductor_support` is minimal already."""
     minimize, conductor_support = curves.minimize, curves.conductor_support
     calls = []
 
@@ -201,6 +203,7 @@ def test_row_primes_agree_with_the_factored_discriminant(monkeypatch, policy):
         return out
 
     def checked_support(E, policy, primes):
+        assert oracle_minimize(E) == E, E
         out = conductor_support(E, policy, primes)
         assert out == oracle_conductor_support(E, policy), (E, policy, primes)
         calls.append(E)
@@ -214,18 +217,41 @@ def test_row_primes_agree_with_the_factored_discriminant(monkeypatch, policy):
         assert calls, argv
 
 
+def row_support(param, policy):
+    """`conductor_support` as a scan row reaches it: an `E2Param` by
+    `e2_primes` and `e2_curve`, an int a by `type1_primes` and one `minimize`
+    of `type1(a)`."""
+    if isinstance(param, E2Param):
+        facs = families.e2_primes(param)
+        primes = families.disc_primes(*facs)
+        E = families.e2_curve(param, primes)
+    else:
+        primes = families.disc_primes(families.type1_primes(param))
+        E = curves.minimize(families.type1(param), primes)
+    return curves.conductor_support(E, policy, primes)
+
+
 @pytest.mark.parametrize("policy", curves.POLICIES)
-def test_conductor_support_raises_on_a_missing_prime(policy):
-    """A prime of the discriminant left out of `primes` raises, also one
-    that divides only the scale u of a non-minimal model (5 in (0, 2 5^6))."""
-    for E, primes in ((ShortWeierstrass(0, 35), {2, 3, 5, 7}),
-                      (ShortWeierstrass(0, 2 * 5**6), {2, 3, 5}),
-                      (ShortWeierstrass(-1, 0), {2}),
-                      (ShortWeierstrass(-8, 7), {2, 5, 29})):
-        assert curves.conductor_support(E, policy, primes) == oracle_conductor_support(E, policy)
-        for p in primes:
-            with pytest.raises(ArithmeticError, match="has a prime outside"):
-                curves.conductor_support(E, policy, primes - {p})
+def test_conductor_support_raises_on_a_missing_prime(monkeypatch, policy):
+    """A row whose factorization misses a prime power of its parameter raises,
+    also one that divides only the scale u of a non-minimal model (5 in
+    type1(2 5^6) = (0, 2 5^6)).  The rows of (0, 35), (0, 2 5^6), (-1, 0)
+    = E_{0,-1} and (-8, 7) = E_{3,-5}; each prime power is dropped in turn."""
+    factor = families.factor
+    for param, E in ((35, ShortWeierstrass(0, 35)),
+                     (2 * 5**6, ShortWeierstrass(0, 2 * 5**6)),
+                     (E2Param(0, -1), ShortWeierstrass(-1, 0)),
+                     (E2Param(3, -5), ShortWeierstrass(-8, 7))):
+        assert row_support(param, policy) == oracle_conductor_support(E, policy)
+        numbers = (param.b, param.disc_quadratic) if isinstance(param, E2Param) else (param,)
+        powers = {pe for n in numbers for pe in factor(n)}
+        assert powers
+        for pe in powers:
+            monkeypatch.setattr(families, "factor",
+                                lambda n, pe=pe: tuple(q for q in factor(n) if q != pe))
+            with pytest.raises(ArithmeticError, match="has a prime outside its prime powers"):
+                row_support(param, policy)
+        monkeypatch.setattr(families, "factor", factor)
 
 
 def test_two_torsion_shape():

@@ -10,7 +10,7 @@ from math import gcd, prod
 
 import pytest
 
-from ecdescent import arith, cli, descent2, polys
+from ecdescent import arith, cli, descent2, families, polys
 from ecdescent.arith import (
     factor,
     legendre,
@@ -404,35 +404,38 @@ def test_rank_upper_leaves_the_padic_cache_empty():
 
 
 def test_rank_upper_factors_nothing(monkeypatch):
-    """The caller's primes are the only ones read: both Selmer sets come from
-    them, a prime of them that divides neither b nor a^2 - 4b (3 and 5
-    below) is no place, and nothing is factored."""
-    cases = [(E2Param(-3, 210), [2, 3, 5, 7, 277], {2, 3, 5, 7, 277}),
-             (E2Param(1, -7), {2, 3, 7, 29}, {2, 7, 29}),
-             (E2Param(0, -1), {5, 2, 3}, {2})]
-    expected = [rank_upper(param) for param, _, _ in cases]
+    """The caller's prime powers are the only ones read: both Selmer sets come
+    from them, the places are 2 and their primes (3 only where it divides b
+    or a^2 - 4b), and nothing is factored."""
+    cases = [(E2Param(-3, 210), {2, 3, 5, 7, 277}),
+             (E2Param(1, -7), {2, 7, 29}),
+             (E2Param(0, -1), {2})]
+    facs = [e2_primes(param) for param, _ in cases]
+    expected = [rank_upper(param) for param, _ in cases]
     calls, read = [], set()
     factor_abs, square_class = arith._factor_abs, descent2._square_class
     monkeypatch.setattr(arith, "_factor_abs", lambda n: calls.append(n) or factor_abs(n))
     monkeypatch.setattr(descent2, "_square_class", lambda d, p: read.add(p) or square_class(d, p))
-    for (param, primes, places), est in zip(cases, expected):
+    for (param, places), fac, est in zip(cases, facs, expected):
         read.clear()
-        assert descent2.rank_upper(param, primes) == est, param
+        assert descent2.rank_upper(param, fac) == est, param
         assert read == places, (param, read)
     assert calls == []
 
 
-def test_rank_upper_raises_on_a_missing_prime():
-    """Each odd prime of b and of a^2 - 4b left out of `primes` raises; 2 is
-    a place of every descent, so it need not be given."""
+def test_rank_upper_raises_on_a_missing_prime(monkeypatch):
+    """Each prime power of b and of a^2 - 4b left out of the row's
+    factorization raises, 2's included."""
+    factor = families.factor
     for param in (E2Param(-3, 210), E2Param(1, 15), E2Param(2, -7 * 11**3), E2Param(4, 3)):
-        primes = e2_primes(param)
-        assert descent2.rank_upper(param, primes - {2}) == rank_upper(param)
-        missing = set(local_primes(param)) - {2}
-        assert missing
-        for p in missing:
-            with pytest.raises(ArithmeticError, match="has a prime outside"):
-                descent2.rank_upper(param, primes - {p})
+        powers = {pe for n in (param.b, param.disc_quadratic) for pe in factor(n)}
+        assert {2, *(p for p, _ in powers)} == set(local_primes(param))
+        for pe in powers:
+            monkeypatch.setattr(families, "factor",
+                                lambda n, pe=pe: tuple(q for q in factor(n) if q != pe))
+            with pytest.raises(ArithmeticError, match="has a prime outside its prime powers"):
+                rank_upper(param)
+        monkeypatch.setattr(families, "factor", factor)
 
 
 def test_many_prime_descent_decides_each_square_class_once(monkeypatch):
@@ -606,7 +609,7 @@ def _selmer_unpruned(side, local):
     `span` left open, with no annihilator from the other side: the reference
     for the pruned one, whose bases must be the same ints in the same order."""
     a, b = side
-    fac = arith.factor_over(b, local, side)
+    fac = arith.factor(b)
     t = (1 if b > 0 else -1) * prod(p for p, e in fac if e % 2)
     basis = [p for p, _ in fac]
     if descent2.real_soluble(HomogeneousSpace(-1, a, -b)):

@@ -2,23 +2,24 @@ import io
 import os
 import subprocess
 import sys
+from collections import Counter
 from math import gcd, isqrt
 
 import pytest
 
-from ecdescent import arith, cli, descent3
+from ecdescent import arith, cli, descent3, families
 from ecdescent.arith import is_squarefree
 from ecdescent.errors import DomainError
 from ecdescent.families import type1_primes
 
 
 def rank_upper_type1(a):
-    """`descent3.rank_upper_type1` with the primes it reads."""
+    """`descent3.rank_upper_type1` with the prime powers it reads."""
     return descent3.rank_upper_type1(a, type1_primes(a))
 
 
 def s_set(a):
-    return descent3.s_set(arith.factor_over(a, type1_primes(a), "a"))
+    return descent3.s_set(type1_primes(a))
 
 
 def identity_form(D):
@@ -72,7 +73,7 @@ def test_s_set():
     # nu_p = 6 keeps p out even with (-3/p) = 1
     assert s_set(7**6) == (2, 3)
     with pytest.raises(DomainError):
-        descent3.s_set(arith.factor_over(0, {2, 3}, "a"))
+        descent3.s_set(type1_primes(0))
 
 
 def test_s_set_isogeny_invariance():
@@ -338,7 +339,7 @@ def test_rank_upper_type1_a1():
     assert comp.class_m27a.field_kernel == 1 and comp.class_m27a.unit == 0
     assert comp.s_a == 2
     with pytest.raises(DomainError):
-        descent3.rank_upper_type1(0, {2, 3})
+        descent3.rank_upper_type1(0, ())
 
 
 def test_rank_upper_type1_components_are_bounds():
@@ -351,28 +352,62 @@ def test_rank_upper_type1_components_are_bounds():
 
 
 def test_rank_upper_type1_factors_nothing(monkeypatch):
-    """The caller's primes are the only ones read: both fields' kernels, the
-    Scholz partner and S_a come from a's prime powers at them, by gcd
-    arithmetic, and nothing is factored; a prime of them that does not
-    divide a changes nothing."""
+    """The caller's prime powers are the only ones read: both fields' kernels,
+    the Scholz partner and S_a come from them, by gcd arithmetic, and nothing
+    is factored."""
     cases = [(a, type1_primes(a)) for a in (1, -1, 2, -12, 3**7 * 5, -(2**6) * 3, 5**6, 196)]
     expected = [rank_upper_type1(a) for a, _ in cases]
     calls = []
     factor_abs = arith._factor_abs
     monkeypatch.setattr(arith, "_factor_abs", lambda n: calls.append(n) or factor_abs(n))
-    for (a, primes), bound in zip(cases, expected):
-        assert descent3.rank_upper_type1(a, primes) == bound, a
-        assert descent3.rank_upper_type1(a, sorted(primes | {11})) == bound, a
+    for (a, fac), bound in zip(cases, expected):
+        assert descent3.rank_upper_type1(a, fac) == bound, a
     assert calls == []
 
 
-def test_rank_upper_type1_raises_on_a_missing_prime():
-    """Each prime of a left out of `primes` raises."""
+def test_rank_upper_type1_raises_on_a_missing_prime(monkeypatch):
+    """Each prime power of a left out of the row's factorization raises."""
+    factor = families.factor
     for a in (-50, 2 * 3**7, 5**6, 196, -432):
-        primes = type1_primes(a)
-        for p in arith.prime_divisors(a):
-            with pytest.raises(ArithmeticError, match=rf"^a {a} has a prime outside "):
-                descent3.rank_upper_type1(a, primes - {p})
+        for pe in factor(a):
+            monkeypatch.setattr(families, "factor",
+                                lambda n, pe=pe: tuple(q for q in factor(n) if q != pe))
+            with pytest.raises(ArithmeticError, match=rf"^{a} has a prime outside its prime powers "):
+                rank_upper_type1(a)
+        monkeypatch.setattr(families, "factor", factor)
+
+
+def two_class_bounds(a):
+    """`rank_upper_type1` before it shared one 3-rank: a `class_bound` call
+    for each of K_a = Q(sqrt(-3a)) and K_{-27a} = Q(sqrt(a))."""
+    fac = type1_primes(a)
+    k = arith.signed_kernel(a, fac)
+    comp = descent3.Type1Bound(descent3.class_bound(arith.class_product(-3, k)),
+                               descent3.class_bound(k), len(descent3.s_set(fac)))
+    return comp.class_unit_total + 2 * comp.s_a, comp
+
+
+def test_one_three_rank_matches_two_class_bounds(monkeypatch):
+    """Every 1 <= |a| <= 3000, with a = m^2 (K_{-27a} = Q) and a = -3 m^2
+    (K_a = Q) among them: the same `Type1Bound` as two `class_bound` calls,
+    from one `class_bound` and one `r3_imaginary` call."""
+    calls = Counter()
+    for name in ("class_bound", "r3_imaginary"):
+        real = getattr(descent3, name)
+        monkeypatch.setattr(descent3, name,
+                            lambda k, name=name, real=real: calls.update([name]) or real(k))
+    rational = Counter()
+    for n in range(1, 3001):
+        for a in (n, -n):
+            expected = two_class_bounds(a)
+            calls.clear()
+            assert rank_upper_type1(a) == expected, a
+            assert calls == {"class_bound": 1, "r3_imaginary": 1}, (a, calls)
+            comp = expected[1]
+            rational.update(f.field_kernel for f in (comp.class_a, comp.class_m27a)
+                            if f.method == descent3.RATIONAL_TRIVIAL)
+    # a = m^2 and a = -3 m^2: isqrt(3000) + isqrt(1000) values of m
+    assert rational == {descent3.RATIONAL: isqrt(3000) + isqrt(1000)}, rational
 
 
 def reference_class_bound(d):

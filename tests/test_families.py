@@ -23,7 +23,7 @@ def test_e2_param_validation():
 
 def e2_curve(param):
     """`families.e2_curve` with the primes it reads."""
-    return families.e2_curve(param, families.e2_primes(param))
+    return families.e2_curve(param, families.disc_primes(*families.e2_primes(param)))
 
 
 def test_e2_curve_examples():

@@ -28,9 +28,9 @@ def one_of_each():
         families.tate_normal(Fraction(1, 2), Fraction(1, 2)),
         curves.invariants(families.e5_curve(Fraction(1, 3))),
         descent2.HomogeneousSpace(-1, 2, 3),
-        descent2.rank_upper(E2Param(0, 1), {2, 3}),
+        descent2.rank_upper(E2Param(0, 1), ((), ((2, 2),))),
         descent3.class_bound(-3),
-        descent3.rank_upper_type1(-432, {2, 3})[1],
+        descent3.rank_upper_type1(-432, ((2, 4), (3, 3)))[1],
         E2Param(0, -1),
         stats.normal_order_experiment([1, 0, 1], [10], ())[0],
         stats.volume_constant(12),
