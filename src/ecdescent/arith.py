@@ -11,7 +11,8 @@ on the primes T of n).
 Everything here is pure and exact; the only shared state is an optional
 factorization memo keyed by absolute value, which is a cache and nothing more
 (results are identical with it disabled).  It is emptied when it reaches
-CACHE_BOUND entries, the bound of the descent2 and descent3 caches too.
+CACHE_BOUND entries, the bound of descent2's `_square_class` and
+`_padic_soluble_cached` and of descent3's `r3_imaginary` too.
 """
 
 from math import gcd, isqrt, prod
@@ -26,8 +27,9 @@ _MR_BOUND = 318665857834031151167461
 
 _TRIAL_LIMIT = 1 << 20
 
-# Entry bound of every memo; the benchmark commands stay below it (at most
-# 7,553 factor entries, from `stats normal-order`, and 3,734 class-group ones).
+# Entry bound of the factor memo, `_square_class`, `_padic_soluble_cached`
+# and `r3_imaginary`; the benchmark commands stay below it (at most 7,553
+# factor entries, from `stats normal-order`, and 3,734 class-group ones).
 CACHE_BOUND = 1 << 16
 
 

@@ -62,7 +62,7 @@ def _curve_row(tag, model, minimal, policy, primes, *extra):
     """One enumerate row: tag, the model's own A and B, omega(N) from
     `minimal`, its minimal model, and `primes`, every prime of that model's
     discriminant, then `extra`."""
-    omega_n, _ = curves.conductor_support(minimal, policy, primes)
+    omega_n = curves.conductor_support(minimal, policy, primes)
     return _row(tag, model.A, model.B, omega_n, *extra)
 
 

@@ -99,24 +99,22 @@ def height_leq(E, X):
 
 
 def conductor_support(E, policy, primes):
-    """(omega_N, support): distinct primes of the minimal discriminant.
+    """omega_N: the number of distinct primes of the discriminant of E, a
+    minimal short model (p^4 | A, p^6 | B, at 2 and 3 too); the `exclude-23`
+    policy leaves out 2 and 3 for sensitivity analysis.
 
-    The conductor exponents are never needed here; the prime support of the
-    minimal discriminant equals that of N.  Minimality follows the p^4|A,
-    p^6|B criterion even at 2 and 3, where the true global minimal model can
-    differ; the `exclude-23` policy drops 2 and 3 for sensitivity analysis.
+    At p >= 5 these are the primes of N.  At 2 and 3 the count can exceed
+    omega(N): -16 (4A^3 + 27B^2) is always even, and can carry 3 at good
+    reduction.  E_{1,-16} is 65a1; its minimal short model (-1323, 3942) has
+    discriminant 2^12 3^12 5 13, whose support reads as {2, 3, 5, 13}.
 
-    E must be minimal already, and `primes` must hold every prime of its
-    discriminant: the support is the primes of `primes` that divide it, so
-    nothing is minimized or factored.
+    E must be minimal already, and `primes`, distinct primes, must hold every
+    prime of its discriminant, so nothing is minimized or factored.
     """
     if policy not in POLICIES:
         raise DomainError(f"unknown policy {policy!r}")
     delta = invariants(E).delta
-    support = sorted(p for p in primes if delta % p == 0)
-    if policy == "exclude-23":
-        support = [p for p in support if p not in (2, 3)]
-    return len(support), support
+    return sum(delta % p == 0 for p in primes if p > 3 or policy == "include-small")
 
 
 def _two_torsion_roots(E):

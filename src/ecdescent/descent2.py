@@ -216,10 +216,12 @@ def _hilbert(x, y, p):
     return (al & be & p >> 1 ^ be & u ^ al & v) & 1
 
 
-@lru_cache(maxsize=CACHE_BOUND)
+@lru_cache(maxsize=None)
 def _annihilator(q, group):
     """The codes y with (x, y)_p = +1 for every code x in the frozenset
-    `group`, at a prime p = q mod 4: 8 classes to try at p = 2, 4 at odd p."""
+    `group`, at a prime p = q mod 4: 8 classes to try at p = 2, 4 at odd p.
+    `group`, a known local image, is one of the 16 subgroups of the 8 codes
+    or of the 5 of the 4 codes, so the cache holds at most 16 + 5 + 5 = 26."""
     return frozenset(y for y in range(8 if q == 2 else 4)
                      if not any(_hilbert(x, y, q) for x in group))
 

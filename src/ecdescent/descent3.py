@@ -192,28 +192,14 @@ def fundamental_discriminant(d):
 
 
 def class_bound(k):
-    """3-rank and unit data for Q(sqrt(k)), k a square-free kernel; the
-    3-rank is exact when imaginary, a bound when real.  Nothing is factored.
-
-    Kernel 1 means the rationals (r3 = 0, unit = 0).  Real fields use Scholz
-    reflection: r3(Q(sqrt(k))) is at most r3(Q(sqrt(-3k))), computed exactly
-    on the imaginary partner.  The units modulo cubes have dimension 1 for
-    real fields (the fundamental unit) and for Q(sqrt(-3)) (the sixth roots
-    of unity), else 0.
+    """3-rank (exact, by `r3_imaginary`) and unit data for the imaginary field
+    Q(sqrt(k)), k < 0 a square-free kernel; nothing is factored.  The units
+    modulo cubes have dimension 1 for Q(sqrt(-3)) (sixth roots of unity), else 0.
     """
-    if k == 0:
-        raise DomainError("square class of zero is undefined")
-    if k == 1:
-        return _RATIONAL_FIELD
-    if k < 0:
-        r3 = r3_imaginary(fundamental_discriminant(k))
-        return ClassGroup3(k, r3, EXACT_IMAGINARY, 1 if k == -3 else 0)
-    return _scholz(k, r3_imaginary(fundamental_discriminant(class_product(-3, k))))
-
-
-def _scholz(k, r3):
-    """The real field Q(sqrt(k)), k > 1, whose partner Q(sqrt(-3k)) has 3-rank r3."""
-    return ClassGroup3(k, r3, SCHOLZ_BOUND, 1)
+    if k >= 0:
+        raise DomainError(f"{k} is not the kernel of an imaginary field")
+    return ClassGroup3(k, r3_imaginary(fundamental_discriminant(k)), EXACT_IMAGINARY,
+                       1 if k == -3 else 0)
 
 
 def rank_upper_type1(a, fac):
@@ -226,8 +212,9 @@ def rank_upper_type1(a, fac):
     bound.  Nothing is factored: a's signed kernel k and S_a come from its
     prime powers `fac` (`families.type1_primes(a)`); -3a's is
     `class_product(-3, k)`.  The two kernels differ by the negative -3, so
-    one field is imaginary, and the other is real with it as Scholz partner,
-    or is Q (a = m^2 or a = -3 m^2): one 3-rank serves both.
+    one field is imaginary, and the other is Q (a = m^2 or a = -3 m^2) or
+    real: its 3-rank is at most the imaginary one's (Scholz reflection), and
+    its units modulo cubes (a fundamental unit) have dimension 1.
     """
     if a == 0:
         raise DomainError("a must be nonzero")
@@ -235,7 +222,7 @@ def rank_upper_type1(a, fac):
     k_a = class_product(-3, k)
     imaginary = class_bound(min(k_a, k))
     real = max(k_a, k)
-    other = _RATIONAL_FIELD if real == 1 else _scholz(real, imaginary.r3)
+    other = _RATIONAL_FIELD if real == 1 else ClassGroup3(real, imaginary.r3, SCHOLZ_BOUND, 1)
     s_a = len(s_set(fac))
     comp = Type1Bound(imaginary, other, s_a) if k_a < 0 else Type1Bound(other, imaginary, s_a)
     return comp.class_unit_total + 2 * s_a, comp

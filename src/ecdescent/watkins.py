@@ -78,7 +78,7 @@ def report(param, policy):
     primes = families.disc_primes(*facs)
     model = families.e2_curve(param, primes)
     shape = param.two_torsion
-    omega_n, _ = curves.conductor_support(model, policy, primes)
+    omega_n = curves.conductor_support(model, policy, primes)
     surrogate = omega_n - 2 if shape == Z2 else None
     rank_bound = descent2.rank_upper(param, facs).rank_upper
     return WatkinsReport(model, rank_bound, omega_n, surrogate,

@@ -256,7 +256,7 @@ def test_criterion_14_density_experiment():
             primes = families.disc_primes(*facs)
             est = descent2.rank_upper(param, facs)
             model = families.e2_curve(param, primes)
-            omega_n, _ = curves.conductor_support(model, "include-small", primes)
+            omega_n = curves.conductor_support(model, "include-small", primes)
             if est.rank_upper > omega_n - 2:
                 failures.append((a, b))
     assert failures == []

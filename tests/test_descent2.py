@@ -1050,6 +1050,23 @@ def clear_annihilators():
     descent2._annihilator.cache_clear()
 
 
+def test_annihilator_cache_is_bounded_by_its_keys(clear_annihilators, monkeypatch):
+    """`_annihilator` has no maxsize: its keys are p mod 4 and a known local
+    image, one of the 16 subgroups of the 8 codes at p = 2 or of the 5 of the
+    4 codes at odd p.  A height-12 e2 scan fills at most 16 + 5 + 5 = 26
+    entries, and every group it asks about is closed under XOR."""
+    annihilator, keys = descent2._annihilator, set()
+    assert annihilator.cache_info().maxsize is None
+    monkeypatch.setattr(descent2, "_annihilator",
+                        lambda q, group: keys.add((q, group)) or annihilator(q, group))
+    argv = ["--workers", "1", "watkins", "--family", "e2", "--height", "12"]
+    assert cli.main(argv, out=io.StringIO()) == 0
+    assert 0 < annihilator.cache_info().currsize == len(keys) <= 26
+    for q, group in keys:
+        assert q in (1, 2, 3) and group <= frozenset(range(8 if q == 2 else 4)), (q, group)
+        assert all(x ^ y in group for x in group for y in group), (q, group)
+
+
 def test_descent_with_a_wrong_hilbert_symbol_exits_1(clear_annihilators, monkeypatch, capsys):
     """A symbol that pairs everything to -1 breaks the first duality check:
     the torsion classes 1 and -1 of y^2 = x^3 - x (on the phi side, that of

@@ -287,15 +287,20 @@ def test_composition_group_axioms():
 
 
 def test_class_bound():
-    assert descent3.class_bound(1) == descent3.ClassGroup3(1, 0, "rational-trivial", 0)
+    """`class_bound` takes only imaginary kernels; Q and the real fields are
+    built in `rank_upper_type1`, as K_{-27a} = Q(sqrt(a)) for a = 1 and 79."""
     assert descent3.class_bound(-3) == descent3.ClassGroup3(-3, 0, "exact-imaginary", 1)
-    cb = descent3.class_bound(79)
+    assert (rank_upper_type1(1)[1].class_m27a == reference_class_bound(1)
+            == descent3.ClassGroup3(1, 0, "rational-trivial", 0))
+    cb = rank_upper_type1(79)[1].class_m27a
+    assert cb == reference_class_bound(79)
     assert cb.method == "scholz-bound"
     assert cb.field_kernel == 79
     # the partner is Q(sqrt(-237)): an exact upper bound for r3(Q(sqrt(79)))
     assert cb.r3 == descent3.r3_imaginary(descent3.fundamental_discriminant(-237))
-    with pytest.raises(DomainError):
-        descent3.class_bound(0)
+    for k in (0, 1, 79):
+        with pytest.raises(DomainError):
+            descent3.class_bound(k)
 
 
 def reference_unit_3dim(d):
@@ -310,16 +315,25 @@ def reference_unit_3dim(d):
     return 0
 
 
+def field(k):
+    """Q(sqrt(k)) for a square-free kernel k as the code builds it: by
+    `class_bound` when imaginary, else as K_{-27a} = Q(sqrt(a)) of
+    `rank_upper_type1(k)`; equal to `reference_class_bound(k)`."""
+    out = descent3.class_bound(k) if k < 0 else rank_upper_type1(k)[1].class_m27a
+    assert out == reference_class_bound(k), k
+    return out
+
+
 def test_unit_3dim():
-    assert descent3.class_bound(-1).unit == 0
-    assert descent3.class_bound(-3).unit == 1
-    assert descent3.class_bound(5).unit == 1
-    assert descent3.class_bound(1).unit == 0
-    assert descent3.class_bound(2).unit == 1  # real
+    assert field(-1).unit == 0
+    assert field(-3).unit == 1
+    assert field(5).unit == 1
+    assert field(1).unit == 0
+    assert field(2).unit == 1  # real
     for d in range(-3000, 3001):
         if d:
             k = arith.squarefree_kernel(d)
-            assert descent3.class_bound(k).unit == reference_unit_3dim(d), d
+            assert field(k).unit == reference_unit_3dim(d), d
 
 
 def test_fundamental_discriminant():
@@ -378,19 +392,21 @@ def test_rank_upper_type1_raises_on_a_missing_prime(monkeypatch):
 
 
 def two_class_bounds(a):
-    """`rank_upper_type1` before it shared one 3-rank: a `class_bound` call
-    for each of K_a = Q(sqrt(-3a)) and K_{-27a} = Q(sqrt(a))."""
+    """`rank_upper_type1` before it shared one 3-rank: a class bound for each
+    of K_a = Q(sqrt(-3a)) and K_{-27a} = Q(sqrt(a)), by `class_bound` when
+    imaginary and by `reference_class_bound` for Q or a real field."""
     fac = type1_primes(a)
     k = arith.signed_kernel(a, fac)
-    comp = descent3.Type1Bound(descent3.class_bound(arith.class_product(-3, k)),
-                               descent3.class_bound(k), len(descent3.s_set(fac)))
+    comp = descent3.Type1Bound(*(descent3.class_bound(j) if j < 0 else reference_class_bound(j)
+                                 for j in (arith.class_product(-3, k), k)),
+                               len(descent3.s_set(fac)))
     return comp.class_unit_total + 2 * comp.s_a, comp
 
 
 def test_one_three_rank_matches_two_class_bounds(monkeypatch):
     """Every 1 <= |a| <= 3000, with a = m^2 (K_{-27a} = Q) and a = -3 m^2
-    (K_a = Q) among them: the same `Type1Bound` as two `class_bound` calls,
-    from one `class_bound` and one `r3_imaginary` call."""
+    (K_a = Q) among them: the same `Type1Bound` as two class bounds, from
+    one `class_bound` and one `r3_imaginary` call."""
     calls = Counter()
     for name in ("class_bound", "r3_imaginary"):
         real = getattr(descent3, name)

@@ -433,7 +433,7 @@ def test_certificate_soundness_exhaustive_small():
             primes = families.disc_primes(*facs)
             est = descent2.rank_upper(param, facs)
             model = families.e2_curve(param, primes)
-            omega_n, _ = curves.conductor_support(model, "include-small", primes)
+            omega_n = curves.conductor_support(model, "include-small", primes)
             assert est.rank_upper <= omega_n - 2, (a, b)
 
 
