@@ -4,9 +4,12 @@ Factoring (trial division by the primes below 2^10 that a gcd with their
 product shows to divide, exact integer roots for perfect powers, and Pollard
 rho only for the other composites; primality by Miller-Rabin, which is
 deterministic below _MR_BOUND and completed by a strong Lucas test, BPSW,
-above), distinct-prime counts, square-free parts, Legendre symbols, the
-Moebius function, and signed square-free divisors (the square classes Q(T)
-on the primes T of n).
+above), Legendre symbols, and the group of signed square-free classes:
+its law `class_product`, the sorted span `class_span` of a basis (the
+Selmer classes of descent2, and Q(T) on the primes T of n), and a number's
+class `signed_kernel`.  `factor` is the one way into a number's prime
+powers, so the distinct-prime count, square-free part, Moebius function and
+square-free divisors read it and share its DomainError on zero.
 
 Everything here is pure and exact; the only shared state is an optional
 factorization memo keyed by absolute value, which is a cache and nothing more
@@ -268,26 +271,16 @@ def prime_divisors(n):
 
 def omega(n):
     """Number of distinct prime factors of |n|."""
-    if n == 0:
-        raise DomainError("omega(0) is undefined")
-    return len(_factor_abs(abs(n)))
+    return len(factor(n))
 
 
 def squarefree_part(n):
     """s(n): the product of primes dividing |n| to an odd power."""
-    if n == 0:
-        raise DomainError("squarefree part of zero is undefined")
-    s = 1
-    for p, e in _factor_abs(abs(n)):
-        if e % 2 == 1:
-            s *= p
-    return s
+    return abs(signed_kernel(n, factor(n)))
 
 
 def squarefree_kernel(n):
     """Signed square-free part: sign(n) * s(n); represents the square class."""
-    if n == 0:
-        raise DomainError("square class of zero is undefined")
     return (1 if n > 0 else -1) * squarefree_part(n)
 
 
@@ -301,10 +294,19 @@ def class_product(d, e):
     return d * e // gcd(d, e) ** 2
 
 
+def class_span(basis):
+    """The 2^k classes spanned by k square-free classes, sorted by (|d|, d < 0);
+    a dependent basis repeats one and raises ArithmeticError."""
+    out = [1]
+    for s in basis:
+        out += [class_product(d, s) for d in out]
+    if len(set(out)) < len(out):
+        raise ArithmeticError(f"Selmer basis {basis} is dependent")
+    return sorted(out, key=lambda d: (abs(d), d < 0))
+
+
 def is_squarefree(n):
-    if n == 0:
-        return False
-    return all(e == 1 for _, e in _factor_abs(abs(n)))
+    return n != 0 and all(e == 1 for _, e in factor(n))
 
 
 def is_square(n):
@@ -336,9 +338,7 @@ def valuation(n, p):
 
 def mobius(n):
     """Moebius function of |n|."""
-    if n == 0:
-        raise DomainError("mobius(0) is undefined")
-    fac = _factor_abs(abs(n))
+    fac = factor(n)
     if any(e > 1 for _, e in fac):
         return 0
     return -1 if len(fac) % 2 else 1
@@ -357,25 +357,12 @@ def legendre(a, p):
 
 def squarefree_divisors(n):
     """Signed square-free divisors of n (all square classes dividing rad(n))."""
-    if n == 0:
-        raise DomainError("divisors of zero are undefined")
-    reps = [1]
-    for p, _ in _factor_abs(abs(n)):
-        reps += [r * p for r in reps]
-    reps += [-r for r in reps]
-    reps.sort(key=lambda d: (abs(d), d < 0))
-    return reps
+    return class_span([-1, *prime_divisors(n)])
 
 
 def unitary_squarefree_divisors(n):
     """Positive square-free unitary (Hall) divisors of n: products of primes with nu_p(n) = 1."""
-    if n == 0:
-        raise DomainError("divisors of zero are undefined")
-    reps = [1]
-    for p, e in _factor_abs(abs(n)):
-        if e == 1:
-            reps += [r * p for r in reps]
-    return sorted(reps)
+    return class_span([p for p, e in factor(n) if e == 1])
 
 
 def next_prime(n):

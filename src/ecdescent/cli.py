@@ -144,14 +144,9 @@ def cmd_descent3(args, cfg):
         "a": args.a,
         "bound": bound,
         "components": {
-            "class_field_a": comp.class_a.field_kernel,
-            "r3_a": comp.class_a.r3,
-            "method_a": comp.class_a.method,
-            "unit_a": comp.class_a.unit,
-            "class_field_m27a": comp.class_m27a.field_kernel,
-            "r3_m27a": comp.class_m27a.r3,
-            "method_m27a": comp.class_m27a.method,
-            "unit_m27a": comp.class_m27a.unit,
+            **{f"{key}_{side}": value
+               for side, group in (("a", comp.class_a), ("m27a", comp.class_m27a))
+               for key, value in zip(("class_field", "r3", "method", "unit"), group)},
             "s_a": comp.s_a,
             "s_m27a": comp.s_a,  # S_{-27a} = S_a
         },

@@ -42,7 +42,8 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import chain
 
-from .arith import CACHE_BOUND, class_product, is_prime, legendre, signed_kernel, valuation
+from .arith import (CACHE_BOUND, class_product, class_span, is_prime, legendre, signed_kernel,
+                    valuation)
 from .errors import DomainError
 
 
@@ -78,11 +79,11 @@ class SelmerEstimate(namedtuple("SelmerEstimate", "phi_basis phihat_basis")):
 
     @property
     def phi_classes(self):
-        return _span(self.phi_basis)
+        return class_span(self.phi_basis)
 
     @property
     def phihat_classes(self):
-        return _span(self.phihat_basis)
+        return class_span(self.phihat_basis)
 
 
 def real_soluble(space):
@@ -270,17 +271,6 @@ def _selmer(side, fac, t, other):
             kept.append(class_product(s, span[y]))
         basis, goods[p] = kept, good
     return basis, goods
-
-
-def _span(basis):
-    """The 2^k classes spanned by k square-free classes, sorted by (|d|, d < 0);
-    a dependent basis repeats one and raises ArithmeticError."""
-    out = [1]
-    for s in basis:
-        out += [class_product(d, s) for d in out]
-    if len(set(out)) < len(out):
-        raise ArithmeticError(f"Selmer basis {basis} is dependent")
-    return sorted(out, key=lambda d: (abs(d), d < 0))
 
 
 def _check_basis(basis, t, local):

@@ -11,7 +11,7 @@ from collections import namedtuple
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .arith import CACHE_BOUND, class_product, factor, legendre, signed_kernel
+from .arith import CACHE_BOUND, class_product, factor, signed_kernel
 from .errors import DomainError
 
 RATIONAL = 1  # square-class marker for the degenerate "field" Q
@@ -49,8 +49,9 @@ class Type1Bound(namedtuple("Type1Bound", "class_a class_m27a s_a")):
 
 def s_set(fac):
     """S_a, from a's prime powers `fac`, as a sorted tuple: always 2 and 3, plus
-    primes p > 3 with nu_p(a) in {2, 4} and (-3/p) = 1."""
-    return (2, 3, *(p for p, e in fac if p > 3 and e in (2, 4) and legendre(-3, p) == 1))
+    primes p > 3 with nu_p(a) in {2, 4} and (-3/p) = 1, that is p = 1 mod 3
+    (quadratic reciprocity: (-3/p) = (p/3) for a prime p > 3)."""
+    return (2, 3, *(p for p, e in fac if p > 3 and e in (2, 4) and p % 3 == 1))
 
 
 def reduce_form(a, b, c):

@@ -86,11 +86,13 @@ def report(param, policy):
 
 
 def load_dataset(path):
-    """Parse a dataset CSV with header exactly label,A,B,rank,modular_degree."""
+    """Parse a UTF-8 dataset CSV with header exactly label,A,B,rank,modular_degree.
+    A leading byte-order mark is dropped after decoding, so a decoding error
+    names its byte's offset in the file."""
     records = []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            text = fh.read()
+            text = fh.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise DatasetFormatError(f"not UTF-8 text at byte {exc.start}") from None
     except OSError as exc:

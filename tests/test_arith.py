@@ -65,14 +65,12 @@ def test_factor_examples():
 
 
 def test_factor_zero_rejected():
-    with pytest.raises(DomainError):
-        arith.factor(0)
-    with pytest.raises(DomainError):
-        arith.omega(0)
-    with pytest.raises(DomainError):
-        arith.squarefree_part(0)
-    with pytest.raises(DomainError):
-        arith.mobius(0)
+    """The readers of `factor` share its DomainError on zero; is_squarefree(0) is False."""
+    for reader in (arith.factor, arith.omega, arith.squarefree_part, arith.squarefree_kernel,
+                   arith.mobius, arith.squarefree_divisors, arith.unitary_squarefree_divisors):
+        with pytest.raises(DomainError, match="^cannot factor zero$"):
+            reader(0)
+    assert arith.is_squarefree(0) is False
 
 
 def test_factor_round_trip_small_range():
@@ -287,6 +285,77 @@ def test_q_t_cardinality_and_inequivalence():
                 assert arith.squarefree_kernel(d1 * d2) != 1
         if not inf:
             assert all(d > 0 for d in reps)
+
+
+def reference_span(basis):
+    """The loop `descent2` expanded its Selmer bases with before `class_span`."""
+    out = [1]
+    for s in basis:
+        out += [arith.class_product(d, s) for d in out]
+    if len(set(out)) < len(out):
+        raise ArithmeticError(f"Selmer basis {basis} is dependent")
+    return sorted(out, key=lambda d: (abs(d), d < 0))
+
+
+def reference_squarefree_divisors(n):
+    """The signed divisor loop `squarefree_divisors` ran before `class_span`."""
+    reps = [1]
+    for p, _ in trial_division(n):
+        reps += [r * p for r in reps]
+    reps += [-r for r in reps]
+    reps.sort(key=lambda d: (abs(d), d < 0))
+    return reps
+
+
+def reference_unitary_squarefree_divisors(n):
+    """The loop `unitary_squarefree_divisors` ran before `class_span`."""
+    reps = [1]
+    for p, e in trial_division(n):
+        if e == 1:
+            reps += [r * p for r in reps]
+    return sorted(reps)
+
+
+SIGNED_RANGE = [s * n for n in range(1, 3001) for s in (1, -1)]
+
+
+def test_divisor_helpers_match_the_retired_loops():
+    """On every 1 <= |n| <= 3000, each divisor helper equals its retired
+    loop, and `class_span` of n's primes equals the retired span."""
+    for n in SIGNED_RANGE:
+        primes = [p for p, _ in trial_division(n)]
+        assert arith.squarefree_divisors(n) == reference_squarefree_divisors(n), n
+        assert arith.unitary_squarefree_divisors(n) == reference_unitary_squarefree_divisors(n), n
+        assert arith.class_span(primes) == reference_span(primes), n
+
+
+def test_class_span_of_random_independent_bases():
+    """Bases of up to 8 signed primes, each prime used once, and in half of
+    them one element swapped for -1, so independent: the span equals the
+    retired loop's and holds 2^k distinct classes."""
+    rng = random.Random(38)
+    primes = arith.primes_up_to(200)
+    for _ in range(500):
+        basis = [rng.choice((1, -1)) * p for p in rng.sample(primes, rng.randrange(9))]
+        if basis and rng.randrange(2):
+            basis[rng.randrange(len(basis))] = -1
+        span = arith.class_span(basis)
+        assert span == reference_span(basis), basis
+        assert len(set(span)) == 2 ** len(basis), basis
+
+
+def test_factor_readers_match_trial_division():
+    """omega, mobius, is_squarefree, squarefree_part and squarefree_kernel
+    against the trial-division oracle on every 1 <= |n| <= 3000."""
+    for n in SIGNED_RANGE:
+        fac = trial_division(n)
+        odd = prod(p for p, e in fac if e % 2)
+        squarefree = all(e == 1 for _, e in fac)
+        assert arith.omega(n) == len(fac), n
+        assert arith.mobius(n) == (-1) ** len(fac) * squarefree, n
+        assert arith.is_squarefree(n) == squarefree, n
+        assert arith.squarefree_part(n) == odd, n
+        assert arith.squarefree_kernel(n) == (odd if n > 0 else -odd), n
 
 
 # The least strong pseudoprime to every base in arith._MR_BASES (psi_12), and

@@ -651,6 +651,21 @@ def test_verify_non_utf8_exit2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: not UTF-8 text at byte 31\n"
 
 
+def test_verify_skips_a_byte_order_mark(tmp_path, capsys):
+    """A UTF-8 byte-order mark before the header changes neither stdout nor
+    the exit code; after one, non-UTF-8 bytes still exit 2, and the error
+    names the bad byte's offset in the file, the mark counted."""
+    p = tmp_path / "bom.csv"
+    with open(DATA, "rb") as fh:
+        p.write_bytes(b"\xef\xbb\xbf" + fh.read())
+    code, out = run_cli(["verify", "--dataset", str(p)])
+    assert (code, out.replace(str(p), DATA)) == run_cli(["verify", "--dataset", DATA])
+    assert capsys.readouterr().err == ""
+    p.write_bytes(b"\xef\xbb\xbflabel,A,B,rank,modular_degree\ne\xe9,0,-1,0,1\n")
+    assert run_cli(["verify", "--dataset", str(p)]) == (2, "")
+    assert capsys.readouterr().err == "error: not UTF-8 text at byte 34\n"
+
+
 @pytest.mark.parametrize("argv, error", [
     (["verify", "--dataset", "{missing}"], errno.ENOENT),
     (["verify", "--dataset", "{tmp}"], errno.EISDIR),

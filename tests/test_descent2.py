@@ -938,9 +938,9 @@ def _dependent(on, extra):
 def test_selmer_invariants_raise(monkeypatch):
     """A dependent basis spans fewer than 2^k classes: its span repeats one.
     Here the product of the first two elements is appended."""
-    assert descent2._span([2, -1]) == [1, -1, 2, -2]
+    assert arith.class_span([2, -1]) == [1, -1, 2, -2]
     with pytest.raises(ArithmeticError, match=r"^Selmer basis \[2, -1, -2\] is dependent$"):
-        descent2._span([2, -1, -2])
+        arith.class_span([2, -1, -2])
     param = E2Param(0, 1)
     assert rank_upper(param).dim_phi == 2
     product = lambda basis: arith.class_product(*basis[:2])

@@ -76,6 +76,19 @@ def test_s_set():
         descent3.s_set(type1_primes(0))
 
 
+def test_s_set_reads_minus_three_by_reciprocity():
+    """(-3/p) = (p/3) for a prime p > 3, so `s_set`'s p = 1 mod 3 is the
+    Legendre symbol it stands for: on every prime 5 <= p < 10^5, and on
+    p^2 and p^4 read through `s_set` itself."""
+    primes = [p for p in arith.primes_up_to(10**5) if p >= 5]
+    assert len(primes) == 9590
+    for p in primes:
+        assert (arith.legendre(-3, p) == 1) == (p % 3 == 1), p
+    for p in primes[:500]:
+        for e in (2, 4):
+            assert (p in descent3.s_set(((p, e),))) == (arith.legendre(-3, p) == 1), (p, e)
+
+
 def test_s_set_isogeny_invariance():
     for a in range(1, 51):
         for s in (a, -a):
